@@ -22,7 +22,6 @@ from .cones import (
     generator_cone,
     is_reduced,
     total_cone,
-    transport_cone,
     trivial_cone,
     units,
 )

@@ -34,10 +34,10 @@ from .groups import (
 )
 from .pog import (
     classify,
+    is_normal_epi,
     is_short_exact,
     make_pog,
     make_pog_morphism,
-    morphism_class,
     pog_coequalizer,
     pog_cokernel,
     pog_equalizer,
@@ -304,10 +304,9 @@ def cmd_reflect(ws, args, opts):
                 "iso": iso, "exact": exact}, 0
     P = _need(ws, "objects", name, "object or morphism")
     dec = torsion_sequence(P, opts["window"])
-    rep = morphism_class(dec.unit, opts["window"])
     return {"object": name,
             "torsion_free": object_json(dec.free_part),
-            "unit_normal_epi": rep.normal_epi}, 0
+            "unit_normal_epi": is_normal_epi(dec.unit, opts["window"])[0]}, 0
 
 
 def cmd_proto_reflect(ws, args, opts):
@@ -365,9 +364,10 @@ def cmd_cover(ws, args, opts):
         "realized": cover.realized is not None,
     }
     if cover.projection is not None:
-        rep = morphism_class(cover.projection, opts["window"])
-        report["projection_normal_epi"] = rep.normal_epi
-        report["effective_descent"] = rep.effective_descent
+        # effective descent morphisms are exactly the normal epis here
+        normal_epi, _ = is_normal_epi(cover.projection, opts["window"])
+        report["projection_normal_epi"] = normal_epi
+        report["effective_descent"] = normal_epi
     return report, 0 if cover.scan.clean else 2
 
 
@@ -382,10 +382,9 @@ def cmd_kernel(ws, args, opts):
 def cmd_cokernel(ws, args, opts):
     m = _need(ws, "morphisms", args.morphism, "morphism")
     Q, proj = pog_cokernel(m)
-    rep = morphism_class(proj, opts["window"])
     return {"morphism": args.morphism,
             "cokernel": object_json(Q),
-            "projection_normal_epi": rep.normal_epi}, 0
+            "projection_normal_epi": is_normal_epi(proj, opts["window"])[0]}, 0
 
 
 def cmd_limit(ws, args, opts):

@@ -606,21 +606,6 @@ def transport_image(hom, inner):
     return cone
 
 
-def transport_cone(kind, **data):
-    """Named dispatcher mirroring the transport operations."""
-    if kind == "product":
-        return transport_product(**data)
-    if kind == "pullback":
-        return transport_pullback(**data)
-    if kind == "preimage":
-        return transport_preimage(**data)
-    if kind == "image":
-        return transport_image(**data)
-    if kind == "intersection":
-        return transport_intersection(**data)
-    raise ValueError(f"unknown transport kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------

@@ -20,20 +20,20 @@ from .cones import (
     CoverCone,
     cone_contains,
     cone_window,
-    group_window,
     units,
 )
 from .groups import (
     FgAbGroup,
+    GroupHom,
     kernel_subgroup,
-    make_hom,
     subgroup_intersection,
 )
 from .pog import (
     DEFAULT_WINDOW,
     POGMorphism,
     PreorderedGroup,
-    morphism_class,
+    identity_morphism,
+    is_normal_epi,
     pog_is_iso,
     pog_pullback,
     structural_morphism,
@@ -50,7 +50,7 @@ class VirtualPOG:
     """Z x G with the cover order, independent of any coordinate realization.
 
     Elements are pairs (n, g) of a Python integer and a group element of
-    the base; only predicate evaluation and window scans are offered.
+    the base; only the positivity predicate is offered.
     """
 
     base: PreorderedGroup
@@ -59,22 +59,6 @@ class VirtualPOG:
         if n >= 1:
             return bool(cone_contains(self.base.cone, g))
         return n == 0 and g.is_zero()
-
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def neg(self, x):
-        return (-x[0], -x[1])
-
-    def conjugate(self, t, x):
-        return self.add(self.add(t, x), self.neg(t))
-
-    def project(self, x):
-        return x[1]
-
-    def window(self, width):
-        return [(n, g) for n in range(-width, width + 1)
-                for g in group_window(self.base.group, width)]
 
 
 @dataclass(frozen=True)
@@ -157,21 +141,8 @@ def canonical_cover(P, width=DEFAULT_WINDOW):
     if P.group.backend != "fgab":
         return CoverResult(virtual, scan, surjectivity_note=note)
     G = P.group
-    H = FgAbGroup(G.rank + 1, G.torsion)
-
-    def embed(coords):
-        # base coordinates into H: free part shifted one slot right
-        return [0] + list(coords[: G.rank]) + list(coords[G.rank:])
-
-    proj_images = []
-    for i, gen in enumerate(H.generators()):
-        if i == 0:
-            proj_images.append(G.zero)
-        elif i <= G.rank:
-            proj_images.append(G.generators()[i - 1])
-        else:
-            proj_images.append(G.generators()[i - 1])
-    proj = make_hom(H, G, proj_images)
+    H = FgAbGroup(G.rank + 1, G.torsion)  # new free coordinate first
+    proj = GroupHom(H, G, (G.zero, *G.generators()))
     cover_pog = PreorderedGroup(H, CoverCone(H, P.cone))
     morphism = structural_morphism(
         proj, cover_pog, P, "cover projection: (n, g) |-> g")
@@ -230,7 +201,8 @@ def kernel_pair(f, width=DEFAULT_WINDOW):
     lim = pog_pullback(f, f)
     R = lim.obj
     r1, r2 = lim.legs
-    delta_hom = induced_into_pullback(lim, _id_morphism(f.dom), _id_morphism(f.dom))
+    delta_hom = induced_into_pullback(lim, identity_morphism(f.dom),
+                                      identity_morphism(f.dom))
     delta = structural_morphism(delta_hom, f.dom, R, "diagonal")
     sigma_hom = induced_into_pullback(lim, r2, r1)
     sigma = structural_morphism(sigma_hom, R, R, "swap")
@@ -240,11 +212,6 @@ def kernel_pair(f, width=DEFAULT_WINDOW):
         lim, compose_pog(r1, pairs.legs[0]), compose_pog(r2, pairs.legs[1]))
     tau = structural_morphism(tau_hom, pairs.obj, R, "transitivity composite")
     return InternalEquivRelation(R, f.dom, r1, r2, delta, sigma, pairs, tau)
-
-
-def _id_morphism(P):
-    from .pog import identity_morphism
-    return identity_morphism(P)
 
 
 @dataclass(frozen=True)
@@ -294,8 +261,7 @@ def is_covering(m, width=DEFAULT_WINDOW):
 def is_covering_along(m, p, width=DEFAULT_WINDOW):
     """Pull m back along the normal epimorphism p and test for a trivial
     covering there (unit-group restriction an isomorphism)."""
-    rep = morphism_class(p, width)
-    if not rep.normal_epi:
+    if not is_normal_epi(p, width)[0]:
         raise ValueError("p must be a normal epimorphism")
     if m.cod != p.cod:
         raise ValueError("codomains must match")

@@ -64,10 +64,6 @@ class UnitExtractionUnsupported(PreordGrpError):
     """No compositional rule computes the unit group of this recipe cone."""
 
 
-class ClassificationUnsupported(PreordGrpError):
-    """The subgroup test for this recipe cone has no exact decision rule."""
-
-
 class NotComparable(PreordGrpError):
     """Alternative sequence fails its own certificate."""
 

@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from .cones import extract_generators, units
 from .errors import EnumerationUnbounded, NotACommutingSquare, RowsNotSchreier
 from .groups import (
+    GroupHom,
     _subgroup_lattice,
     compose,
     enumerate_group_homs,
+    factor_through_epi,
     image_subgroup,
     is_isomorphism,
     is_surjective,
     kernel_subgroup,
-    make_hom,
-    preimage_element,
     quotient,
     subgroup_equal,
     subgroup_intersection,
@@ -36,8 +36,8 @@ from .pog import (
     PreorderedGroup,
     compose_pog,
     cone_preservation,
+    is_normal_epi,
     make_pog_morphism,
-    morphism_class,
     pog_is_iso,
     pog_pullback,
     structural_morphism,
@@ -79,12 +79,12 @@ def in_class(m, cls, width=DEFAULT_WINDOW):
     ker = kernel_subgroup(m.hom)
     N = units(m.dom.cone)
     if cls == "Eprime":
-        rep = morphism_class(m, width)
-        if not rep.normal_epi:
-            return ClassReport("Eprime", False, rep.exact,
+        normal_epi, exact = is_normal_epi(m, width)
+        if not normal_epi:
+            return ClassReport("Eprime", False, exact,
                                "not a normal epimorphism")
         total = all(N.contains(k) for k in ker.generators)
-        return ClassReport("Eprime", total, rep.exact,
+        return ClassReport("Eprime", total, exact,
                            "kernel totally ordered" if total
                            else "kernel has a non-unit positive element")
     if cls == "Mstar":
@@ -161,38 +161,44 @@ class FactorizationResult:
 
 
 def induced_into_pullback(lim, u1, u2):
-    """Mediating group hom X -> P for a pullback cone of morphisms (u1, u2)."""
+    """Mediating group hom X -> P for a pullback cone of morphisms (u1, u2).
+
+    The legs are jointly injective, so exact preimages make the result a
+    hom without a re-check.
+    """
     P = lim.obj.group
     p1, p2 = lim.legs[0].hom, lim.legs[1].hom
     h1 = u1.hom if isinstance(u1, POGMorphism) else u1
     h2 = u2.hom if isinstance(u2, POGMorphism) else u2
     X = h1.dom
-    sources = X.elements() if X.backend == "finite" else X.generators()
+    if P.backend == "finite":
+        pairs = {}
+        for z in P.elements():
+            pairs.setdefault((p1(z).coords, p2(z).coords), z)
+    else:
+        rows = []
+        for r in range(p1.cod.ncoords):
+            rows.append([p1.images[j].coords[r] for j in range(P.ncoords)])
+        for r in range(p2.cod.ncoords):
+            rows.append([p2.images[j].coords[r] for j in range(P.ncoords)])
+        slack = []
+        for c in p1.cod.relation_columns():
+            slack.append(list(c) + [0] * p2.cod.ncoords)
+        for c in p2.cod.relation_columns():
+            slack.append([0] * p1.cod.ncoords + list(c))
+        M = [rows[i] + [s[i] for s in slack] for i in range(len(rows))]
     images = []
-    for x in sources:
+    for x in (X.elements() if X.backend == "finite" else X.generators()):
         t1, t2 = h1(x), h2(x)
         if P.backend == "finite":
-            img = next((z for z in P.elements()
-                        if p1(z) == t1 and p2(z) == t2), None)
+            img = pairs.get((t1.coords, t2.coords))
         else:
-            rows = []
-            for r in range(p1.cod.ncoords):
-                rows.append([p1.images[j].coords[r] for j in range(P.ncoords)])
-            for r in range(p2.cod.ncoords):
-                rows.append([p2.images[j].coords[r] for j in range(P.ncoords)])
-            slack = []
-            for c in p1.cod.relation_columns():
-                slack.append(list(c) + [0] * p2.cod.ncoords)
-            for c in p2.cod.relation_columns():
-                slack.append([0] * p1.cod.ncoords + list(c))
-            M = [rows[i] + [s[i] for s in slack] for i in range(len(rows))]
-            target = list(t1.coords) + list(t2.coords)
-            z = solve(M, target)
+            z = solve(M, list(t1.coords) + list(t2.coords))
             img = P.elem(z[: P.ncoords]) if z is not None else None
         if img is None:
             raise ValueError("square does not commute into the pullback")
         images.append(img)
-    return make_hom(X, P, images)
+    return GroupHom(X, P, tuple(images))
 
 
 def em_factor(f, width=DEFAULT_WINDOW):
@@ -229,12 +235,7 @@ def ml_factor(f, width=DEFAULT_WINDOW):
         e = make_pog_morphism(proj, f.dom, mid, width)
     else:
         e = structural_morphism(proj, f.dom, mid, "quotient projection")
-    gens = Q.elements() if Q.backend == "finite" else Q.generators()
-    images = []
-    for g in gens:
-        pre = preimage_element(proj, g)
-        images.append(f.hom(pre))
-    m_hom = make_hom(Q, f.cod.group, images)
+    m_hom = factor_through_epi(proj, f.hom)
     if extract_generators(qcone) is not None:
         mstar = make_pog_morphism(m_hom, mid, f.cod, width)
     else:
@@ -276,17 +277,10 @@ def check_orthogonality(e, m, a, b, width=DEFAULT_WINDOW):
         raise NotACommutingSquare("m.a differs from b.e")
     B, C = e.cod, m.dom
     if is_surjective(e.hom):
-        for k in kernel_subgroup(e.hom).generators:
-            if not a.hom(k).is_zero():
-                return OrthogonalityReport(
-                    False, detail="kernel of e is not killed by a")
-        gens = (B.group.elements() if B.group.backend == "finite"
-                else B.group.generators())
-        images = []
-        for y in gens:
-            x = preimage_element(e.hom, y)
-            images.append(a.hom(x))
-        phi_hom = make_hom(B.group, C.group, images)
+        phi_hom = factor_through_epi(e.hom, a.hom)
+        if phi_hom is None:
+            return OrthogonalityReport(
+                False, detail="kernel of e is not killed by a")
         ok, bad, cert = cone_preservation(phi_hom, B.cone, C.cone, width)
         if not ok:
             return OrthogonalityReport(

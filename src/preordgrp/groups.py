@@ -430,7 +430,9 @@ class GroupHom:
         return f"hom {self.dom!r} -> {self.cod!r}"
 
 
-def make_hom(dom, cod, images, _validate=True):
+def make_hom(dom, cod, images):
+    """Validated hom from outside input: the hom law is checked on every
+    pair of a finite domain, and on the generator relations of an fgab one."""
     images = tuple(images)
     for img in images:
         if img.group != cod:
@@ -439,32 +441,32 @@ def make_hom(dom, cod, images, _validate=True):
         if len(images) != dom.order():
             raise ValueError("finite domain needs one image per element")
         h = GroupHom(dom, cod, images)
-        if _validate:
-            for a in dom.elements():
-                for b in dom.elements():
-                    if h(a + b) != h(a) + h(b):
-                        raise ValueError(f"not a homomorphism at {a}, {b}")
+        for a in dom.elements():
+            for b in dom.elements():
+                if h(a + b) != h(a) + h(b):
+                    raise ValueError(f"not a homomorphism at {a}, {b}")
         return h
     if len(images) != dom.ncoords:
         raise ValueError("fgab domain needs one image per canonical generator")
     h = GroupHom(dom, cod, images)
-    if _validate:
-        if not cod.is_abelian():
-            for i in range(len(images)):
-                for j in range(i):
-                    lhs = images[i] + images[j]
-                    if lhs != images[j] + images[i]:
-                        raise ValueError("generator images do not commute")
-        for j, d in enumerate(dom.torsion):
-            if not cod.scale(images[dom.rank + j], d).is_zero():
-                raise ValueError(f"torsion generator {j} image has wrong order")
+    bad = _relation_failure(h)
+    if bad:
+        raise ValueError(bad)
     return h
 
 
-def hom_from_matrix(dom, cod, matrix):
-    """fgab -> fgab hom from a (cod.ncoords x dom.ncoords) integer matrix."""
-    cols = [[matrix[i][j] for i in range(cod.ncoords)] for j in range(dom.ncoords)]
-    return make_hom(dom, cod, [cod.elem(c) for c in cols])
+def _relation_failure(h):
+    """Why generator images of an fgab domain define no hom, or None."""
+    images, dom = h.images, h.dom
+    if not h.cod.is_abelian():
+        for i in range(len(images)):
+            for j in range(i):
+                if images[i] + images[j] != images[j] + images[i]:
+                    return "generator images do not commute"
+    for j, d in enumerate(dom.torsion):
+        if not h.cod.scale(images[dom.rank + j], d).is_zero():
+            return f"torsion generator {j} image has wrong order"
+    return None
 
 
 def identity_hom(G):
@@ -550,6 +552,62 @@ def preimage_element(h, y):
         if h(x) == y:
             return x
     return None
+
+
+def _preimage_lookup(h):
+    """y |-> some x with h(x) = y, or None; one dict for a finite domain."""
+    if h.dom.backend != "finite":
+        return lambda y: preimage_element(h, y)
+    table = {}
+    for x, img in zip(h.dom.elements(), h.images):
+        table.setdefault(img.coords, x)
+    return lambda y: table.get(y.coords)
+
+
+def factor_through_epi(p, t):
+    """The w with w . p = t, or None when t does not factor through p.
+
+    p must be surjective.  If w . p = t, then w is a hom because t is one
+    and p is onto, so the candidate is only compared with t: on every
+    element of a finite domain of p, on the generators of an fgab one.
+    Generators alone prove w . p = t only if w is a hom already, which
+    the relation check on an fgab codomain of p ensures (p: Z -> Z/2 with
+    t = id_Z agrees on the generator, yet no w exists).
+    """
+    Q = p.cod
+    if Q.backend == "finite" and p.dom.backend != "finite":
+        raise BackendMismatch("factoring through an fgab -> finite epi")
+    pre = _preimage_lookup(p)
+    images = []
+    for q in (Q.elements() if Q.backend == "finite" else Q.generators()):
+        x = pre(q)
+        if x is None:
+            return None
+        images.append(t(x))
+    w = GroupHom(Q, t.cod, tuple(images))
+    if Q.backend == "fgab" and _relation_failure(w):
+        return None
+    if compose(w, p).images != t.images:
+        return None
+    return w
+
+
+def factor_through_mono(i, t):
+    """The w with i . w = t, or None when t does not land in the image of i.
+
+    i must be injective.  Exact preimages then make w a hom on both
+    backends (i . w preserves sums and orders, and i reflects them), so
+    nothing is re-checked.
+    """
+    X = t.dom
+    pre = _preimage_lookup(i)
+    images = []
+    for x in (X.elements() if X.backend == "finite" else X.generators()):
+        y = pre(t(x))
+        if y is None:
+            return None
+        images.append(y)
+    return GroupHom(X, i.dom, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +707,7 @@ def subgroup_preimage(h, S):
         _, to_b, _ = _fgab_conversion(h.cod)
         converted = subgroup(to_b.cod, [to_b(x) for x in S.generators])
         return subgroup_preimage(compose(to_b, h), converted)
-    M = from_columns([list(i.coords) for i in h.images], nrows=h.cod.ncoords) \
-        if h.dom.ncoords else [[] for _ in range(h.cod.ncoords)]
+    M = from_columns([list(i.coords) for i in h.images], nrows=h.cod.ncoords)
     target = [list(c) for c in _subgroup_lattice(S)]
     gens = lattice_preimage(M, target, h.dom.ncoords, h.cod.ncoords)
     return subgroup(h.dom, [h.dom.elem(g) for g in gens])
@@ -709,9 +766,7 @@ def kernel_subgroup(h):
             h.dom, [x for x in h.dom.elements() if h(x) == zero])
     if h.cod.backend == "fgab":
         M = from_columns([list(i.coords) for i in h.images],
-                         nrows=h.cod.ncoords) if h.dom.ncoords else None
-        if M is None or h.cod.ncoords == 0:
-            return whole_subgroup(h.dom)
+                         nrows=h.cod.ncoords)
         gens = lattice_preimage(M, h.cod.relation_columns(),
                                 h.dom.ncoords, h.cod.ncoords)
         return subgroup(h.dom, [h.dom.elem(g) for g in gens])

@@ -65,11 +65,6 @@ def mat_vec(A, x):
     return [sum(A[i][j] * x[j] for j in range(n)) for i in range(m)]
 
 
-def transpose(M):
-    m, n = mat_shape(M)
-    return [[M[i][j] for i in range(m)] for j in range(n)]
-
-
 def columns(M):
     m, n = mat_shape(M)
     return [[M[i][j] for i in range(m)] for j in range(n)]
@@ -311,17 +306,14 @@ def lattice_intersection(gens_a, gens_b, dim):
 
 def lattice_preimage(hom_matrix, gens, dom_dim, cod_dim):
     """Generators of { x in Z^dom : hom_matrix*x in lattice(gens) }."""
+    if cod_dim == 0:
+        return identity_matrix(dom_dim)  # everything maps into Z^0
     cols = columns(hom_matrix) if dom_dim else []
     M = from_columns(cols + [list(g) for g in gens], nrows=cod_dim)
     out = []
     for k in kernel_basis(M):
         out.append(k[:dom_dim])
     return [c for c in out if any(c)]
-
-
-def lattices_equal(gens_a, gens_b, dim):
-    return (all(lattice_member(gens_b, g, dim) is not None for g in gens_a)
-            and all(lattice_member(gens_a, g, dim) is not None for g in gens_b))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +551,3 @@ class NonnegSolver:
     def bound_for(self, c):
         return _feasibility_bound(self.A, self.B, c)
 
-
-def solve_nonneg(A, B, c):
-    """One-shot wrapper around :class:`NonnegSolver`."""
-    return NonnegSolver(A, B).solve(c)

@@ -18,21 +18,20 @@ from .cones import (
 )
 from .errors import UnknownLaw
 from .groups import (
-    compose,
     enumerate_group_homs,
     enumerate_homs_bounded,
+    factor_through_epi,
+    factor_through_mono,
     is_injective,
     is_surjective,
-    make_hom,
-    preimage_element,
 )
 from .pog import (
     DEFAULT_WINDOW,
     POGMorphism,
+    cone_map_surjective,
     cone_preservation,
     compose_pog,
-    is_short_exact,
-    morphism_class,
+    is_normal_epi,
 )
 
 DEFAULT_TEST_BOUND = 2
@@ -122,39 +121,6 @@ class VerificationReport:
         return self.holds
 
 
-def _factor_through_mono(inj, target):
-    """w with inj . w = target, or None; inj must be injective."""
-    X = target.dom
-    gens = X.elements() if X.backend == "finite" else X.generators()
-    images = []
-    for x in gens:
-        pre = preimage_element(inj, target(x))
-        if pre is None:
-            return None
-        images.append(pre)
-    try:
-        return make_hom(X, inj.dom, images)
-    except ValueError:
-        return None
-
-
-def _factor_through_epi(proj, target):
-    """w with w . proj = target, or None; proj must be surjective."""
-    Q = proj.cod
-    gens = Q.elements() if Q.backend == "finite" else Q.generators()
-    images = []
-    for q in gens:
-        pre = preimage_element(proj, q)
-        images.append(target(pre))
-    try:
-        cand = make_hom(Q, target.cod, images)
-    except ValueError:
-        return None
-    if compose(cand, proj).images != target.images:
-        return None
-    return cand
-
-
 def verify_universal_property(query, width=DEFAULT_WINDOW):
     """Check existence and uniqueness of mediating morphisms.
 
@@ -188,7 +154,7 @@ def _arrows(X, A, bound):
 
 def _mediate_into(candidate_arrow, alpha, X):
     """Mediating morphism for limit-style properties, as a POGMorphism."""
-    w_hom = _factor_through_mono(candidate_arrow.hom, alpha.hom)
+    w_hom = factor_through_mono(candidate_arrow.hom, alpha.hom)
     if w_hom is None:
         return None
     ok, _, cert = cone_preservation(w_hom, X.cone, candidate_arrow.dom.cone)
@@ -198,7 +164,7 @@ def _mediate_into(candidate_arrow, alpha, X):
 
 
 def _mediate_out_of(candidate_arrow, alpha):
-    w_hom = _factor_through_epi(candidate_arrow.hom, alpha.hom)
+    w_hom = factor_through_epi(candidate_arrow.hom, alpha.hom)
     if w_hom is None:
         return None
     ok, _, cert = cone_preservation(w_hom, candidate_arrow.cod.cone, alpha.cod.cone)
@@ -253,7 +219,7 @@ def _verify_cokernel(query, width):
     if not compose_pog(proj, m).is_zero():
         return _report("Cokernel", False, 0, query.bound,
                        "candidate does not kill the image")
-    surj, _ = _cone_surj(proj, width)
+    surj, _ = cone_map_surjective(proj, width)
     if not surj:
         return _report("Cokernel", False, 0, query.bound,
                        "candidate cone map is not surjective")
@@ -269,13 +235,10 @@ def _verify_cokernel(query, width):
     return _report("Cokernel", True, tested, query.bound)
 
 
-def _cone_surj(m, width):
-    from .pog import cone_map_surjective
-    return cone_map_surjective(m, width)
-
-
 def _verify_coequalizer(query, width):
     m1, m2, Q, proj = query.data
+    if not is_surjective(proj.hom):
+        return _report("Coequalizer", False, 0, query.bound, "candidate not epic")
     if compose_pog(proj, m1).hom.images != compose_pog(proj, m2).hom.images:
         return _report("Coequalizer", False, 0, query.bound,
                        "candidate does not coequalize")
@@ -482,15 +445,14 @@ def _law_kernel_characterization(order_bound):
 
 
 def _law_cokernel_characterization(order_bound):
-    from .pog import pog_cokernel, morphism_class
+    from .pog import pog_cokernel
     from .errors import ImageNotNormal
     for desc, m in _all_corpus_morphisms(order_bound):
         try:
             Q, proj = pog_cokernel(m)
         except ImageNotNormal:
             continue
-        rep = morphism_class(proj)
-        if not rep.normal_epi:
+        if not is_normal_epi(proj)[0]:
             return f"{desc}: cokernel projection is not a normal epi"
     return None
 

@@ -23,6 +23,7 @@ from .cones import (
     PreimageCone,
     cone_contains,
     cone_is_subgroup,
+    cone_window,
     check_cone_axioms,
     extract_generators,
     generator_cone,
@@ -187,15 +188,10 @@ def cone_preservation(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
                 return False, g, None
             verdicts.append((g, v))
         return True, None, ConeCertificate("generators", tuple(verdicts))
-    for x in _cone_window_cached(dom_cone, width):
+    for x in cone_window(dom_cone, width):
         if not cone_contains(cod_cone, hom(x)):
             return False, x, None
     return True, None, ConeCertificate("window", window=width)
-
-
-def _cone_window_cached(cone, width):
-    from .cones import cone_window
-    return cone_window(cone, width)
 
 
 def make_pog_morphism(hom, dom, cod, width=DEFAULT_WINDOW):
@@ -243,11 +239,6 @@ def compose_pog(g, f):
         return POGMorphism(f.dom, g.cod, h,
                            ConeCertificate("generators", verdicts))
     return structural_morphism(h, f.dom, g.cod, "composite of certified maps")
-
-
-def pog_equal(m1, m2):
-    return (m1.dom == m2.dom and m1.cod == m2.cod
-            and m1.hom.images == m2.hom.images)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +383,7 @@ def cone_map_surjective(m, width=DEFAULT_WINDOW):
             and m.cod.cone.inner == m.dom.cone:
         return (True, True)  # codomain cone is this map's direct image
     img_cone = transport_image(m.hom, m.dom.cone)
-    for y in _cone_window_cached(m.cod.cone, width):
+    for y in cone_window(m.cod.cone, width):
         if not cone_contains(img_cone, y):
             return (False, True)
     return (True, False)
@@ -434,6 +425,13 @@ def cone_square_is_pullback(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
     return (True, False)
 
 
+def is_normal_epi(m, width=DEFAULT_WINDOW):
+    """Surjective on groups and on cones.  Returns (holds, exact)."""
+    if not is_surjective(m.hom):
+        return False, True
+    return cone_map_surjective(m, width)
+
+
 def morphism_class(m, width=DEFAULT_WINDOW):
     """Mono/epi/normal mono/normal epi/effective descent flags.
 
@@ -443,13 +441,9 @@ def morphism_class(m, width=DEFAULT_WINDOW):
     mono = is_injective(m.hom)
     epi = is_surjective(m.hom)
     details = []
-    exact = True
-    normal_epi = False
+    normal_epi, exact = is_normal_epi(m, width) if epi else (False, True)
     if epi:
-        surj, surj_exact = cone_map_surjective(m, width)
-        normal_epi = surj
-        exact = exact and surj_exact
-        details.append(("cone_surjective", surj))
+        details.append(("cone_surjective", normal_epi))
     normal_mono = False
     if mono:
         img_normal = (image_subgroup(m.hom).is_normal()

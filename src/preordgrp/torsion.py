@@ -31,10 +31,11 @@ from .cones import (
 )
 from .errors import NotComparable
 from .groups import (
+    compose,
     enumerate_group_homs,
-    make_hom,
+    factor_through_epi,
+    factor_through_mono,
     identity_hom,
-    preimage_element,
     quotient,
     subgroup_to_group,
 )
@@ -102,28 +103,15 @@ def torsion_sequence(P, width=DEFAULT_WINDOW):
     return TorsionDecomposition(P, T, F, counit, unit, cert, "torsion")
 
 
-def _induced_on_quotients(m, dec_dom, dec_cod):
-    """Group map F(dom) -> F(cod) induced by m between the quotients."""
-    Qd, Qc = dec_dom.free_part.group, dec_cod.free_part.group
-    eta_d, eta_c = dec_dom.unit.hom, dec_cod.unit.hom
-    if Qd.backend == "finite":
-        images = []
-        for x in Qd.elements():
-            pre = preimage_element(eta_d, x)
-            images.append(eta_c(m.hom(pre)))
-        return make_hom(Qd, Qc, images)
-    images = []
-    for gen in Qd.generators():
-        pre = preimage_element(eta_d, gen)
-        images.append(eta_c(m.hom(pre)))
-    return make_hom(Qd, Qc, images)
-
-
 def reflect_F(m, width=DEFAULT_WINDOW):
     """Image of a morphism under the torsion-free reflector."""
     dec_dom = torsion_sequence(m.dom, width)
     dec_cod = torsion_sequence(m.cod, width)
-    h = _induced_on_quotients(m, dec_dom, dec_cod)
+    # the map induced between the quotients
+    h = factor_through_epi(dec_dom.unit.hom,
+                           compose(dec_cod.unit.hom, m.hom))
+    if h is None:
+        raise ValueError("morphism does not map units to units")
     src, dst = dec_dom.free_part, dec_cod.free_part
     gens = extract_generators(src.cone)
     if gens is not None:
@@ -136,19 +124,12 @@ def coreflect_T(m, width=DEFAULT_WINDOW):
     """Restriction of a morphism to the torsion parts (unit groups)."""
     dec_dom = torsion_sequence(m.dom, width)
     dec_cod = torsion_sequence(m.cod, width)
-    Td, Tc = dec_dom.torsion_part, dec_cod.torsion_part
-    eps_d, eps_c = dec_dom.counit.hom, dec_cod.counit.hom
-    gens = (Td.group.elements() if Td.group.backend == "finite"
-            else Td.group.generators())
-    images = []
-    for gen in gens:
-        y = m.hom(eps_d(gen))
-        pre = preimage_element(eps_c, y)
-        if pre is None:
-            raise ValueError("morphism does not map units to units")
-        images.append(pre)
-    h = make_hom(Td.group, Tc.group, images)
-    return make_pog_morphism(h, Td, Tc, width)
+    h = factor_through_mono(dec_cod.counit.hom,
+                            compose(m.hom, dec_dom.counit.hom))
+    if h is None:
+        raise ValueError("morphism does not map units to units")
+    return make_pog_morphism(h, dec_dom.torsion_part, dec_cod.torsion_part,
+                             width)
 
 
 @dataclass(frozen=True)
@@ -224,27 +205,18 @@ def uniqueness_check(P, alt_k, alt_f, width=DEFAULT_WINDOW):
         raise NotComparable("alternative sequence is not over this object")
     dec = torsion_sequence(P, width)
     # f with f . eta = eta_alt, induced by the cokernel property of eta
-    Q = dec.free_part.group
-    gens = Q.elements() if Q.backend == "finite" else Q.generators()
-    t_imgs, f_imgs = [], []
-    for gen in gens:
-        pre = preimage_element(dec.unit.hom, gen)
-        f_imgs.append(alt_f.hom(pre))
-    f_hom = make_hom(Q, alt_f.cod.group, f_imgs)
+    f_hom = factor_through_epi(dec.unit.hom, alt_f.hom)
+    if f_hom is None:
+        raise NotComparable("alternative cokernel does not factor through "
+                            "the canonical one")
     f = make_pog_morphism(f_hom, dec.free_part, alt_f.cod, width) \
         if extract_generators(dec.free_part.cone) is not None \
         else structural_morphism(f_hom, dec.free_part, alt_f.cod, "induced")
     # t with eps_alt . t = eps, induced by the kernel property of eps_alt
-    T = dec.torsion_part.group
-    tgens = T.elements() if T.backend == "finite" else T.generators()
-    for gen in tgens:
-        y = dec.counit.hom(gen)
-        pre = preimage_element(alt_k.hom, y)
-        if pre is None:
-            raise NotComparable("canonical torsion part does not factor "
-                                "through the alternative kernel")
-        t_imgs.append(pre)
-    t_hom = make_hom(T, alt_k.dom.group, t_imgs)
+    t_hom = factor_through_mono(alt_k.hom, dec.counit.hom)
+    if t_hom is None:
+        raise NotComparable("canonical torsion part does not factor "
+                            "through the alternative kernel")
     t = make_pog_morphism(t_hom, dec.torsion_part, alt_k.dom, width)
     t_iso, t_exact = pog_is_iso(t, width)
     f_iso, f_exact = pog_is_iso(f, width)
@@ -284,13 +256,7 @@ def is_z_trivial(m, width=DEFAULT_WINDOW):
     from .groups import image_subgroup
     I, inj = subgroup_to_group(image_subgroup(m.hom))
     mid = PreorderedGroup(I, trivial_cone(I))
-    gens_dom = (m.dom.group.elements() if m.dom.group.backend == "finite"
-                else m.dom.group.generators())
-    a_imgs = []
-    for g in gens_dom:
-        pre = preimage_element(inj, m.hom(g))
-        a_imgs.append(pre)
-    a_hom = make_hom(m.dom.group, I, a_imgs)
+    a_hom = factor_through_mono(inj, m.hom)
     left = structural_morphism(a_hom, m.dom, mid, "cone map is zero")
     right = make_pog_morphism(inj, mid, m.cod, width)
     return ZTrivialReport(True, mid, left, right)

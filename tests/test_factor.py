@@ -91,6 +91,36 @@ class TestClasses:
                     assert (a and b and c) == in_class(m, "E").holds
 
 
+class TestEprimeExactness:
+    """Normal epi is decided exactly whenever the codomain cone is finitely
+    generated, so no Eprime verdict on the fgab corpus is a window check."""
+
+    def test_identity_of_z_nat(self):
+        from preordgrp.corpus import fgab_corpus_objects
+        rep = in_class(identity_morphism(fgab_corpus_objects()["Z_nat"]),
+                       "Eprime")
+        assert rep.holds and rep.exact
+
+    def test_z_nat_into_plane_is_no_normal_epi(self):
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.oracle import enumerate_pog_morphisms
+        objs = fgab_corpus_objects()
+        ms = enumerate_pog_morphisms(objs["Z_nat"], objs["Z2_nat2"], 1)
+        assert ms
+        for m in ms:
+            rep = in_class(m, "Eprime")
+            assert not rep.holds and rep.exact
+
+    def test_bound_one_fgab_corpus(self):
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.oracle import enumerate_pog_morphisms
+        objs = fgab_corpus_objects()
+        for pn, P in objs.items():
+            for qn, Q in objs.items():
+                for m in enumerate_pog_morphisms(P, Q, 1):
+                    assert in_class(m, "Eprime").exact, (pn, qn)
+
+
 class TestEMFactorization:
     def test_mod2(self):
         fr = em_factor(mod2())
@@ -102,6 +132,15 @@ class TestEMFactorization:
     def test_m_morphism_gives_iso_e_part(self):
         fr = em_factor(identity_morphism(ZN))
         assert pog_is_iso(fr.e)[0]
+
+    def test_identity_of_objects_with_total_units(self):
+        # the middle object is a pullback over the zero group F(B) = 0
+        from preordgrp.corpus import fgab_corpus_objects
+        for name in ("Z_total", "Z2_allunits"):
+            m = identity_morphism(fgab_corpus_objects()[name])
+            fr = em_factor(m)
+            assert fr.e_class.holds and fr.m_class.holds, name
+            assert fr.recomposes(m)
 
     def test_e_morphism_gives_iso_m_part(self):
         fr = em_factor(plane_projection())

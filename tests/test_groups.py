@@ -1,13 +1,25 @@
 """Groups, homs, kernels, quotients, pullbacks on both backends."""
 
+import itertools
+from functools import lru_cache
+
 import pytest
 
-from preordgrp.errors import BadInvariantFactors, NotAGroup, NotNormal
+from preordgrp.errors import (
+    BackendMismatch,
+    BadInvariantFactors,
+    NotAGroup,
+    NotNormal,
+)
+from preordgrp.corpus import klein_four_group, symmetric_group_3
 from preordgrp.groups import (
+    compose,
     cyclic_group,
     direct_product,
     enumerate_group_homs,
     enumerate_homs_bounded,
+    factor_through_epi,
+    factor_through_mono,
     fgab_from_finite_abelian,
     group_cokernel,
     group_kernel,
@@ -32,6 +44,7 @@ from preordgrp.groups import (
     whole_subgroup,
     zero_hom,
 )
+from preordgrp.intlinalg import lattice_preimage
 
 Z = make_fgab_group(1, [])
 Z2 = make_fgab_group(2, [])
@@ -136,6 +149,82 @@ class TestHoms:
         assert preimage_element(dbl, G.elem(1)) is None
 
 
+@lru_cache(maxsize=None)
+def _validated_maps(dom, cod):
+    """Every map dom -> cod that make_hom accepts."""
+    out = []
+    for images in itertools.product(cod.elements(), repeat=dom.order()):
+        try:
+            out.append(make_hom(dom, cod, images))
+        except ValueError:
+            pass
+    return out
+
+
+class TestMediatingMaps:
+    def test_epi_none_when_kernel_not_killed(self):
+        G, H = cyclic_group(4), cyclic_group(2)
+        p = make_hom(G, H, [H.elem(i % 2) for i in range(4)])
+        assert factor_through_epi(p, identity_hom(G)) is None
+        w = factor_through_epi(p, p)
+        assert w is not None and compose(w, p).images == p.images
+
+    def test_epi_none_when_generator_agreement_is_not_enough(self):
+        # Z -> Z/2 and t = id_Z agree on the generator through w(1) = 1,
+        # but that w is no hom: 2 * w(1) = 2 is not w(0) = 0
+        assert factor_through_epi(mod2_hom(), identity_hom(Z)) is None
+
+    def test_epi_fgab(self):
+        p = make_hom(Z2, Z, [Z.elem([1]), Z.elem([0])])
+        t = make_hom(Z2, Zmod2, [Zmod2.elem([1]), Zmod2.elem([0])])
+        w = factor_through_epi(p, t)
+        assert w is not None and compose(w, p).images == t.images
+        assert factor_through_epi(p, identity_hom(Z2)) is None
+
+    def test_epi_from_fgab_onto_finite_is_refused(self):
+        # generators of Z cannot show that w on a finite Z/2 is a hom
+        G = cyclic_group(2)
+        p = make_hom(Z, G, [G.elem(1)])
+        with pytest.raises(BackendMismatch):
+            factor_through_epi(p, identity_hom(Z))
+
+    def test_mono_fgab(self):
+        dbl = make_hom(Z, Z, [Z.elem([2])])
+        w = factor_through_mono(dbl, make_hom(Z, Z, [Z.elem([6])]))
+        assert w is not None and w.images == (Z.elem([3]),)
+        assert factor_through_mono(dbl, identity_hom(Z)) is None
+
+    def test_finite_pairs_agree_with_make_hom(self):
+        groups = [cyclic_group(2), cyclic_group(4), klein_four_group(),
+                  symmetric_group_3()]
+        epis = monos = 0
+        for G, Q, C in itertools.product(groups, repeat=3):
+            if Q.order() > G.order() or C.order() ** Q.order() > 1296:
+                continue
+            for p in enumerate_group_homs(G, Q):
+                if not is_surjective(p):
+                    continue
+                for t in enumerate_group_homs(G, C):
+                    found = factor_through_epi(p, t)
+                    expected = [w for w in _validated_maps(Q, C)
+                                if compose(w, p).images == t.images]
+                    assert expected == ([] if found is None else [found])
+                    epis += 1
+        for X, K, C in itertools.product(groups, repeat=3):
+            if K.order() > C.order() or K.order() ** X.order() > 1296:
+                continue
+            for i in enumerate_group_homs(K, C):
+                if not is_injective(i):
+                    continue
+                for t in enumerate_group_homs(X, C):
+                    found = factor_through_mono(i, t)
+                    expected = [w for w in _validated_maps(X, K)
+                                if compose(i, w).images == t.images]
+                    assert expected == ([] if found is None else [found])
+                    monos += 1
+        assert epis > 0 and monos > 0
+
+
 class TestKernelQuotient:
     def test_kernel_of_mod2_is_even_integers(self):
         K, inj = group_kernel(mod2_hom())
@@ -210,6 +299,12 @@ class TestSubgroups:
         meet = subgroup_intersection(subgroup(Z, [Z.elem([2])]),
                                      subgroup(Z, [Z.elem([3])]))
         assert meet.contains(Z.elem([6])) and not meet.contains(Z.elem([2]))
+
+    def test_preimage_along_map_into_zero_group(self):
+        Z0 = make_fgab_group(0, [])
+        pre = subgroup_preimage(zero_hom(Z, Z0), trivial_subgroup(Z0))
+        assert pre.is_whole()
+        assert lattice_preimage([], [], 2, 0) == [[1, 0], [0, 1]]
 
     def test_subgroup_to_group_roundtrip(self):
         S = subgroup(Zmod4, [Zmod4.elem([2])])

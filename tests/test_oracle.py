@@ -5,6 +5,7 @@ import pytest
 from preordgrp.cones import explicit_cone
 from preordgrp.corpus import (
     finite_corpus_groups,
+    finite_corpus_objects,
     finite_corpus_objects_up_to,
     symmetric_group_3,
 )
@@ -34,6 +35,7 @@ from preordgrp.pog import (
     pog_product,
     pog_pullback,
     structural_morphism,
+    zero_morphism,
 )
 
 
@@ -181,6 +183,18 @@ class TestUniversalProperties:
             UniversalPropertyQuery("CoreflectionCounit",
                                    (dec.counit, "total"), _test_objects()))
         assert rep.holds and rep.tested > 0
+
+    def test_coequalizer_rejects_non_surjective_candidate(self):
+        objs = finite_corpus_objects()
+        P = objs["V4/cone0"]
+        one = identity_morphism(P)
+        for name, Q in objs.items():
+            if Q.group.order() != 2:
+                continue
+            rep = verify_universal_property(UniversalPropertyQuery(
+                "Coequalizer", (one, one, Q, zero_morphism(P, Q)),
+                _test_objects()))
+            assert not rep.holds and rep.counterexample == "candidate not epic", name
 
     def test_z_pre_queries(self):
         from preordgrp.torsion import pretorsion_sequence

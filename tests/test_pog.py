@@ -19,6 +19,7 @@ from preordgrp.pog import (
     classify,
     compose_pog,
     identity_morphism,
+    is_normal_epi,
     is_short_exact,
     make_pog,
     make_pog_morphism,
@@ -214,6 +215,16 @@ class TestMorphismClass:
         rep = morphism_class(mod2())
         assert rep.epi and rep.normal_epi and rep.effective_descent
         assert not rep.mono and rep.exact
+        assert is_normal_epi(mod2()) == (True, True)
+
+    def test_is_normal_epi_agrees_with_morphism_class(self):
+        from preordgrp.corpus import finite_corpus_objects_up_to
+        from preordgrp.oracle import enumerate_pog_morphisms
+        objs = list(finite_corpus_objects_up_to(4).values())
+        for P in objs:
+            for Q in objs:
+                for m in enumerate_pog_morphisms(P, Q):
+                    assert is_normal_epi(m)[0] == morphism_class(m).normal_epi
 
     def test_even_inclusion_normal_mono(self):
         K, inj = pog_kernel(mod2())
