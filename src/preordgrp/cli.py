@@ -60,6 +60,38 @@ def _fail_parse(path, why):
     raise errors.ParseError(f"at {path}: {why}")
 
 
+def _entries(document, key):
+    """The (name, spec) pairs of a top-level map; every spec an object."""
+    section = document.get(key, {})
+    if not isinstance(section, dict):
+        _fail_parse(f"$.{key}", "must be a JSON object")
+    for name, spec in section.items():
+        if not isinstance(spec, dict):
+            _fail_parse(f"$.{key}.{name}", "must be a JSON object")
+    return section.items()
+
+
+def _lookup(table, key, path, what):
+    if not isinstance(key, str) or key not in table:
+        _fail_parse(path, f"unknown {what} {key!r}")
+    return table[key]
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_rows(v):
+    return isinstance(v, list) and all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in v)
+
+
+def _is_element_refs(v):
+    """A list of element names or indices (finite backend)."""
+    return isinstance(v, list) and all(isinstance(x, str) or _is_int(x)
+                                       for x in v)
+
+
 def parse_workspace(document):
     """Validated workspace from a parsed JSON document.
 
@@ -73,7 +105,7 @@ def parse_workspace(document):
     if not isinstance(document, dict):
         _fail_parse("$", "document must be a JSON object")
     groups, presentations = {}, {}
-    for name, spec in document.get("groups", {}).items():
+    for name, spec in _entries(document, "groups"):
         path = f"$.groups.{name}"
         kind = spec.get("kind")
         try:
@@ -82,6 +114,9 @@ def parse_workspace(document):
             elif kind == "fgab":
                 rank = spec.get("rank", 0)
                 torsion = spec.get("torsion", [])
+                if not _is_int(rank) or not isinstance(torsion, list):
+                    _fail_parse(path, "'rank' must be an integer and "
+                                "'torsion' a list")
                 if rank < 0 or any(not isinstance(d, int) or d <= 0
                                    for d in torsion):
                     raise errors.BadInvariantFactors(
@@ -102,21 +137,23 @@ def parse_workspace(document):
         except KeyError as exc:
             _fail_parse(path, f"missing key {exc}")
     cones = {}
-    for name, spec in document.get("cones", {}).items():
+    for name, spec in _entries(document, "cones"):
         path = f"$.cones.{name}"
         gname = spec.get("group")
-        if gname not in groups:
-            _fail_parse(path, f"unknown group {gname!r}")
-        G = groups[gname]
+        G = _lookup(groups, gname, path, "group")
         try:
             if "elements" in spec:
                 if G.backend != "finite":
                     _fail_parse(path, "element lists need a finite group")
+                if not _is_element_refs(spec["elements"]):
+                    _fail_parse(path, "'elements' must list element names")
                 cones[name] = explicit_cone(
                     G, [G.elem(e) for e in spec["elements"]])
             elif "generators" in spec:
                 if G.backend != "fgab":
                     _fail_parse(path, "generator vectors need an fgab group")
+                if not _is_int_rows(spec["generators"]):
+                    _fail_parse(path, "'generators' must be integer vectors")
                 pres = presentations.get(gname)
                 gens = []
                 for vec in spec["generators"]:
@@ -130,31 +167,33 @@ def parse_workspace(document):
         except (ValueError, IndexError) as exc:
             raise errors.ValidationError(f"cone {name}: {exc}") from exc
     objects = {}
-    for name, spec in document.get("objects", {}).items():
+    for name, spec in _entries(document, "objects"):
         path = f"$.objects.{name}"
-        gname, cname = spec.get("group"), spec.get("cone")
-        if gname not in groups:
-            _fail_parse(path, f"unknown group {gname!r}")
-        if cname not in cones:
-            _fail_parse(path, f"unknown cone {cname!r}")
+        G = _lookup(groups, spec.get("group"), path, "group")
+        cone = _lookup(cones, spec.get("cone"), path, "cone")
         try:
-            objects[name] = make_pog(groups[gname], cones[cname])
+            objects[name] = make_pog(G, cone)
         except errors.ConeAxiomViolation as exc:
             raise errors.ValidationError(
                 f"object {name}: cone axioms fail "
                 f"(witness {exc.witness})") from exc
     morphisms = {}
-    for name, spec in document.get("morphisms", {}).items():
+    for name, spec in _entries(document, "morphisms"):
         path = f"$.morphisms.{name}"
         src, dst = spec.get("from"), spec.get("to")
-        if src not in objects or dst not in objects:
+        if not all(isinstance(x, str) and x in objects for x in (src, dst)):
             _fail_parse(path, "unknown endpoint object")
         dom, cod = objects[src], objects[dst]
         try:
             if "map" in spec:
                 if dom.group.backend != "finite":
                     _fail_parse(path, "'map' needs a finite domain")
-                images = [cod.group.elem(i) for i in spec["map"]]
+                images = spec["map"]
+                if not (_is_element_refs(images)
+                        if cod.group.backend == "finite"
+                        else _is_int_rows(images)):
+                    _fail_parse(path, "'map' must list codomain elements")
+                images = [cod.group.elem(i) for i in images]
                 hom = make_hom(dom.group, cod.group, images)
             elif "matrix" in spec:
                 hom = _hom_from_blocks(dom.group, cod.group, spec["matrix"])
@@ -174,6 +213,9 @@ def _hom_from_blocks(dom, cod, blocks):
     """Assemble an fgab -> fgab hom from 'free' / 'mixed' / 'torsion' blocks."""
     if dom.backend != "fgab" or cod.backend != "fgab":
         raise ValueError("matrix blocks need fgab groups on both sides")
+    if not isinstance(blocks, dict) or not all(
+            _is_int_rows(blocks.get(k, [])) for k in ("free", "mixed", "torsion")):
+        raise ValueError("matrix blocks must be integer matrices")
     free = blocks.get("free", [])
     mixed = blocks.get("mixed", [])
     tors = blocks.get("torsion", [])

@@ -238,7 +238,6 @@ def is_discrete_fibration(f1, f0, R, Rp, width=DEFAULT_WINDOW):
     if compose(Rp.r2.hom, f1.hom).images != compose(f0.hom, R.r2.hom).images:
         return FibrationReport(False, True, detail="second square does not commute")
     lim = pog_pullback(Rp.r2, f0)
-    from .pog import compose_pog
     cmp_hom = induced_into_pullback(lim, f1, R.r2)
     cmp = structural_morphism(cmp_hom, R.carrier, lim.obj, "fibration comparison")
     iso, exact = pog_is_iso(cmp, width)

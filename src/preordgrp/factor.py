@@ -156,8 +156,7 @@ class FactorizationResult:
     m_class: ClassReport
 
     def recomposes(self, f):
-        comp = compose_pog(self.m, self.e)
-        return comp.hom.images == f.hom.images
+        return compose(self.m.hom, self.e.hom).images == f.hom.images
 
 
 def induced_into_pullback(lim, u1, u2):

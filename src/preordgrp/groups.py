@@ -15,6 +15,7 @@ group is non-abelian.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +53,9 @@ class GroupElement:
         return self.group.scale(self, n)
 
     def is_zero(self):
-        return self == self.group.zero
+        if self.group.backend == "finite":
+            return self.coords[0] == self.group.identity_index
+        return not any(self.coords)
 
     def __repr__(self):
         return f"<{self.group.describe_element(self)}>"
@@ -105,24 +108,38 @@ class GroupObject:
 
 
 class FiniteGroup(GroupObject):
+    """A Cayley table over named elements.
+
+    Instances are interned: constructing a group whose element names and
+    table equal those of a live one returns that object, so ``==`` and
+    ``hash`` are the identity ones and never touch the table.  Build
+    groups from outside input with ``make_finite_group``, which validates
+    the table before it is interned.
+    """
+
     backend = "finite"
+    _interned = weakref.WeakValueDictionary()
 
-    def __init__(self, element_names, table, identity_index, inverse):
-        self.element_names = tuple(element_names)
-        self.table = tuple(tuple(row) for row in table)
-        self.identity_index = identity_index
-        self.inverse = tuple(inverse)
-        self._abelian = all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(len(table)) for j in range(i))
+    def __new__(cls, element_names, table, identity_index, inverse):
+        element_names = tuple(element_names)
+        table = tuple(tuple(row) for row in table)
+        key = (element_names, table)
+        self = cls._interned.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self.element_names = element_names
+            self.table = table
+            self.identity_index = identity_index
+            self.inverse = tuple(inverse)
+            self._abelian = all(table[i][j] == table[j][i]
+                                for i in range(len(table)) for j in range(i))
+            cls._interned[key] = self
+        return self
 
-    def __eq__(self, other):
-        return (isinstance(other, FiniteGroup)
-                and self.element_names == other.element_names
-                and self.table == other.table)
-
-    def __hash__(self):
-        return hash((self.element_names, self.table))
+    def __reduce__(self):
+        # copies and unpickled groups go through interning as well
+        return FiniteGroup, (self.element_names, self.table,
+                             self.identity_index, self.inverse)
 
     @property
     def zero(self):
@@ -270,6 +287,12 @@ def make_finite_group(element_names, table):
     >>> make_finite_group(["0", "1"], [[0, 1], [1, 0]]).order()
     2
     """
+    if not isinstance(element_names, (list, tuple)) or not all(
+            isinstance(x, str) for x in element_names):
+        raise NotAGroup("element names must be a list of strings")
+    if not isinstance(table, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in table):
+        raise NotAGroup("table must be a list of rows")
     n = len(element_names)
     if len(set(element_names)) != n:
         raise NotAGroup("duplicate element names")
@@ -419,6 +442,9 @@ class GroupHom:
             if c:
                 out = out + self.cod.scale(img, c)
         return out
+
+    def is_zero(self):
+        return all(y.is_zero() for y in self.images)
 
     def matrix_columns(self):
         """Image coordinates per domain generator (fgab -> fgab only)."""

@@ -174,7 +174,7 @@ class POGMorphism:
         return self.hom(x)
 
     def is_zero(self):
-        return all(img.is_zero() for img in self.hom.images)
+        return self.hom.is_zero()
 
 
 def cone_preservation(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
@@ -520,8 +520,7 @@ def is_short_exact(k, f, width=DEFAULT_WINDOW):
     reasons = []
     exact = True
     holds = True
-    comp = compose_pog(f, k)
-    if not comp.is_zero():
+    if not compose(f.hom, k.hom).is_zero():
         holds = False
         reasons.append("composite is not zero")
     ker = kernel_subgroup(f.hom)

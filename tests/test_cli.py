@@ -231,3 +231,61 @@ class TestCommands:
         code, out = run_cli(tmp_path, basic_document(), "reflect", "mod2")
         report = json.loads(out)
         assert code == 0 and report["iso"] is False
+
+
+class TestMalformedWorkspace:
+    """A malformed document gets ``error:`` and exit 1, never a traceback."""
+
+    CASES = {
+        "groups_list": {"groups": []},
+        "rank_string": {"groups": {"Z": {"kind": "fgab", "rank": "1",
+                                         "torsion": []}}},
+        "table_int": {"groups": {"G": {"kind": "finite", "elements": ["0"],
+                                       "table": 5}}},
+        "table_rows_int": {"groups": {"G": {"kind": "finite",
+                                            "elements": ["0"], "table": [5]}}},
+        "elements_int": {"groups": {"G": {"kind": "finite", "elements": 5,
+                                          "table": [[0]]}}},
+        "elements_nested": {"groups": {"G": {"kind": "finite",
+                                             "elements": [["0"]],
+                                             "table": [[0]]}}},
+    }
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_error_and_exit_1(self, tmp_path, capsys, label):
+        code, out = run_cli(tmp_path, self.CASES[label], "validate")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_fuzzed_documents(self):
+        """Replace one value of a valid document by junk, many times over:
+        parsing either succeeds or raises a package error."""
+        import random
+        from preordgrp.errors import PreordGrpError
+        junk = [None, True, 5, -1, 2.5, "1", "x", [], [5], [[]], [["0"]],
+                {}, {"a": 1}, [[0, 1], [1]]]
+        rng = random.Random(0)
+
+        def paths(node, prefix=()):
+            yield prefix
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for k, v in items:
+                yield from paths(v, prefix + (k,))
+
+        all_paths = list(paths(basic_document()))
+        for _ in range(400):
+            doc = basic_document()
+            path = rng.choice(all_paths)
+            value = rng.choice(junk)
+            if not path:
+                doc = value
+            else:
+                node = doc
+                for k in path[:-1]:
+                    node = node[k]
+                node[path[-1]] = value
+            try:
+                parse_workspace(doc)
+            except PreordGrpError:
+                pass

@@ -1,6 +1,10 @@
 """Groups, homs, kernels, quotients, pullbacks on both backends."""
 
+import copy
+import gc
 import itertools
+import pickle
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -13,6 +17,7 @@ from preordgrp.errors import (
 )
 from preordgrp.corpus import klein_four_group, symmetric_group_3
 from preordgrp.groups import (
+    FiniteGroup,
     compose,
     cyclic_group,
     direct_product,
@@ -87,6 +92,60 @@ class TestMakeGroup:
             make_fgab_group(0, [0])
         with pytest.raises(BadInvariantFactors):
             make_fgab_group(-1, [])
+
+
+class TestInterning:
+    """One live FiniteGroup per (element names, Cayley table)."""
+
+    def test_same_data_same_object(self):
+        a = make_finite_group(["0", "1"], [[0, 1], [1, 0]])
+        b = make_finite_group(("0", "1"), ((0, 1), (1, 0)))
+        assert a is b
+        assert cyclic_group(4) is cyclic_group(4)
+        assert symmetric_group_3() is symmetric_group_3()
+
+    def test_constructions_built_twice(self):
+        C4, C2 = cyclic_group(4), cyclic_group(2)
+        half = subgroup(C4, [C4.elem(2)])
+        assert quotient(C4, half)[0] is quotient(C4, half)[0]
+        S3, V4 = symmetric_group_3(), klein_four_group()
+        assert direct_product(V4, S3).group is direct_product(V4, S3).group
+        h = make_hom(C4, C2, [C2.elem(i % 2) for i in range(4)])
+        assert group_pullback(h, h)[0] is group_pullback(h, h)[0]
+        assert group_kernel(h)[0] is group_kernel(h)[0]
+
+    def test_names_tell_tables_apart(self):
+        a, b = cyclic_group(3), cyclic_group(3, name_prefix="g")
+        assert a.table == b.table
+        assert a is not b and a != b
+        assert a.elem(1) != b.elem(1)
+
+    def test_direct_construction_is_interned(self):
+        G = symmetric_group_3()
+        H = FiniteGroup(list(G.element_names), [list(r) for r in G.table],
+                        G.identity_index, list(G.inverse))
+        assert H is G
+        assert H.elem(1) == G.elem(1) and hash(H) == hash(G)
+
+    def test_copies_keep_identity(self):
+        G = klein_four_group()
+        assert copy.deepcopy(G) is G
+        assert pickle.loads(pickle.dumps(G)) is G
+
+    def test_unreferenced_group_is_released(self):
+        G = make_finite_group(["p", "q"], [[0, 1], [1, 0]])
+        ref = weakref.ref(G)
+        del G
+        gc.collect()
+        assert ref() is None
+
+    def test_malformed_tables_raise_before_interning(self):
+        with pytest.raises(NotAGroup):
+            make_finite_group(["0", "1"], [[0, 1], [1, 1]])
+        for names, table in [(["0"], 5), (["0"], [5]), (["0"], "0"),
+                             (5, [[0]]), ([["0"]], [[0]]), ([0], [[0]])]:
+            with pytest.raises(NotAGroup):
+                make_finite_group(names, table)
 
 
 class TestElements:

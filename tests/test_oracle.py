@@ -19,6 +19,7 @@ from preordgrp.groups import (
 from preordgrp.oracle import (
     LAW_REGISTRY,
     UniversalPropertyQuery,
+    _composite,
     enumerate_cones,
     enumerate_pog_morphisms,
     search_counterexample,
@@ -210,6 +211,60 @@ class TestUniversalProperties:
                                    (dec.counit, dec.free_part, dec.unit),
                                    _test_objects()))
         assert rep1.holds and rep2.holds
+
+
+def _mod2():
+    G, H = cyclic_group(4), cyclic_group(2)
+    P = make_pog(G, explicit_cone(G, [G.elem(0), G.elem(2)]))
+    Q = make_pog(H, explicit_cone(H, [H.zero]))
+    return make_pog_morphism(
+        make_hom(G, H, [H.elem(i % 2) for i in range(4)]), P, Q)
+
+
+class TestCompositeTests:
+    """The handlers that only test a composite skip its cone certificate;
+    their verdicts and refusals stay those of the certified composite."""
+
+    def test_kernel_rejects_candidate_not_composing_to_zero(self):
+        m = _mod2()
+        one = identity_morphism(m.dom)
+        rep = verify_universal_property(
+            UniversalPropertyQuery("Kernel", (m, m.dom, one), _test_objects()))
+        assert not rep.holds
+        assert rep.counterexample == "candidate does not compose to zero"
+
+    def test_cokernel_rejects_candidate_not_killing_the_image(self):
+        m = _mod2()
+        one = identity_morphism(m.cod)
+        rep = verify_universal_property(
+            UniversalPropertyQuery("Cokernel", (m, m.cod, one), _test_objects()))
+        assert not rep.holds
+        assert rep.counterexample == "candidate does not kill the image"
+
+    def test_equalizer_rejects_candidate_not_equalizing(self):
+        m = _mod2()
+        P = m.dom
+        one = identity_morphism(P)
+        dbl = make_pog_morphism(make_hom(P.group, P.group, [
+            P.group.elem((2 * i) % 4) for i in range(4)]), P, P)
+        rep = verify_universal_property(UniversalPropertyQuery(
+            "Equalizer", (one, dbl, P, one), _test_objects()))
+        assert not rep.holds and rep.counterexample == "candidate does not equalize"
+
+    def test_composite_refuses_non_composable_pair(self):
+        m = _mod2()
+        with pytest.raises(ValueError):
+            _composite(m, m)
+        assert _composite(m, identity_morphism(m.dom)).images == m.hom.images
+        # same group, other cone: the groups compose, the objects do not
+        G = m.dom.group
+        total = make_pog(G, explicit_cone(G, G.elements()))
+        with pytest.raises(ValueError):
+            _composite(identity_morphism(total), identity_morphism(m.dom))
+        # a candidate into the wrong object is refused, not misjudged
+        with pytest.raises(ValueError):
+            verify_universal_property(UniversalPropertyQuery(
+                "Kernel", (m, m.cod, identity_morphism(m.cod)), _test_objects()))
 
 
 class TestSearch:
