@@ -21,7 +21,6 @@ from . import errors
 from .cones import (
     ExplicitCone,
     GeneratorCone,
-    cone_contains,
     explicit_cone,
     extract_generators,
     generator_cone,
@@ -257,16 +256,7 @@ def cone_json(c):
 
 
 def object_json(P):
-    out = {"group": group_json(P.group), "cone": cone_json(P.cone)}
-    if P.group.backend == "finite":
-        out["cone"]["size"] = len(_members(P.cone))
-    return out
-
-
-def _members(cone):
-    if isinstance(cone, ExplicitCone):
-        return cone.members
-    return [x for x in cone.group.elements() if cone_contains(cone, x)]
+    return {"group": group_json(P.group), "cone": cone_json(P.cone)}
 
 
 def classification_json(cls):
@@ -314,7 +304,7 @@ def cmd_torsion(ws, args, opts):
         "window": dec.certificate.window,
     }
     if dec.free_part.group.backend == "finite":
-        report["torsion_free"]["cone_size"] = len(_members(dec.free_part.cone))
+        report["torsion_free"]["cone_size"] = len(dec.free_part.cone.members)
     return report, 0 if dec.certificate.holds else 2
 
 
@@ -459,8 +449,12 @@ def cmd_sequence_check(ws, args, opts):
 
 def cmd_stable_units(ws, args, opts):
     from .factor import check_stable_units_instance
+    from .torsion import torsion_sequence
     B = _need(ws, "objects", args.object, "object")
     g = _need(ws, "morphisms", args.morphism, "morphism")
+    if g.cod != torsion_sequence(B, opts["window"]).free_part:
+        raise errors.ValidationError(
+            "g must land in the torsion-free part of B")
     rep = check_stable_units_instance(B, g, opts["window"])
     return {"object": args.object, "morphism": args.morphism,
             "preserved": rep.holds, "exact": rep.exact,
@@ -473,6 +467,8 @@ def cmd_orthogonal(ws, args, opts):
     m = _need(ws, "morphisms", args.m, "morphism")
     a = _need(ws, "morphisms", args.a, "morphism")
     b = _need(ws, "morphisms", args.b, "morphism")
+    if a.cod != m.dom or e.cod != b.dom:
+        raise errors.ValidationError("morphisms do not compose")
     rep = check_orthogonality(e, m, a, b, opts["window"])
     return {"e": args.e, "m": args.m,
             "orthogonal": rep.holds, "unique": rep.unique,

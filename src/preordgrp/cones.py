@@ -1,7 +1,7 @@
 """Positive cones: submonoids closed under conjugation, with decidable
 membership.
 
-A cone is either explicit (finite carrier), generated (abelian carrier), or
+A cone is either explicit (finite carrier), generated (fgab carrier), or
 a recipe node remembering how it was built from other cones (product,
 pullback, preimage, direct image, restriction to a subgroup).  Recipe cones
 keep their construction tree because limits of finitely generated cones
@@ -63,6 +63,9 @@ class Cone:
 
 @dataclass(frozen=True)
 class ExplicitCone(Cone):
+    """The cone of every finite carrier.  A submonoid of a finite group is
+    a subgroup (-x = (ord x - 1)x), so the members form a normal subgroup."""
+
     group: object
     members: frozenset
 
@@ -132,8 +135,8 @@ def explicit_cone(group, elements):
 
 
 def generator_cone(group, generators):
-    if not group.is_abelian():
-        raise ValueError("generator cones need an abelian carrier")
+    if group.backend != "fgab":
+        raise ValueError("generator cones need an fgab carrier")
     gens = tuple(g for g in generators if not g.is_zero())
     return GeneratorCone(group, gens)
 
@@ -207,23 +210,14 @@ def _cone_contains_cached(cone, x):
                 return v
         return MembershipVerdict("In")
     if isinstance(cone, ImageCone):
-        return _image_membership(cone, x)
+        # existential lift: some preimage of x lies in the inner cone
+        compiler = _Compiler()
+        compiler.walk(cone, _AffineExpr.constant(x.coords))
+        w = compiler.solve()
+        if w is None:
+            return MembershipVerdict("Out", bound=compiler.last_bound)
+        return MembershipVerdict("In", witness=tuple(w))
     raise TypeError(f"unknown cone kind {type(cone)!r}")
-
-
-def _image_membership(cone, x):
-    """Existential lift: some preimage of x lies in the inner cone."""
-    compiler = _Compiler()
-    u = compiler.new_vars(cone.hom.dom.ncoords)
-    expr_u = _AffineExpr.variables(cone.hom.dom.ncoords, u)
-    lhs = expr_u.apply(cone.hom.matrix_columns(), cone.hom.cod.ncoords)
-    compiler.add_linear(lhs.minus_const(list(x.coords)),
-                        cone.hom.cod.relation_columns())
-    compiler.walk(cone.inner, expr_u)
-    w = compiler.solve()
-    if w is None:
-        return MembershipVerdict("Out", bound=compiler.last_bound)
-    return MembershipVerdict("In", witness=tuple(w))
 
 
 class _AffineExpr:
@@ -255,9 +249,6 @@ class _AffineExpr:
         const = mat_vec(M, self.const) if self.const else [0] * out_dim
         cols = {j: mat_vec(M, c) for j, c in self.cols.items()}
         return _AffineExpr(const, cols)
-
-    def minus_const(self, vec):
-        return _AffineExpr([a - b for a, b in zip(self.const, vec)], self.cols)
 
 
 class _Compiler:
@@ -316,8 +307,7 @@ class _Compiler:
             f"membership under an image of {type(cone).__name__} is not supported")
 
     def solve(self):
-        import itertools as _it
-        branches = list(_it.product((1, 0), repeat=len(self.cover_atoms)))
+        branches = list(itertools.product((1, 0), repeat=len(self.cover_atoms)))
         for choice in branches:
             gen_atoms = list(self.gen_atoms)
             lin_atoms = list(self.lin_atoms)
@@ -448,14 +438,13 @@ def check_cone_axioms(cone):
 def units(cone):
     """Subgroup of elements x with both x and -x in the cone.
 
-    Computed exhaustively on explicit cones, from unit generators on
-    generated cones (complete: a vanishing non-negative combination forces
-    each participating generator to be a unit), and compositionally on
-    recipe cones.
+    Every member of an explicit cone (a normal subgroup), from unit
+    generators on generated cones (complete: a vanishing non-negative
+    combination forces each participating generator to be a unit), and
+    compositionally on recipe cones.
     """
     if isinstance(cone, ExplicitCone):
-        els = [x for x in cone.sorted_members() if -x in cone.members]
-        return subgroup_from_elements(cone.group, els)
+        return subgroup_from_elements(cone.group, cone.members)
     if isinstance(cone, GeneratorCone):
         unit_gens = [g for g in cone.cone_generators if cone.contains(-g)]
         return subgroup(cone.group, unit_gens)
@@ -566,10 +555,6 @@ def transport_product(c1, c2, carrier, proj1, proj2, inj1=None, inj2=None):
     if carrier.backend == "finite":
         return _materialize(cone)
     return cone
-
-
-def transport_pullback(c1, c2, carrier, proj1, proj2):
-    return transport_product(c1, c2, carrier, proj1, proj2)
 
 
 def transport_preimage(hom, inner):

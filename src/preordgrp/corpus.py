@@ -1,7 +1,7 @@
 """The bundled test corpus: a fixed, reproducible set of preordered groups.
 
 Finite side: the groups Z/2, Z/3, Z/4, Z/2 x Z/2, S3, D4, Q8, Z/6, each
-paired with every one of its positive cones (enumerated exhaustively).
+paired with every one of its positive cones (its normal subgroups).
 Infinite side: eight f.g. abelian objects over Z and Z^2 covering the
 total, discrete, reduced and mixed cone shapes.
 """

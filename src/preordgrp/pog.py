@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .cones import (
     Cone,
-    ExplicitCone,
     ImageCone,
     PreimageCone,
     cone_contains,
@@ -31,7 +30,6 @@ from .cones import (
     transport_image,
     transport_intersection,
     transport_product,
-    transport_pullback,
     units,
 )
 from .errors import (
@@ -220,6 +218,15 @@ def structural_morphism(hom, dom, cod, note):
     return POGMorphism(dom, cod, hom, ConeCertificate("structural", note=note))
 
 
+def induced_morphism(hom, dom, cod, note, width=DEFAULT_WINDOW):
+    """Morphism induced from certified ones: its cone preservation holds
+    by construction, and is certified on generators when the domain cone
+    has them; otherwise it is structural with ``note``."""
+    if extract_generators(dom.cone) is not None:
+        return make_pog_morphism(hom, dom, cod, width)
+    return structural_morphism(hom, dom, cod, note)
+
+
 def identity_morphism(P):
     return structural_morphism(identity_hom(P.group), P, P, "identity")
 
@@ -232,13 +239,8 @@ def compose_pog(g, f):
     """g after f; the composite certificate is re-derived cheaply."""
     if f.cod != g.dom:
         raise ValueError("morphisms do not compose")
-    h = compose(g.hom, f.hom)
-    gens = extract_generators(f.dom.cone)
-    if gens is not None:
-        verdicts = tuple((x, cone_contains(g.cod.cone, h(x))) for x in gens)
-        return POGMorphism(f.dom, g.cod, h,
-                           ConeCertificate("generators", verdicts))
-    return structural_morphism(h, f.dom, g.cod, "composite of certified maps")
+    return induced_morphism(compose(g.hom, f.hom), f.dom, g.cod,
+                            "composite of certified maps")
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +260,10 @@ def pog_kernel(m):
 
 def pog_cokernel(m):
     """Cokernel object with its projection (a normal epimorphism)."""
-    img = image_subgroup(m.hom)
-    if m.cod.group.backend == "finite" and not img.is_normal():
-        raise ImageNotNormal("image is not normal in the codomain")
     try:
-        Q, proj = quotient(m.cod.group, img)
+        Q, proj = quotient(m.cod.group, image_subgroup(m.hom))
     except NotNormal as exc:
-        raise ImageNotNormal(str(exc)) from exc
+        raise ImageNotNormal("image is not normal in the codomain") from exc
     cone = transport_image(proj, m.cod.cone)
     Qpog = PreorderedGroup(Q, cone)
     return Qpog, structural_morphism(proj, m.cod, Qpog,
@@ -298,7 +297,7 @@ def pog_pullback(m1, m2):
     if m1.cod != m2.cod:
         raise ValueError("pullback needs a common codomain")
     P, p1, p2 = group_pullback(m1.hom, m2.hom)
-    cone = transport_pullback(m1.dom.cone, m2.dom.cone, P, p1, p2)
+    cone = transport_product(m1.dom.cone, m2.dom.cone, P, p1, p2)
     Ppog = PreorderedGroup(P, cone)
     legs = (structural_morphism(p1, Ppog, m1.dom, "pullback projection"),
             structural_morphism(p2, Ppog, m2.dom, "pullback projection"))
@@ -373,10 +372,6 @@ def cone_map_surjective(m, width=DEFAULT_WINDOW):
     """
     cod_gens = extract_generators(m.cod.cone)
     if cod_gens is not None:
-        if m.dom.group.backend == "finite":
-            image = {m.hom(x) for x in _cone_members_finite(m.dom.cone)}
-            missing = [y for y in cod_gens if y not in image]
-            return (not missing, True)
         img_cone = transport_image(m.hom, m.dom.cone)
         return (all(cone_contains(img_cone, y) for y in cod_gens), True)
     if isinstance(m.cod.cone, ImageCone) and m.cod.cone.hom == m.hom \
@@ -387,12 +382,6 @@ def cone_map_surjective(m, width=DEFAULT_WINDOW):
         if not cone_contains(img_cone, y):
             return (False, True)
     return (True, False)
-
-
-def _cone_members_finite(cone):
-    if isinstance(cone, ExplicitCone):
-        return cone.sorted_members()
-    return [x for x in cone.group.elements() if cone_contains(cone, x)]
 
 
 def cone_square_is_pullback(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
@@ -445,15 +434,12 @@ def morphism_class(m, width=DEFAULT_WINDOW):
     if epi:
         details.append(("cone_surjective", normal_epi))
     normal_mono = False
-    if mono:
-        img_normal = (image_subgroup(m.hom).is_normal()
-                      if m.cod.group.backend == "finite" else True)
-        if img_normal:
-            pb, pb_exact = cone_square_is_pullback(
-                m.hom, m.dom.cone, m.cod.cone, width)
-            normal_mono = pb
-            exact = exact and pb_exact
-            details.append(("cone_square_pullback", pb))
+    if mono and image_subgroup(m.hom).is_normal():
+        pb, pb_exact = cone_square_is_pullback(
+            m.hom, m.dom.cone, m.cod.cone, width)
+        normal_mono = pb
+        exact = exact and pb_exact
+        details.append(("cone_square_pullback", pb))
     return MorphismClassReport(
         mono=mono, epi=epi, normal_mono=normal_mono, normal_epi=normal_epi,
         effective_descent=normal_epi, exact=exact,

@@ -46,6 +46,7 @@ from .pog import (
     SequenceCertificate,
     classify,
     compose_pog,
+    induced_morphism,
     is_short_exact,
     make_pog_morphism,
     pog_is_iso,
@@ -96,9 +97,8 @@ def torsion_sequence(P, width=DEFAULT_WINDOW):
     Q, proj = quotient(P.group, N)
     qcone = transport_image(proj, P.cone)
     F = PreorderedGroup(Q, qcone)
-    unit = make_pog_morphism(proj, P, F, width) \
-        if extract_generators(P.cone) is not None \
-        else structural_morphism(proj, P, F, "quotient pushes the cone forward")
+    unit = induced_morphism(proj, P, F, "quotient pushes the cone forward",
+                            width)
     cert = is_short_exact(counit, unit, width)
     return TorsionDecomposition(P, T, F, counit, unit, cert, "torsion")
 
@@ -112,12 +112,9 @@ def reflect_F(m, width=DEFAULT_WINDOW):
                            compose(dec_cod.unit.hom, m.hom))
     if h is None:
         raise ValueError("morphism does not map units to units")
-    src, dst = dec_dom.free_part, dec_cod.free_part
-    gens = extract_generators(src.cone)
-    if gens is not None:
-        return make_pog_morphism(h, src, dst, width)
-    return structural_morphism(h, src, dst,
-                               "induced between quotients of a certified map")
+    return induced_morphism(h, dec_dom.free_part, dec_cod.free_part,
+                            "induced between quotients of a certified map",
+                            width)
 
 
 def coreflect_T(m, width=DEFAULT_WINDOW):
@@ -209,9 +206,7 @@ def uniqueness_check(P, alt_k, alt_f, width=DEFAULT_WINDOW):
     if f_hom is None:
         raise NotComparable("alternative cokernel does not factor through "
                             "the canonical one")
-    f = make_pog_morphism(f_hom, dec.free_part, alt_f.cod, width) \
-        if extract_generators(dec.free_part.cone) is not None \
-        else structural_morphism(f_hom, dec.free_part, alt_f.cod, "induced")
+    f = induced_morphism(f_hom, dec.free_part, alt_f.cod, "induced", width)
     # t with eps_alt . t = eps, induced by the kernel property of eps_alt
     t_hom = factor_through_mono(alt_k.hom, dec.counit.hom)
     if t_hom is None:

@@ -218,6 +218,17 @@ class TestCommands:
                               "e", "mod2", "idZN", "mod2")
         assert code2 == 0 and json.loads(out2)["orthogonal"] is True
 
+    @pytest.mark.parametrize("argv, why", [
+        (("orthogonal", "mod2", "idZN", "idZN", "mod2"),
+         "morphisms do not compose"),
+        (("stable-units", "ZZ", "idZN"),
+         "g must land in the torsion-free part of B"),
+    ])
+    def test_arguments_that_do_not_fit(self, tmp_path, capsys, argv, why):
+        code, out = run_cli(tmp_path, basic_document(), *argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {why}\n"
+
     def test_corpus_mode(self):
         import io
         import contextlib

@@ -108,6 +108,13 @@ class TestAxioms:
     def test_generator_cones_closed_by_construction(self):
         assert check_cone_axioms(halfplane_cone()).ok
 
+    def test_generator_cone_refuses_finite_carrier(self):
+        # a finite cone is an explicit element set; a generator list there
+        # would have no coordinates to solve membership in
+        G = cyclic_group(4)
+        with pytest.raises(ValueError):
+            generator_cone(G, [G.elem(1)])
+
 
 class TestUnits:
     def test_naturals_reduced(self):

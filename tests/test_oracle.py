@@ -1,5 +1,7 @@
 """Enumeration and universal-property verification."""
 
+import itertools
+
 import pytest
 
 from preordgrp.cones import explicit_cone
@@ -12,6 +14,7 @@ from preordgrp.corpus import (
 from preordgrp.errors import UnknownLaw
 from preordgrp.groups import (
     cyclic_group,
+    direct_product,
     identity_hom,
     make_fgab_group,
     make_hom,
@@ -62,6 +65,40 @@ class TestEnumerateCones:
                     "D4": 6, "Q8": 6, "Z6": 4}
         for name, G in finite_corpus_groups().items():
             assert len(enumerate_cones(G)) == expected[name], name
+
+
+def _cones_by_subset_scan(G):
+    """Reference: every subset containing zero that is closed under sums
+    and conjugation, in the order ``enumerate_cones`` promises."""
+    els = G.elements()
+    rest = [x for x in els if x != G.zero]
+    found = []
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            members = frozenset(combo) | {G.zero}
+            if all(a + b in members for a in members for b in members) \
+                    and all(G.conjugate(g, x) in members
+                            for g in els for x in members):
+                found.append(members)
+    found.sort(key=lambda m: (len(m), sorted(x.coords for x in m)))
+    return found
+
+
+def _reference_groups():
+    groups = dict(finite_corpus_groups())
+    C2, C4 = cyclic_group(2), cyclic_group(4)
+    groups["Z8"] = cyclic_group(8)
+    groups["Z2xZ4"] = direct_product(C2, C4).group
+    groups["Z2^3"] = direct_product(groups["V4"], C2).group
+    groups["S3xZ2"] = direct_product(groups["S3"], C2).group
+    groups["D4xZ2"] = direct_product(groups["D4"], C2).group
+    return groups
+
+
+@pytest.mark.parametrize("name", sorted(_reference_groups()))
+def test_enumerate_cones_matches_subset_scan(name):
+    G = _reference_groups()[name]
+    assert [c.members for c in enumerate_cones(G)] == _cones_by_subset_scan(G)
 
 
 class TestEnumerateMorphisms:

@@ -8,7 +8,11 @@ from preordgrp.cones import (
     generator_cone,
     total_cone,
 )
-from preordgrp.errors import ConeAxiomViolation, ConeNotPreserved
+from preordgrp.errors import (
+    ConeAxiomViolation,
+    ConeNotPreserved,
+    ImageNotNormal,
+)
 from preordgrp.groups import (
     cyclic_group,
     identity_hom,
@@ -19,6 +23,7 @@ from preordgrp.pog import (
     classify,
     compose_pog,
     identity_morphism,
+    induced_morphism,
     is_normal_epi,
     is_short_exact,
     make_pog,
@@ -29,6 +34,7 @@ from preordgrp.pog import (
     pog_kernel,
     pog_limit,
     pog_product,
+    pog_pullback,
     zero_morphism,
     zero_object,
 )
@@ -111,6 +117,16 @@ class TestMorphisms:
         assert comp.hom.images == m.hom.images
         assert comp.certificate.kind == "generators"
 
+    def test_induced_morphism_certificates(self):
+        m = induced_morphism(mod2().hom, ZN, Z2tot, "unused")
+        assert m.certificate.kind == "generators"
+        assert [bool(v) for _, v in m.certificate.verdicts] == [True]
+        # a pullback cone has no generators to certify on
+        lim = pog_pullback(mod2(), mod2())
+        s = induced_morphism(lim.legs[0].hom, lim.obj, ZN, "leg")
+        assert s.certificate.kind == "structural"
+        assert s.certificate.note == "leg"
+
 
 class TestKernelCokernel:
     def test_kernel_of_mod2(self):
@@ -155,6 +171,19 @@ class TestKernelCokernel:
         Q, proj = pog_cokernel(inj)
         assert Q.group.order() == 2
         assert classify(Q) == {"partially_ordered", "protomodular", "discrete"}
+
+    def test_cokernel_of_non_normal_image(self):
+        from preordgrp.corpus import symmetric_group_3
+        S3 = symmetric_group_3()
+        flip = next(x for x in S3.elements()
+                    if x + x == S3.zero and x != S3.zero)
+        C2 = cyclic_group(2)
+        inc = make_hom(C2, S3, [S3.zero, flip])
+        m = make_pog_morphism(inc, make_pog(C2, explicit_cone(C2, [C2.zero])),
+                              make_pog(S3, explicit_cone(S3, [S3.zero])))
+        with pytest.raises(ImageNotNormal,
+                           match="image is not normal in the codomain"):
+            pog_cokernel(m)
 
 
 class TestLimits:
