@@ -46,6 +46,11 @@ from .pog import (
 )
 
 
+# fgab_presentation builds n x n matrices for n = rank + len(torsion)
+# coordinates, so memory grows quadratically: about 57 MiB at n = 1000
+MAX_FGAB_COORDS = 256
+
+
 @dataclass
 class Workspace:
     groups: dict
@@ -120,8 +125,12 @@ def parse_workspace(document):
                                    for d in torsion):
                     raise errors.BadInvariantFactors(
                         "rank must be >= 0 and torsion entries positive")
-                rels = []
                 n = rank + len(torsion)
+                if n > MAX_FGAB_COORDS:
+                    raise errors.ValidationError(
+                        f"group {name}: {n} coordinates exceed the limit "
+                        f"of {MAX_FGAB_COORDS}")
+                rels = []
                 for j, d in enumerate(torsion):
                     col = [0] * n
                     col[rank + j] = d
@@ -427,10 +436,14 @@ def cmd_limit(ws, args, opts):
     elif args.kind == "pullback":
         m1 = _need(ws, "morphisms", args.args[0], "morphism")
         m2 = _need(ws, "morphisms", args.args[1], "morphism")
+        if m1.cod != m2.cod:
+            raise errors.ValidationError("pullback needs a common codomain")
         lim = pog_pullback(m1, m2)
     elif args.kind == "equalizer":
         m1 = _need(ws, "morphisms", args.args[0], "morphism")
         m2 = _need(ws, "morphisms", args.args[1], "morphism")
+        if m1.dom != m2.dom or m1.cod != m2.cod:
+            raise errors.ValidationError("equalizer needs a parallel pair")
         lim = pog_equalizer(m1, m2)
     else:
         raise errors.UnknownCommand(f"unknown limit kind {args.kind!r}")
@@ -441,6 +454,8 @@ def cmd_limit(ws, args, opts):
 def cmd_sequence_check(ws, args, opts):
     k = _need(ws, "morphisms", args.k, "morphism")
     f = _need(ws, "morphisms", args.f, "morphism")
+    if k.cod != f.dom:
+        raise errors.ValidationError("arrows do not compose")
     cert = is_short_exact(k, f, opts["window"])
     return {"k": args.k, "f": args.f, "short_exact": cert.holds,
             "exact_checks": cert.exact_checks, "window": cert.window,
@@ -525,6 +540,8 @@ def cmd_oracle(ws, args, opts):
     elif kind == "pullback":
         m1 = _need(ws, "morphisms", args.args[0], "morphism")
         m2 = _need(ws, "morphisms", args.args[1], "morphism")
+        if m1.cod != m2.cod:
+            raise errors.ValidationError("pullback needs a common codomain")
         lim = pog_pullback(m1, m2)
         q = UniversalPropertyQuery(
             "Pullback", (m1, m2, lim.obj, lim.legs[0], lim.legs[1]),

@@ -564,11 +564,6 @@ def transport_preimage(hom, inner):
     return cone
 
 
-def transport_intersection(inner, injection):
-    """Cone of a subgroup: restrict along the inclusion hom."""
-    return transport_preimage(injection, inner)
-
-
 def transport_image(hom, inner):
     """Direct image cone along a surjective carrier map."""
     from .groups import is_surjective

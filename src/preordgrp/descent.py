@@ -25,6 +25,9 @@ from .cones import (
 from .groups import (
     FgAbGroup,
     GroupHom,
+    compose,
+    factor_through_legs,
+    identity_hom,
     kernel_subgroup,
     subgroup_intersection,
 )
@@ -32,13 +35,12 @@ from .pog import (
     DEFAULT_WINDOW,
     POGMorphism,
     PreorderedGroup,
-    identity_morphism,
     is_normal_epi,
     pog_is_iso,
     pog_pullback,
     structural_morphism,
 )
-from .factor import in_class, induced_into_pullback
+from .factor import in_class
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,6 @@ class InternalEquivRelation:
 
     def verify_identities(self):
         """Reflexivity, symmetry and transitivity as morphism equalities."""
-        from .groups import compose
         checks = {
             "r1 . delta = 1": compose(self.r1.hom, self.delta.hom).images
             == _identity_images(self.base.group),
@@ -192,7 +193,6 @@ class InternalEquivRelation:
 
 
 def _identity_images(G):
-    from .groups import identity_hom
     return identity_hom(G).images
 
 
@@ -201,15 +201,15 @@ def kernel_pair(f, width=DEFAULT_WINDOW):
     lim = pog_pullback(f, f)
     R = lim.obj
     r1, r2 = lim.legs
-    delta_hom = induced_into_pullback(lim, identity_morphism(f.dom),
-                                      identity_morphism(f.dom))
-    delta = structural_morphism(delta_hom, f.dom, R, "diagonal")
-    sigma_hom = induced_into_pullback(lim, r2, r1)
-    sigma = structural_morphism(sigma_hom, R, R, "swap")
+    legs = [r1.hom, r2.hom]
+    one = identity_hom(f.dom.group)
+    delta = structural_morphism(factor_through_legs(legs, [one, one]),
+                                f.dom, R, "diagonal")
+    sigma = structural_morphism(factor_through_legs(legs, [r2.hom, r1.hom]),
+                                R, R, "swap")
     pairs = pog_pullback(r2, r1)
-    from .pog import compose_pog
-    tau_hom = induced_into_pullback(
-        lim, compose_pog(r1, pairs.legs[0]), compose_pog(r2, pairs.legs[1]))
+    tau_hom = factor_through_legs(legs, [compose(r1.hom, pairs.legs[0].hom),
+                                         compose(r2.hom, pairs.legs[1].hom)])
     tau = structural_morphism(tau_hom, pairs.obj, R, "transitivity composite")
     return InternalEquivRelation(R, f.dom, r1, r2, delta, sigma, pairs, tau)
 
@@ -232,13 +232,13 @@ def is_discrete_fibration(f1, f0, R, Rp, width=DEFAULT_WINDOW):
     projections must be a pullback; the pullback is tested through the
     induced comparison map being an isomorphism.
     """
-    from .groups import compose
     if compose(Rp.r1.hom, f1.hom).images != compose(f0.hom, R.r1.hom).images:
         return FibrationReport(False, True, detail="first square does not commute")
     if compose(Rp.r2.hom, f1.hom).images != compose(f0.hom, R.r2.hom).images:
         return FibrationReport(False, True, detail="second square does not commute")
     lim = pog_pullback(Rp.r2, f0)
-    cmp_hom = induced_into_pullback(lim, f1, R.r2)
+    cmp_hom = factor_through_legs([leg.hom for leg in lim.legs],
+                                  [f1.hom, R.r2.hom])
     cmp = structural_morphism(cmp_hom, R.carrier, lim.obj, "fibration comparison")
     iso, exact = pog_is_iso(cmp, width)
     return FibrationReport(iso, exact, None if exact else width,

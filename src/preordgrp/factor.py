@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from .cones import extract_generators, units
 from .errors import EnumerationUnbounded, NotACommutingSquare, RowsNotSchreier
 from .groups import (
-    GroupHom,
     _subgroup_lattice,
     compose,
     enumerate_group_homs,
     factor_through_epi,
+    factor_through_legs,
     image_subgroup,
     is_isomorphism,
     is_surjective,
@@ -29,7 +29,7 @@ from .groups import (
     subgroup_preimage,
     subgroup_sum,
 )
-from .intlinalg import NonnegSolver, from_columns, solve
+from .intlinalg import NonnegSolver, from_columns
 from .pog import (
     DEFAULT_WINDOW,
     POGMorphism,
@@ -154,47 +154,6 @@ class FactorizationResult:
         return compose(self.m.hom, self.e.hom).images == f.hom.images
 
 
-def induced_into_pullback(lim, u1, u2):
-    """Mediating group hom X -> P for a pullback cone of morphisms (u1, u2).
-
-    The legs are jointly injective, so exact preimages make the result a
-    hom without a re-check.
-    """
-    P = lim.obj.group
-    p1, p2 = lim.legs[0].hom, lim.legs[1].hom
-    h1 = u1.hom if isinstance(u1, POGMorphism) else u1
-    h2 = u2.hom if isinstance(u2, POGMorphism) else u2
-    X = h1.dom
-    if P.backend == "finite":
-        pairs = {}
-        for z in P.elements():
-            pairs.setdefault((p1(z).coords, p2(z).coords), z)
-    else:
-        rows = []
-        for r in range(p1.cod.ncoords):
-            rows.append([p1.images[j].coords[r] for j in range(P.ncoords)])
-        for r in range(p2.cod.ncoords):
-            rows.append([p2.images[j].coords[r] for j in range(P.ncoords)])
-        slack = []
-        for c in p1.cod.relation_columns():
-            slack.append(list(c) + [0] * p2.cod.ncoords)
-        for c in p2.cod.relation_columns():
-            slack.append([0] * p1.cod.ncoords + list(c))
-        M = [rows[i] + [s[i] for s in slack] for i in range(len(rows))]
-    images = []
-    for x in (X.elements() if X.backend == "finite" else X.generators()):
-        t1, t2 = h1(x), h2(x)
-        if P.backend == "finite":
-            img = pairs.get((t1.coords, t2.coords))
-        else:
-            z = solve(M, list(t1.coords) + list(t2.coords))
-            img = P.elem(z[: P.ncoords]) if z is not None else None
-        if img is None:
-            raise ValueError("square does not commute into the pullback")
-        images.append(img)
-    return GroupHom(X, P, tuple(images))
-
-
 def em_factor(f, width=DEFAULT_WINDOW):
     """Reflective (E, M) factorization through B x_{F(B)} F(A).
 
@@ -205,7 +164,9 @@ def em_factor(f, width=DEFAULT_WINDOW):
     Ff = reflect_F(f, width)
     lim = pog_pullback(dec_B.unit, Ff)
     mid = lim.obj
-    e = induced_morphism(induced_into_pullback(lim, f, dec_A.unit), f.dom, mid,
+    e_hom = factor_through_legs([leg.hom for leg in lim.legs],
+                                [f.hom, dec_A.unit.hom])
+    e = induced_morphism(e_hom, f.dom, mid,
                          "mediating map of certified cone maps", width)
     m = lim.legs[0]
     return FactorizationResult(e, m, mid, "EM",
@@ -321,7 +282,8 @@ def check_stable_units_instance(B, g, width=DEFAULT_WINDOW):
     Fp1 = reflect_F(lim.legs[0], width)
     Fp2 = reflect_F(lim.legs[1], width)
     ref_lim = pog_pullback(Feta, Fg)
-    u_hom = induced_into_pullback(ref_lim, Fp1, Fp2)
+    u_hom = factor_through_legs([leg.hom for leg in ref_lim.legs],
+                                [Fp1.hom, Fp2.hom])
     u = structural_morphism(u_hom, FP, ref_lim.obj, "comparison into the "
                             "reflected pullback")
     iso, exact = pog_is_iso(u, width)

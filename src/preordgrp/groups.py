@@ -407,10 +407,11 @@ def make_fgab_group(rank, torsion):
 
 
 def make_group(kind, **data):
-    """Backend dispatcher used by the JSON loader.
+    """Group of either backend from keyword data.
 
     ``kind='finite'`` wants ``elements`` and ``table``; ``kind='fgab'``
-    wants ``rank`` and ``torsion``.
+    wants ``rank`` and ``torsion``.  The JSON loader does not use it: it
+    calls ``make_finite_group`` and ``fgab_presentation`` itself.
     """
     if kind == "finite":
         return make_finite_group(data["elements"], data["table"])
@@ -535,59 +536,66 @@ def is_isomorphism(h):
 
 
 def inverse_hom(h):
-    """Inverse of an isomorphism."""
-    if h.dom.backend == "finite" and h.cod.backend == "finite":
-        images = [None] * h.cod.order()
-        for x in h.dom.elements():
-            images[h(x).coords[0]] = x
-        return GroupHom(h.cod, h.dom, tuple(images))
-    images = []
-    for g in (h.cod.generators() if h.cod.backend == "fgab"
-              else h.cod.elements()):
-        pre = preimage_element(h, g)
-        if pre is None:
-            raise ValueError("not surjective")
-        images.append(pre)
-    return GroupHom(h.cod, h.dom, tuple(images))
+    """Inverse of an isomorphism; None when h is not onto."""
+    return factor_through_mono(h, identity_hom(h.cod))
 
 
 def preimage_element(h, y):
     """Some x with h(x) = y, or None."""
-    if h.dom.backend == "finite":
-        for x in h.dom.elements():
-            if h(x) == y:
-                return x
-        return None
-    if h.cod.backend == "fgab":
-        M = from_columns([list(i.coords) for i in h.images]
-                         + h.cod.relation_columns(), nrows=h.cod.ncoords)
-        z = solve(M, list(y.coords))
-        if z is None:
-            return None
-        return h.dom.elem(z[: h.dom.ncoords])
-    # fgab domain, finite codomain: search residues modulo image orders
-    orders = []
-    for img in h.images:
-        o, acc = 1, img
-        while not acc.is_zero():
-            acc = acc + img
-            o += 1
-        orders.append(o)
-    for combo in itertools.product(*[range(o) for o in orders]):
-        x = h.dom.elem(combo) if h.dom.ncoords else h.dom.zero
-        if h(x) == y:
-            return x
-    return None
+    xs = _preimage_lookup([h])([[y]])
+    return None if xs is None else xs[0]
 
 
-def _preimage_lookup(h):
-    """y |-> some x with h(x) = y, or None; one dict for a finite domain."""
-    if h.dom.backend != "finite":
-        return lambda y: preimage_element(h, y)
-    table = {}
-    for x, img in zip(h.dom.elements(), h.images):
-        table.setdefault(img.coords, x)
-    return lambda y: table.get(y.coords)
+def _preimage_lookup(legs):
+    """Exact preimages along homs out of one domain D.
+
+    Returns ``find(columns)``: ``columns[k]`` lists elements of
+    ``legs[k].cod``, all lists of one length, and ``find`` returns per
+    position some x in D with ``legs[k](x) = columns[k][j]`` for every k,
+    or None when some position has no such x.  A finite D is looked up in
+    one dict keyed on the legs' image coordinates; an fgab D solves one
+    stacked integer system, a finite abelian codomain taking part in its
+    fgab form.
+    """
+    D = legs[0].dom
+    if D.backend == "finite":
+        table = {}
+        for i, key in enumerate(zip(*[[y.coords for y in leg.images]
+                                      for leg in legs])):
+            table.setdefault(key, i)
+
+        def find(columns):
+            try:
+                return [GroupElement(D, (table[key],)) for key in zip(
+                    *[[y.coords for y in col] for col in columns])]
+            except KeyError:
+                return None
+        return find
+    to_fgab = [_fgab_conversion(leg.cod)[1] if leg.cod.backend == "finite"
+               else None for leg in legs]
+    legs = [leg if to is None else compose(to, leg)
+            for leg, to in zip(legs, to_fgab)]
+    nrows = sum(leg.cod.ncoords for leg in legs)
+    cols = [[c for leg in legs for c in leg.images[j].coords]
+            for j in range(D.ncoords)]
+    top = 0
+    for leg in legs:
+        for rel in leg.cod.relation_columns():
+            cols.append([0] * top + rel + [0] * (nrows - top - len(rel)))
+        top += leg.cod.ncoords
+    M = from_columns(cols, nrows=nrows)
+
+    def find(columns):
+        out = []
+        for ys in zip(*columns):
+            z = solve(M, [c for y, to in zip(ys, to_fgab)
+                          for c in (y if to is None else to(y)).coords])
+            if z is None:
+                return None
+            # a system without rows (zero codomains) solves to []
+            out.append(D.elem((z + [0] * D.ncoords)[: D.ncoords]))
+        return out
+    return find
 
 
 def factor_through_epi(p, t):
@@ -603,14 +611,11 @@ def factor_through_epi(p, t):
     Q = p.cod
     if Q.backend == "finite" and p.dom.backend != "finite":
         raise BackendMismatch("factoring through an fgab -> finite epi")
-    pre = _preimage_lookup(p)
-    images = []
-    for q in (Q.elements() if Q.backend == "finite" else Q.generators()):
-        x = pre(q)
-        if x is None:
-            return None
-        images.append(t(x))
-    w = GroupHom(Q, t.cod, tuple(images))
+    xs = _preimage_lookup([p])(
+        [Q.elements() if Q.backend == "finite" else Q.generators()])
+    if xs is None:
+        return None
+    w = GroupHom(Q, t.cod, tuple(map(t, xs)))
     if Q.backend == "fgab" and _relation_failure(w):
         return None
     if compose(w, p).images != t.images:
@@ -618,22 +623,26 @@ def factor_through_epi(p, t):
     return w
 
 
+def factor_through_legs(legs, targets):
+    """The w with legs[k] . w = targets[k] for every k, or None.
+
+    The legs share a domain and are jointly injective: a mono is a family
+    of one, the projections of a pullback a family of two.  Exact
+    preimages then make w a hom on both backends (the legs reflect sums
+    and orders), so nothing is re-checked.
+    """
+    xs = _preimage_lookup(legs)([t.images for t in targets])
+    if xs is None:
+        return None
+    return GroupHom(targets[0].dom, legs[0].dom, tuple(xs))
+
+
 def factor_through_mono(i, t):
     """The w with i . w = t, or None when t does not land in the image of i.
 
-    i must be injective.  Exact preimages then make w a hom on both
-    backends (i . w preserves sums and orders, and i reflects them), so
-    nothing is re-checked.
+    i must be injective.
     """
-    X = t.dom
-    pre = _preimage_lookup(i)
-    images = []
-    for x in (X.elements() if X.backend == "finite" else X.generators()):
-        y = pre(t(x))
-        if y is None:
-            return None
-        images.append(y)
-    return GroupHom(X, i.dom, tuple(images))
+    return factor_through_legs([i], [t])
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +734,7 @@ def subgroup_image(h, S):
 def subgroup_preimage(h, S):
     """{ x : h(x) in S } as a subgroup of the domain."""
     if h.dom.backend == "finite":
-        els = [x for x in h.dom.elements() if S.contains(h(x))]
+        els = [x for x, y in zip(h.dom.elements(), h.images) if S.contains(y)]
         return subgroup_from_elements(h.dom, els)
     if h.cod.backend != "fgab":
         if not h.cod.is_abelian():
@@ -786,18 +795,7 @@ def normal_closure(group, elements):
 # ---------------------------------------------------------------------------
 
 def kernel_subgroup(h):
-    if h.dom.backend == "finite":
-        zero = h.cod.zero
-        return subgroup_from_elements(
-            h.dom, [x for x in h.dom.elements() if h(x) == zero])
-    if h.cod.backend == "fgab":
-        M = from_columns([list(i.coords) for i in h.images],
-                         nrows=h.cod.ncoords)
-        gens = lattice_preimage(M, h.cod.relation_columns(),
-                                h.dom.ncoords, h.cod.ncoords)
-        return subgroup(h.dom, [h.dom.elem(g) for g in gens])
-    # fgab -> finite: kernel of the composite through the (abelian) image
-    raise BackendMismatch("kernel of an fgab -> finite hom is unsupported")
+    return subgroup_preimage(h, trivial_subgroup(h.cod))
 
 
 def image_subgroup(h):

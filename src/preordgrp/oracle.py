@@ -27,6 +27,7 @@ from .groups import (
     enumerate_group_homs,
     enumerate_homs_bounded,
     factor_through_epi,
+    factor_through_legs,
     factor_through_mono,
     is_injective,
     is_surjective,
@@ -157,25 +158,29 @@ def _composite(g, f):
     return compose(g.hom, f.hom)
 
 
-def _mediate_into(candidate_arrow, alpha, X):
-    """Mediating morphism for limit-style properties, as a POGMorphism."""
-    w_hom = factor_through_mono(candidate_arrow.hom, alpha.hom)
+def _certified(w_hom, dom, cod):
+    """The group hom w_hom as a morphism dom -> cod, or None when there is
+    no hom or it does not preserve the order."""
     if w_hom is None:
         return None
-    ok, _, cert = cone_preservation(w_hom, X.cone, candidate_arrow.dom.cone)
-    if not ok:
-        return None
-    return POGMorphism(X, candidate_arrow.dom, w_hom, cert)
+    ok, _, cert = cone_preservation(w_hom, dom.cone, cod.cone)
+    return POGMorphism(dom, cod, w_hom, cert) if ok else None
+
+
+def _mediate_into(candidate_arrow, alpha, X):
+    """Mediating morphism for limit-style properties, as a POGMorphism."""
+    return _certified(factor_through_mono(candidate_arrow.hom, alpha.hom),
+                      X, candidate_arrow.dom)
 
 
 def _mediate_out_of(candidate_arrow, alpha):
-    w_hom = factor_through_epi(candidate_arrow.hom, alpha.hom)
-    if w_hom is None:
-        return None
-    ok, _, cert = cone_preservation(w_hom, candidate_arrow.cod.cone, alpha.cod.cone)
-    if not ok:
-        return None
-    return POGMorphism(candidate_arrow.cod, alpha.cod, w_hom, cert)
+    return _certified(factor_through_epi(candidate_arrow.hom, alpha.hom),
+                      candidate_arrow.cod, alpha.cod)
+
+
+def _mediate_pair(P, p1, p2, u1, u2, X):
+    return _certified(factor_through_legs([p1.hom, p2.hom], [u1.hom, u2.hom]),
+                      X, P)
 
 
 def _verify_kernel(query, width):
@@ -290,20 +295,6 @@ def _verify_pullback(query, width):
                     return _report("Pullback", False, tested, query.bound,
                                    "no mediating map into the pullback")
     return _report("Pullback", True, tested, query.bound)
-
-
-def _mediate_pair(P, p1, p2, u1, u2, X):
-    from .factor import induced_into_pullback
-    from .pog import LimitResult
-    lim = LimitResult(P, (p1, p2))
-    try:
-        w_hom = induced_into_pullback(lim, u1, u2)
-    except ValueError:
-        return None
-    ok, _, cert = cone_preservation(w_hom, X.cone, P.cone)
-    if not ok:
-        return None
-    return POGMorphism(X, P, w_hom, cert)
 
 
 def _verify_z_prekernel(query, width):

@@ -28,7 +28,7 @@ from .cones import (
     generator_cone,
     group_window,
     transport_image,
-    transport_intersection,
+    transport_preimage,
     transport_product,
     units,
 )
@@ -252,7 +252,7 @@ def pog_kernel(m):
     of the domain cone, so its square over the group level is a pullback by
     construction."""
     K, inj = group_kernel(m.hom)
-    cone = transport_intersection(m.dom.cone, inj)
+    cone = transport_preimage(inj, m.dom.cone)
     Kpog = PreorderedGroup(K, cone)
     return Kpog, structural_morphism(inj, Kpog, m.dom,
                                      "kernel inclusion restricts the cone")
@@ -314,7 +314,7 @@ def pog_equalizer(m1, m2):
     else:
         S = kernel_subgroup(hom_sub(m1.hom, m2.hom))
     E, inj = subgroup_to_group(S)
-    cone = transport_intersection(m1.dom.cone, inj)
+    cone = transport_preimage(inj, m1.dom.cone)
     Epog = PreorderedGroup(E, cone)
     return LimitResult(Epog, (structural_morphism(
         inj, Epog, m1.dom, "equalizer inclusion restricts the cone"),))

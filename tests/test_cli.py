@@ -223,11 +223,29 @@ class TestCommands:
          "morphisms do not compose"),
         (("stable-units", "ZZ", "idZN"),
          "g must land in the torsion-free part of B"),
+        (("limit", "--kind", "pullback", "mod2", "idZN"),
+         "pullback needs a common codomain"),
+        (("limit", "--kind", "equalizer", "mod2", "idZN"),
+         "equalizer needs a parallel pair"),
+        (("sequence-check", "mod2", "idZN"), "arrows do not compose"),
     ])
     def test_arguments_that_do_not_fit(self, tmp_path, capsys, argv, why):
         code, out = run_cli(tmp_path, basic_document(), *argv)
         assert code == 1 and out == ""
         assert capsys.readouterr().err == f"error: {why}\n"
+
+    def test_em_factor_of_a_finite_to_fgab_morphism(self, tmp_path, capsys):
+        # the factorization crosses backends: refused with a message
+        doc = basic_document()
+        doc["groups"]["C2"] = {"kind": "finite", "elements": ["0", "1"],
+                               "table": [[0, 1], [1, 0]]}
+        doc["cones"]["C2tot"] = {"group": "C2", "elements": ["0", "1"]}
+        doc["objects"]["C2T"] = {"group": "C2", "cone": "C2tot"}
+        doc["morphisms"]["f"] = {"from": "C2T", "to": "Z2T",
+                                 "map": [[0], [1]]}
+        code, out = run_cli(tmp_path, doc, "factor", "--system", "em", "f")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_corpus_mode(self):
         import io
@@ -265,6 +283,15 @@ class TestMalformedWorkspace:
     @pytest.mark.parametrize("label", sorted(CASES))
     def test_error_and_exit_1(self, tmp_path, capsys, label):
         code, out = run_cli(tmp_path, self.CASES[label], "validate")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_huge_rank_is_refused_before_presenting(self, tmp_path, capsys):
+        import time
+        doc = {"groups": {"Z": {"kind": "fgab", "rank": 1000000}}}
+        start = time.perf_counter()
+        code, out = run_cli(tmp_path, doc, "validate")
+        assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith("error:")
 

@@ -16,10 +16,11 @@ from preordgrp.descent import (
     is_discrete_fibration,
     kernel_pair,
 )
-from preordgrp.factor import in_class, induced_into_pullback
+from preordgrp.factor import in_class
 from preordgrp.groups import (
     cyclic_group,
     direct_product,
+    factor_through_legs,
     make_fgab_group,
     make_hom,
 )
@@ -123,6 +124,15 @@ class TestKernelPairs:
         assert R.carrier.group.order() == 8
         assert all(R.verify_identities().values())
 
+    def test_finite_into_fgab_kernel_pair(self):
+        # the pullback is computed in fgab form with legs into C2
+        C2, Zmod2 = cyclic_group(2), make_fgab_group(0, [2])
+        m = make_pog_morphism(
+            make_hom(C2, Zmod2, [Zmod2.elem([0]), Zmod2.elem([1])]),
+            make_pog(C2, total_cone(C2)), make_pog(Zmod2, total_cone(Zmod2)))
+        R = kernel_pair(m)
+        assert all(R.verify_identities().values())
+
 
 class TestDiscreteFibrations:
     def test_identity_fibration(self):
@@ -138,10 +148,10 @@ class TestDiscreteFibrations:
         lim = pog_pullback(m, m)
         Eq = kernel_pair(m)
         pairs2 = kernel_pair(lim.legs[1])
-        f1_hom = induced_into_pullback(
-            pog_pullback(m, m),
-            compose_pog(lim.legs[0], pairs2.r1),
-            compose_pog(lim.legs[0], pairs2.r2))
+        f1_hom = factor_through_legs(
+            [leg.hom for leg in pog_pullback(m, m).legs],
+            [compose_pog(lim.legs[0], pairs2.r1).hom,
+             compose_pog(lim.legs[0], pairs2.r2).hom])
         f1 = structural_morphism(f1_hom, pairs2.carrier, Eq.carrier, "induced")
         rep = is_discrete_fibration(f1, lim.legs[0], pairs2, Eq)
         assert rep.holds
@@ -149,9 +159,10 @@ class TestDiscreteFibrations:
     def test_collapse_fails(self):
         Rz = kernel_pair(zero_morphism(ZN, zero_object()))
         Rid = kernel_pair(identity_morphism(ZN))
-        f1_hom = induced_into_pullback(
-            pog_pullback(identity_morphism(ZN), identity_morphism(ZN)),
-            Rz.r1, Rz.r1)
+        f1_hom = factor_through_legs(
+            [leg.hom for leg in pog_pullback(identity_morphism(ZN),
+                                             identity_morphism(ZN)).legs],
+            [Rz.r1.hom, Rz.r1.hom])
         f1 = structural_morphism(f1_hom, Rz.carrier, Rid.carrier, "collapse")
         rep = is_discrete_fibration(f1, identity_morphism(ZN), Rz, Rid)
         assert not rep.holds
@@ -240,10 +251,10 @@ class TestImageOfKFibrations:
                             lim = pog_pullback(p, f)
                             Eq_p = kernel_pair(p)
                             Eq_pi2 = kernel_pair(lim.legs[1])
-                            f1_hom = induced_into_pullback(
-                                pog_pullback(p, p),
-                                compose_pog(lim.legs[0], Eq_pi2.r1),
-                                compose_pog(lim.legs[0], Eq_pi2.r2))
+                            f1_hom = factor_through_legs(
+                                [leg.hom for leg in pog_pullback(p, p).legs],
+                                [compose_pog(lim.legs[0], Eq_pi2.r1).hom,
+                                 compose_pog(lim.legs[0], Eq_pi2.r2).hom])
                             f1 = structural_morphism(
                                 f1_hom, Eq_pi2.carrier, Eq_p.carrier, "induced")
                             rep = is_discrete_fibration(

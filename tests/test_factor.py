@@ -90,6 +90,19 @@ class TestClasses:
                     a, b, c = e_conditions(m)
                     assert (a and b and c) == in_class(m, "E").holds
 
+    def test_e_characterization_agrees_on_fgab_corpus(self):
+        # fgab codomains take the solver path of condition (c)
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.oracle import enumerate_pog_morphisms
+        objs = fgab_corpus_objects()
+        checked = 0
+        for P in objs.values():
+            for Q in objs.values():
+                for m in enumerate_pog_morphisms(P, Q, 1)[:3]:
+                    assert all(e_conditions(m)) == in_class(m, "E").holds
+                    checked += 1
+        assert checked == 163
+
 
 class TestEprimeExactness:
     """Normal epi is decided exactly whenever the codomain cone is finitely
@@ -221,6 +234,22 @@ class TestOrthogonality:
         b = identity_morphism(Z2tot)
         rep = check_orthogonality(e, m, a, b)
         assert not rep.holds
+
+    def test_finite_non_epi_enumerates_diagonals(self):
+        from preordgrp.corpus import finite_corpus_objects
+        from preordgrp.oracle import enumerate_pog_morphisms
+        V = finite_corpus_objects()["V4/cone0"]
+        zero, one = zero_morphism(V, V), identity_morphism(V)
+        rep = check_orthogonality(zero, one, zero, zero)
+        assert rep.holds and rep.unique and rep.diagonal.hom.is_zero()
+        b = next(f for f in enumerate_pog_morphisms(V, V)
+                 if not f.hom.is_zero())
+        rep = check_orthogonality(zero, zero, zero, b)
+        assert (rep.holds, rep.unique) == (False, True)
+        assert rep.detail == "0 diagonals found"
+        rep = check_orthogonality(zero, zero, zero, zero)
+        assert (rep.holds, rep.unique) == (False, False)
+        assert rep.detail == "16 diagonals found"
 
 
 class TestStableUnits:

@@ -24,6 +24,7 @@ from preordgrp.groups import (
     enumerate_group_homs,
     enumerate_homs_bounded,
     factor_through_epi,
+    factor_through_legs,
     factor_through_mono,
     fgab_from_finite_abelian,
     group_cokernel,
@@ -34,6 +35,7 @@ from preordgrp.groups import (
     is_injective,
     is_isomorphism,
     is_surjective,
+    kernel_subgroup,
     make_fgab_group,
     make_finite_group,
     make_group,
@@ -41,6 +43,7 @@ from preordgrp.groups import (
     preimage_element,
     quotient,
     subgroup,
+    subgroup_equal,
     subgroup_from_elements,
     subgroup_intersection,
     subgroup_preimage,
@@ -253,6 +256,19 @@ class TestMediatingMaps:
         assert w is not None and w.images == (Z.elem([3]),)
         assert factor_through_mono(dbl, identity_hom(Z)) is None
 
+    def test_legs_of_a_pullback(self):
+        C4, C2 = cyclic_group(4), cyclic_group(2)
+        for f, X in ((make_hom(C4, C2, [C2.elem(i % 2) for i in range(4)]), C4),
+                     (mod2_hom(), Z)):
+            P, p1, p2 = group_pullback(f, f)
+            one = identity_hom(X)
+            w = factor_through_legs([p1, p2], [one, one])
+            assert compose(p1, w).images == one.images
+            assert compose(p2, w).images == one.images
+            # f . 1 differs from f . 0: no map into the pullback
+            zero = zero_hom(X, X)
+            assert factor_through_legs([p1, p2], [one, zero]) is None
+
     def test_finite_pairs_agree_with_make_hom(self):
         groups = [cyclic_group(2), cyclic_group(4), klein_four_group(),
                   symmetric_group_3()]
@@ -290,6 +306,11 @@ class TestKernelQuotient:
         assert K.rank == 1 and K.torsion == ()
         img = inj(K.generators()[0])
         assert img.coords in ((2,), (-2,))
+
+    def test_kernel_of_fgab_into_finite(self):
+        C2 = cyclic_group(2)
+        K = kernel_subgroup(make_hom(Z, C2, [C2.elem(1)]))
+        assert subgroup_equal(K, subgroup(Z, [Z.elem([2])]))
 
     def test_kernel_of_identity_trivial(self):
         K, _ = group_kernel(identity_hom(Zmod4))

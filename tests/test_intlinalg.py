@@ -68,6 +68,19 @@ def test_snf_random_exhaustive_properties():
         check_snf(M)
 
 
+def test_snf_matches_sympy():
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(6)
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        s = smith_normal_form(M)
+        ref = [int(d) for d in invariant_factors(Matrix(M), domain=ZZ)]
+        assert s.diagonal == ref + [0] * (min(m, n) - len(ref)), M
+        assert mat_mul(mat_mul(s.U, M), s.V) == s.D
+
+
 def test_snf_determinism():
     M = [[3, 1, -2], [0, 4, 5]]
     s1 = smith_normal_form(M)
