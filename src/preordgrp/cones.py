@@ -4,10 +4,11 @@ membership.
 A cone is either explicit (finite carrier), generated (fgab carrier), or
 a recipe node remembering how it was built from other cones (product,
 pullback, preimage, direct image, restriction to a subgroup).  Recipe cones
-keep their construction tree because limits of finitely generated cones
-need not be finitely generated; membership is still decidable by compiling
-the tree into one non-negative integer feasibility problem, and unit groups
-are computed compositionally.
+keep their construction tree: membership is decided on it, compiled into
+one non-negative integer feasibility problem where needed, and unit groups
+are computed compositionally.  Generators are extracted on demand; a
+pullback or preimage of finitely generated cones is finitely generated,
+by a Hilbert basis lifted along its legs.
 
 The ``CoverCone`` leaf is the positive cone of the canonical partially
 ordered cover Z x G; it is provably reduced and not finitely generated, so
@@ -26,6 +27,8 @@ from .errors import (
 )
 from .groups import (
     GroupHom,
+    _preimage_lookup,
+    _stacked_legs,
     kernel_subgroup,
     subgroup,
     subgroup_from_elements,
@@ -34,7 +37,7 @@ from .groups import (
     subgroup_preimage,
     trivial_subgroup,
 )
-from .intlinalg import NonnegSolver, from_columns, mat_vec
+from .intlinalg import NonnegSolver, from_columns, hilbert_basis, mat_vec
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,8 @@ class ProductCone(Cone):
     """Componentwise cone on a product or pullback carrier.
 
     Membership is the conjunction of the two projected memberships; when
-    the carrier is a plain product the injections are kept so generators
-    can be extracted.
+    the carrier is a plain product the injections are kept, and carry the
+    parts' generators over directly.
     """
 
     group: object
@@ -473,7 +476,9 @@ def is_reduced(cone):
 
 
 def extract_generators(cone):
-    """Monoid generators when the cone is finitely generated, else None."""
+    """Monoid generators of the cone, or None: the cover cone is not
+    finitely generated, nor are cones built over it, and a Hilbert basis
+    past its cap is given up."""
     if isinstance(cone, ExplicitCone):
         return tuple(cone.sorted_members())
     if isinstance(cone, GeneratorCone):
@@ -491,7 +496,60 @@ def extract_generators(cone):
         for part_gens, inj in zip(parts, cone.injections):
             out.extend(inj(g) for g in part_gens)
         return tuple(out)
+    if isinstance(cone, (ProductCone, PreimageCone)):
+        return _lifted_generators(cone)
     return None
+
+
+@lru_cache(maxsize=None)
+def _lifted_generators(cone):
+    """Generators of a pullback or preimage cone, or None.
+
+    The cone is { x : legs[k](x) in parts[k] for every k }.  With S_k the
+    generators of parts[k], the multiplicities n >= 0 for which (S_k n_k)_k
+    is some (legs[k](x))_k form the non-negative part of a lattice, whose
+    Hilbert basis is finite; its elements lift along the legs to
+    generators, joined by +- a basis of the kernel of the legs (trivial for
+    the jointly injective projections of a pullback).  A finite abelian
+    part takes part in its fgab form.  None when a part has no generators
+    or the Hilbert basis passes its cap.
+    """
+    if isinstance(cone, PreimageCone):
+        legs, parts = (cone.hom,), (cone.inner,)
+        kernel = kernel_subgroup(cone.hom).generators
+    else:
+        legs, parts = cone.projections, cone.parts
+        kernel = ()
+    part_gens = [extract_generators(p) for p in parts]
+    if any(gens is None for gens in part_gens):
+        return None
+    to_fgab, M = _stacked_legs(legs)
+    nrows = len(M)
+    cols, owners = [], []
+    top = 0
+    for k, (gens, to) in enumerate(zip(part_gens, to_fgab)):
+        dim = (legs[k].cod if to is None else to.cod).ncoords
+        for g in gens:
+            coords = list((g if to is None else to(g)).coords)
+            col = [0] * top + coords + [0] * (nrows - top - dim)
+            if any(coords) and col not in cols:
+                cols.append(col)
+                owners.append((k, g))
+        top += dim
+    basis = hilbert_basis(from_columns(cols, nrows=nrows), M)
+    if basis is None:
+        return None
+    targets = [[leg.cod.zero for _ in basis] for leg in legs]
+    for i, n in enumerate(basis):
+        for (k, g), mult in zip(owners, n):
+            if mult:
+                targets[k][i] = targets[k][i] + legs[k].cod.scale(g, mult)
+    out = []
+    for x in _preimage_lookup(legs)(targets) + [
+            x for g in kernel for x in (g, -g)]:
+        if not x.is_zero() and x not in out:
+            out.append(x)
+    return tuple(out)
 
 
 def generated_subgroup(cone):
@@ -506,9 +564,9 @@ def generated_subgroup(cone):
 def cone_is_subgroup(cone, width=8):
     """Whether the cone equals its own unit group (protomodularity).
 
-    Returns (answer, exact).  Exact rules cover every finitely generated
-    cone as well as the recipe shapes the pipelines produce; outside those
-    the answer falls back to a coordinate window, where a member that is
+    Returns (answer, exact).  Exact on every finitely generated cone (each
+    generator must be a unit) and on the cover cone; a cone built over a
+    cover cone falls back to a coordinate window, where a member that is
     not a unit refutes definitively and a clean scan passes with
     ``exact=False``.
     """
@@ -517,21 +575,6 @@ def cone_is_subgroup(cone, width=8):
         return all(cone.contains(-g) for g in gens), True
     if isinstance(cone, CoverCone):
         return False, True  # contains (1, 0) but never its inverse
-    if units(cone).is_whole():
-        return True, True
-    if isinstance(cone, PreimageCone):
-        from .groups import is_surjective
-        if is_surjective(cone.hom):
-            return cone_is_subgroup(cone.inner, width)
-    if isinstance(cone, ImageCone):
-        inner_units = units(cone.inner)
-        ker = kernel_subgroup(cone.hom)
-        if all(inner_units.contains(k) for k in ker.generators):
-            return cone_is_subgroup(cone.inner, width)
-    if isinstance(cone, ProductCone):
-        sub = [cone_is_subgroup(p, width) for p in cone.parts]
-        if all(ans for ans, _ in sub):
-            return True, all(ex for _, ex in sub)
     N = units(cone)
     for x in cone_window(cone, width):
         if not N.contains(x):

@@ -571,31 +571,44 @@ def _preimage_lookup(legs):
             except KeyError:
                 return None
         return find
-    to_fgab = [_fgab_conversion(leg.cod)[1] if leg.cod.backend == "finite"
-               else None for leg in legs]
-    legs = [leg if to is None else compose(to, leg)
-            for leg, to in zip(legs, to_fgab)]
-    nrows = sum(leg.cod.ncoords for leg in legs)
-    cols = [[c for leg in legs for c in leg.images[j].coords]
-            for j in range(D.ncoords)]
-    top = 0
-    for leg in legs:
-        for rel in leg.cod.relation_columns():
-            cols.append([0] * top + rel + [0] * (nrows - top - len(rel)))
-        top += leg.cod.ncoords
-    M = from_columns(cols, nrows=nrows)
+    to_fgab, M = _stacked_legs(legs)
+    snf = smith_normal_form(M)
 
     def find(columns):
         out = []
         for ys in zip(*columns):
             z = solve(M, [c for y, to in zip(ys, to_fgab)
-                          for c in (y if to is None else to(y)).coords])
+                          for c in (y if to is None else to(y)).coords], snf)
             if z is None:
                 return None
             # a system without rows (zero codomains) solves to []
             out.append(D.elem((z + [0] * D.ncoords)[: D.ncoords]))
         return out
     return find
+
+
+def _stacked_legs(legs):
+    """Homs out of one fgab domain as one integer matrix.
+
+    Returns ``(to_fgab, M)``: ``to_fgab[k]`` puts a finite abelian
+    ``legs[k].cod`` in its fgab form (None for an fgab codomain), and the
+    columns of M, the legs' stacked generator images followed by each
+    codomain's relation columns, span the coordinate vectors of
+    ``(legs[k](x))_k`` in the stacked (converted) codomain coordinates.
+    """
+    to_fgab = [_fgab_conversion(leg.cod)[1] if leg.cod.backend == "finite"
+               else None for leg in legs]
+    legs = [leg if to is None else compose(to, leg)
+            for leg, to in zip(legs, to_fgab)]
+    nrows = sum(leg.cod.ncoords for leg in legs)
+    cols = [[c for leg in legs for c in leg.images[j].coords]
+            for j in range(legs[0].dom.ncoords)]
+    top = 0
+    for leg in legs:
+        for rel in leg.cod.relation_columns():
+            cols.append([0] * top + rel + [0] * (nrows - top - len(rel)))
+        top += leg.cod.ncoords
+    return to_fgab, from_columns(cols, nrows=nrows)
 
 
 def factor_through_epi(p, t):

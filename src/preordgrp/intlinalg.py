@@ -13,6 +13,7 @@ routine tolerates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 
@@ -233,15 +234,18 @@ def invariant_factors_of_diagonal(entries):
     return [x for x in d if x != 1]
 
 
-def solve(M, b):
+def solve(M, b, snf=None):
     """One integer solution x of M x = b, or None.
+
+    ``snf`` is the Smith normal form of M when the caller already has it,
+    so that many right-hand sides share one factorization.
 
     >>> solve([[2, 0], [0, 3]], [4, 9])
     [2, 3]
     >>> solve([[2]], [3]) is None
     True
     """
-    s = smith_normal_form(M)
+    s = smith_normal_form(M) if snf is None else snf
     m, n = mat_shape(M)
     ub = mat_vec(s.U, b)
     y = [0] * n
@@ -365,6 +369,16 @@ class NonnegSolver:
         else:
             self.snfB = None
             self.UA = A
+        # the matrix z_prune solves depends only on the unassigned variables
+        self._z_systems = {}
+
+    @cached_property
+    def _joint(self):
+        """The joint integer pre-check matrix [A | B] with its SNF, fixed
+        per solver and factored on the first query that needs it."""
+        M = [list(self.A[i]) + (list(self.B[i]) if self.u else [])
+             for i in range(self.m)]
+        return M, smith_normal_form(M)
 
     def _rows(self, c):
         """Equality and congruence rows for a given right-hand side."""
@@ -399,9 +413,8 @@ class NonnegSolver:
         # no integer solution at all (nonnegativity ignored) kills the
         # search immediately; this catches parity-style obstructions that
         # the per-row gcd tests miss
-        joint = [list(self.A[i]) + (list(self.B[i]) if self.u else [])
-                 for i in range(self.m)]
-        if solve(joint, list(c)) is None:
+        joint, joint_snf = self._joint
+        if solve(joint, list(c), joint_snf) is None:
             return None
         bound = _feasibility_bound(self.A, self.B, c)
         ub = [bound] * t
@@ -503,17 +516,19 @@ class NonnegSolver:
             sees that; without it a forced-variable loop may crawl over an
             astronomic window.
             """
-            cols = [[self.A[i][j] for i in range(self.m)]
-                    for j in range(t) if not assigned[j]]
-            if self.u:
-                cols += [[self.B[i][j] for i in range(self.m)]
-                         for j in range(self.u)]
             rhs = [c[i] - sum(self.A[i][j] * n[j]
                               for j in range(t) if assigned[j])
                    for i in range(self.m)]
-            if not cols:
-                return any(rhs)
-            return solve(from_columns(cols, nrows=self.m), rhs) is None
+            key = tuple(assigned)
+            if key not in self._z_systems:
+                cols = [[self.A[i][j] for i in range(self.m)]
+                        for j in range(t) if not assigned[j]]
+                cols += [[self.B[i][j] for i in range(self.m)]
+                         for j in range(self.u)]
+                M = from_columns(cols, nrows=self.m)
+                self._z_systems[key] = (M, smith_normal_form(M))
+            M, snf = self._z_systems[key]
+            return solve(M, rhs, snf) is None
 
         def dfs(remaining):
             if prune():
@@ -551,3 +566,71 @@ class NonnegSolver:
     def bound_for(self, c):
         return _feasibility_bound(self.A, self.B, c)
 
+
+# ---------------------------------------------------------------------------
+# Hilbert bases
+# ---------------------------------------------------------------------------
+
+HILBERT_FRONTIER_CAP = 20000
+
+
+def hilbert_basis(A, B):
+    """Hilbert basis of the monoid { n >= 0 : A n + B v = 0 for some v }.
+
+    The free block is eliminated as in :class:`NonnegSolver`, leaving
+    equalities E n = 0 and congruences c.n = 0 mod d.  With c reduced into
+    [0, d), c.n is a non-negative multiple d s of d, so each congruence
+    becomes the equality c.n - d s = 0 in one more natural s, which n
+    determines.  The completion of Contejean and Devie (Inf. & Comp. 113,
+    1994) enumerates the minimal solutions of that homogeneous system: a
+    vector that is not yet a solution grows by e_j only when its image
+    points away from the image of e_j, and a vector above a known solution
+    is dropped.  Projecting the slacks away keeps them minimal.  Returns
+    None once more than ``HILBERT_FRONTIER_CAP`` vectors have been
+    generated.
+
+    >>> hilbert_basis([[1, 1, -1]], [[]])  # n1 + n2 = n3
+    [(1, 0, 1), (0, 1, 1)]
+    >>> hilbert_basis([[1, 1]], [[2]])  # n1 + n2 even
+    [(2, 0), (1, 1), (0, 2)]
+    """
+    solver = NonnegSolver(A, B)
+    eqs, congs = solver._rows([0] * solver.m)
+    t = solver.t
+    congs = [([a % d for a in coeffs], d) for coeffs, _, d in congs]
+    congs = [(coeffs, d) for coeffs, d in congs if any(coeffs)]
+    q = t + len(congs)
+    rows = [list(coeffs) + [0] * len(congs) for coeffs, _ in eqs if any(coeffs)]
+    for k, (coeffs, d) in enumerate(congs):
+        slack = [0] * len(congs)
+        slack[k] = -d
+        rows.append(coeffs + slack)
+    cols = [tuple(row[j] for row in rows) for j in range(q)]
+    frontier = {}
+    for j in range(q):
+        unit = [0] * q
+        unit[j] = 1
+        frontier[tuple(unit)] = cols[j]
+    found = []
+    generated = q
+    while frontier:
+        grow = []
+        for vec, img in frontier.items():
+            if any(img):
+                grow.append((vec, img))
+            else:
+                found.append(vec)
+        frontier = {}
+        for vec, img in grow:
+            for j, col in enumerate(cols):
+                if sum(a * b for a, b in zip(img, col)) >= 0:
+                    continue
+                nxt = vec[:j] + (vec[j] + 1,) + vec[j + 1:]
+                if nxt in frontier or any(
+                        all(a >= b for a, b in zip(nxt, sol)) for sol in found):
+                    continue
+                frontier[nxt] = tuple(a + b for a, b in zip(img, col))
+        generated += len(frontier)
+        if generated > HILBERT_FRONTIER_CAP:
+            return None
+    return [sol[:t] for sol in found]

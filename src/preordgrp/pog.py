@@ -7,9 +7,10 @@ are computed componentwise at the group and cone level, and morphisms are
 classified against the characterizations of normal epi- and monomorphisms
 (surjective on both levels, respectively kernel-style cone restriction).
 
-Checks that quantify over an infinite carrier fall back to a rectangular
-coordinate window and say so in their certificate; a counterexample found
-inside a window is always definitive.
+Cone comparisons are decided on generators.  Cones without them (the
+cover cone and cones built over it) fall back to a rectangular coordinate
+window and say so in their certificate; a counterexample found inside a
+window is always definitive.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from .cones import (
     Cone,
     ImageCone,
-    PreimageCone,
     cone_contains,
     cone_is_subgroup,
     cone_window,
@@ -387,15 +387,11 @@ def cone_map_surjective(m, width=DEFAULT_WINDOW):
 def cone_square_is_pullback(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
     """Is dom_cone exactly the preimage of cod_cone along hom?
 
-    Returns (holds, exact).  The forward inclusion is checked on generators
-    when available; the reverse inclusion is structural for restriction
-    cones and window-verified otherwise.  Counterexamples are definitive.
+    Returns (holds, exact).  Both inclusions are checked on generators:
+    those of dom_cone must map into cod_cone, and those of the preimage of
+    cod_cone must lie in dom_cone.  Cones without generators (built over a
+    cover cone) fall back to a window.  Counterexamples are definitive.
     """
-    if hom.dom.backend == "finite":
-        for x in hom.dom.elements():
-            if bool(cone_contains(dom_cone, x)) != bool(cone_contains(cod_cone, hom(x))):
-                return (False, True)
-        return (True, True)
     gens = extract_generators(dom_cone)
     if gens is not None:
         for g in gens:
@@ -405,9 +401,9 @@ def cone_square_is_pullback(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
         # inclusion just checked is the whole condition
         if units(dom_cone).is_whole():
             return (True, True)
-    if isinstance(dom_cone, PreimageCone) and dom_cone.hom == hom \
-            and dom_cone.inner == cod_cone:
-        return (True, True)
+        pre_gens = extract_generators(transport_preimage(hom, cod_cone))
+        if pre_gens is not None:
+            return (all(cone_contains(dom_cone, g) for g in pre_gens), True)
     for x in group_window(hom.dom, width):
         if bool(cone_contains(dom_cone, x)) != bool(cone_contains(cod_cone, hom(x))):
             return (False, True)

@@ -234,8 +234,9 @@ class TestCommands:
         assert code == 1 and out == ""
         assert capsys.readouterr().err == f"error: {why}\n"
 
-    def test_em_factor_of_a_finite_to_fgab_morphism(self, tmp_path, capsys):
-        # the factorization crosses backends: refused with a message
+    def test_em_factor_of_a_finite_to_fgab_morphism(self, tmp_path):
+        # the factorization crosses backends: the finite abelian side takes
+        # part in the pullback generators in its fgab form
         doc = basic_document()
         doc["groups"]["C2"] = {"kind": "finite", "elements": ["0", "1"],
                                "table": [[0, 1], [1, 0]]}
@@ -244,8 +245,10 @@ class TestCommands:
         doc["morphisms"]["f"] = {"from": "C2T", "to": "Z2T",
                                  "map": [[0], [1]]}
         code, out = run_cli(tmp_path, doc, "factor", "--system", "em", "f")
-        assert code == 1 and out == ""
-        assert capsys.readouterr().err.startswith("error:")
+        report = json.loads(out)
+        assert code == 0
+        assert report["e_class"]["holds"] and report["m_class"]["holds"]
+        assert report["recomposes"]
 
     def test_corpus_mode(self):
         import io

@@ -1,8 +1,11 @@
 """Cone membership, axioms, unit groups, transports, degeneracy facts."""
 
+import random
+
 import pytest
 
 from preordgrp.cones import (
+    CoverCone,
     GeneratorCone,
     ImageCone,
     PreimageCone,
@@ -14,6 +17,7 @@ from preordgrp.cones import (
     extract_generators,
     generated_subgroup,
     generator_cone,
+    group_window,
     is_reduced,
     total_cone,
     transport_image,
@@ -26,6 +30,7 @@ from preordgrp.errors import UnitExtractionUnsupported
 from preordgrp.groups import (
     cyclic_group,
     direct_product,
+    group_pullback,
     identity_hom,
     make_fgab_group,
     make_hom,
@@ -165,8 +170,10 @@ class TestGeneratedSubgroup:
         assert generated_subgroup(trivial_cone(Z2)).is_trivial()
 
     def test_nonextractable_raises(self):
-        h = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
-        pre = PreimageCone(Z2, h, N)
+        # the cover cone of (Z, N) is not finitely generated, nor is its
+        # preimage along the coordinate swap
+        swap = make_hom(Z2, Z2, [Z2.elem([0, 1]), Z2.elem([1, 0])])
+        pre = PreimageCone(Z2, swap, CoverCone(Z2, N))
         with pytest.raises(UnitExtractionUnsupported):
             generated_subgroup(pre)
 
@@ -214,15 +221,96 @@ class TestTransport:
         assert img.members == frozenset({H.elem(0)})
 
     def test_image_of_nonextractable_uses_units_rule(self):
-        # {(x, y) : y >= 0} modulo its unit line Z x 0 becomes the naturals
-        h = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
-        pre = PreimageCone(Z2, h, N)
-        Q, q = quotient(Z2, subgroup(Z2, [Z2.elem([1, 0])]))
+        # {(x, n, y) : (n, y) in the cover cone of (Z, N)} modulo its unit
+        # line Z x 0 x 0 becomes that cover cone
+        Z3 = make_fgab_group(3, [])
+        h = make_hom(Z3, Z2, [Z2.elem([0, 0]), Z2.elem([1, 0]),
+                              Z2.elem([0, 1])])
+        pre = PreimageCone(Z3, h, CoverCone(Z2, N))
+        Q, q = quotient(Z3, subgroup(Z3, [Z3.elem([1, 0, 0])]))
         img = transport_image(q, pre)
         assert isinstance(img, ImageCone)
-        assert cone_contains(img, Q.elem([2]))
-        assert not cone_contains(img, Q.elem([-2]))
+        assert cone_contains(img, Q.elem([2, 3]))
+        assert not cone_contains(img, Q.elem([2, -3]))
+        assert not cone_contains(img, Q.elem([-2, 0]))
         assert units(img).is_trivial()
+
+
+class TestLiftedGenerators:
+    """Pullback and preimage cones get generators from a Hilbert basis;
+    the generated cone must have the recipe's members on a window."""
+
+    @staticmethod
+    def assert_agrees(cone, width=2):
+        # the generators are members, so they generate a subcone; each
+        # member in the window must lie in it.  Only In-answers are asked
+        # of the generated cone: an Out-answer on generators of mixed
+        # signs can make the solver crawl its a-priori box.
+        gens = extract_generators(cone)
+        assert gens is not None
+        assert all(cone_contains(cone, g) for g in gens)
+        lifted = generator_cone(cone.group, gens)
+        for x in group_window(cone.group, width):
+            if cone_contains(cone, x):
+                assert cone_contains(lifted, x), x
+        return gens
+
+    def test_pullback_over_a_torsion_codomain(self):
+        ZxZ2 = make_fgab_group(1, [2])
+        f = make_hom(Z, Zmod2, [Zmod2.elem([1])])
+        g = make_hom(ZxZ2, Zmod2, [Zmod2.elem([0]), Zmod2.elem([1])])
+        P, p1, p2 = group_pullback(f, g)
+        skew = generator_cone(ZxZ2, [ZxZ2.elem([1, 1]), ZxZ2.elem([-1, 0])])
+        self.assert_agrees(transport_product(N, skew, P, p1, p2))
+
+    def test_pullback_of_plane_cones_over_z(self):
+        f = make_hom(Z2, Z, [Z.elem([1]), Z.elem([-1])])
+        P, p1, p2 = group_pullback(f, identity_hom(Z))
+        skew = generator_cone(Z2, [Z2.elem([1, 0]), Z2.elem([1, 1])])
+        self.assert_agrees(transport_product(skew, N, P, p1, p2))
+
+    def test_pullback_with_a_finite_part(self):
+        C2 = cyclic_group(2)
+        f = make_hom(C2, Zmod2, [Zmod2.elem([0]), Zmod2.elem([1])])
+        g = make_hom(Z, Zmod2, [Zmod2.elem([1])])
+        P, p1, p2 = group_pullback(f, g)
+        cone = transport_product(total_cone(C2), N, P, p1, p2)
+        assert P.backend == "fgab" and p1.cod == C2
+        self.assert_agrees(cone)
+
+    def test_preimage_generators(self):
+        h = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
+        gens = self.assert_agrees(PreimageCone(Z2, h, N))
+        assert {g.coords for g in gens} == {(0, 1), (1, 0), (-1, 0)}
+        q = make_hom(Z2, Zmod4, [Zmod4.elem([1]), Zmod4.elem([2])])
+        self.assert_agrees(
+            transport_preimage(q, generator_cone(Zmod4, [Zmod4.elem([2])])))
+        s = make_hom(Z2, Z2, [Z2.elem([2, 1]), Z2.elem([-1, 1])])
+        self.assert_agrees(transport_preimage(s, halfplane_cone()))
+
+    def test_em_pullbacks_and_kernels_of_the_fgab_corpus(self):
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.factor import em_factor
+        from preordgrp.oracle import enumerate_pog_morphisms
+        from preordgrp.pog import pog_kernel
+        objs = sorted(fgab_corpus_objects().items())
+        morphisms = [m for _, P in objs for _, Q in objs
+                     for m in enumerate_pog_morphisms(P, Q, 1)]
+        for m in random.Random(3).sample(morphisms, 12):
+            self.assert_agrees(em_factor(m).mid.cone)
+            self.assert_agrees(pog_kernel(m)[0].cone)
+
+    def test_hostile_coefficients_fall_back(self):
+        # {(a, b) : 40000 b - a >= 0, b >= 0}: the Hilbert basis element
+        # (40000, 1) of the pullback lies past the cap
+        h = make_hom(Z2, Z, [Z.elem([-1]), Z.elem([40000])])
+        k = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
+        pre = transport_product(PreimageCone(Z2, h, N),
+                                PreimageCone(Z2, k, N), Z2,
+                                identity_hom(Z2), identity_hom(Z2))
+        assert extract_generators(pre) is None
+        assert cone_contains(pre, Z2.elem([40000, 1]))
+        assert not cone_contains(pre, Z2.elem([40001, 1]))
 
 
 class TestSubgroupTest:

@@ -134,6 +134,37 @@ class TestEprimeExactness:
                     assert in_class(m, "Eprime").exact, (pn, qn)
 
 
+class TestEMExactness:
+    """The middle object of an (E, M) factorization is a pullback whose
+    cone has generators, so its E verdict is decided exactly."""
+
+    def test_bound_one_fgab_corpus(self):
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.oracle import enumerate_pog_morphisms
+        from preordgrp.pog import morphism_class
+        objs = fgab_corpus_objects()
+        checked = 0
+        for pn, P in objs.items():
+            for qn, Q in objs.items():
+                for m in enumerate_pog_morphisms(P, Q, 1):
+                    fr = em_factor(m)
+                    assert fr.e_class.holds and fr.e_class.exact, (pn, qn)
+                    assert fr.m_class.holds and fr.m_class.exact, (pn, qn)
+                    assert morphism_class(m).exact, (pn, qn)
+                    checked += 1
+        assert checked == 911
+
+    def test_finite_to_fgab_morphism(self):
+        C2 = cyclic_group(2)
+        f = make_pog_morphism(
+            make_hom(C2, Zmod2, [Zmod2.elem([0]), Zmod2.elem([1])]),
+            make_pog(C2, total_cone(C2)), Z2tot)
+        fr = em_factor(f)
+        assert fr.e_class.holds and fr.e_class.exact
+        assert fr.m_class.holds and fr.m_class.exact
+        assert fr.recomposes(f)
+
+
 class TestEMFactorization:
     def test_mod2(self):
         fr = em_factor(mod2())

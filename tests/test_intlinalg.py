@@ -8,6 +8,7 @@ import pytest
 
 from preordgrp.intlinalg import (
     NonnegSolver,
+    hilbert_basis,
     identity_matrix,
     invariant_factors_of_diagonal,
     kernel_basis,
@@ -212,3 +213,50 @@ def test_nonneg_randomized_cross_validation():
                     resid = [c[i] - sum(A[i][j] * n[j] for j in range(t))
                              for i in range(m)]
                     assert not feasible_residual(resid), (A, B, c, n)
+
+
+def _minimal_members_in_box(E, congs, t, box):
+    """Minimal nonzero n in [0, box]^t with E n = 0 and c.n = 0 mod d; a
+    member below one in the box is in the box, so these are exactly the
+    Hilbert basis elements inside it."""
+    members = [n for n in itertools.product(range(box + 1), repeat=t)
+               if any(n)
+               and all(sum(a * x for a, x in zip(row, n)) == 0 for row in E)
+               and all(sum(a * x for a, x in zip(row, n)) % d == 0
+                       for row, d in congs)]
+    return {n for n in members
+            if not any(m != n and all(a <= b for a, b in zip(m, n))
+                       for m in members)}
+
+
+def test_hilbert_basis_matches_brute_force():
+    rng = random.Random(20)
+    for trial in range(40):
+        t = rng.randint(1, 5)
+        E = [[rng.randint(-3, 3) for _ in range(t)]
+             for _ in range(rng.randint(0, 1))]
+        congs = [([rng.randint(-3, 3) for _ in range(t)], rng.choice([2, 3, 4]))
+                 for _ in range(rng.randint(1, 2))]
+        # congruence rows carry a free column d, equality rows none
+        A = E + [row for row, _ in congs]
+        B = [[0] * len(congs) for _ in E]
+        B += [[d if j == i else 0 for j in range(len(congs))]
+              for i, (_, d) in enumerate(congs)]
+        basis = hilbert_basis(A, B)
+        box = 6 if t <= 4 else 4
+        assert {n for n in basis if max(n) <= box} == \
+            _minimal_members_in_box(E, congs, t, box), (E, congs)
+        for n in basis:
+            assert len(n) == t and any(n)
+            assert all(sum(a * x for a, x in zip(row, n)) == 0 for row in E)
+            assert all(sum(a * x for a, x in zip(row, n)) % d == 0
+                       for row, d in congs)
+
+
+def test_hilbert_basis_without_rows_is_the_unit_vectors():
+    assert hilbert_basis([[1, 0], [0, 1]], [[1, 0], [0, 1]]) == [(1, 0), (0, 1)]
+
+
+def test_hilbert_basis_cap():
+    # the only basis element (40000, 1) lies past the frontier cap
+    assert hilbert_basis([[1, -40000]], [[]]) is None

@@ -8,6 +8,7 @@ from preordgrp.cones import (
     generator_cone,
     total_cone,
 )
+from preordgrp.descent import canonical_cover
 from preordgrp.errors import (
     ConeAxiomViolation,
     ConeNotPreserved,
@@ -22,6 +23,7 @@ from preordgrp.groups import (
 from preordgrp.pog import (
     classify,
     compose_pog,
+    cone_square_is_pullback,
     identity_morphism,
     induced_morphism,
     is_normal_epi,
@@ -121,11 +123,18 @@ class TestMorphisms:
         m = induced_morphism(mod2().hom, ZN, Z2tot, "unused")
         assert m.certificate.kind == "generators"
         assert [bool(v) for _, v in m.certificate.verdicts] == [True]
-        # a pullback cone has no generators to certify on
-        lim = pog_pullback(mod2(), mod2())
-        s = induced_morphism(lim.legs[0].hom, lim.obj, ZN, "leg")
+        # a pullback of cover cones has no generators to certify on
+        cover = canonical_cover(ZN)
+        lim = pog_pullback(cover.projection, cover.projection)
+        s = induced_morphism(lim.legs[0].hom, lim.obj, cover.realized, "leg")
         assert s.certificate.kind == "structural"
         assert s.certificate.note == "leg"
+
+    def test_pullback_leg_certified_on_generators(self):
+        lim = pog_pullback(mod2(), mod2())
+        s = induced_morphism(lim.legs[0].hom, lim.obj, ZN, "leg")
+        assert s.certificate.kind == "generators"
+        assert classify(lim.obj).exact
 
 
 class TestKernelCokernel:
@@ -278,6 +287,17 @@ class TestMorphismClass:
                         assert rep.epi
                     if rep.normal_mono:
                         assert rep.mono
+
+    def test_normal_mono_decided_on_generators(self):
+        # x -> 2x with N on both sides: the preimage of N is N again, a
+        # reverse inclusion read off the preimage cone's generators
+        double = make_pog_morphism(make_hom(Z, Z, [Z.elem([2])]), ZN, ZN)
+        assert cone_square_is_pullback(double.hom, ZN.cone, ZN.cone) == \
+            (True, True)
+        assert cone_square_is_pullback(double.hom, Zdisc.cone, ZN.cone) == \
+            (False, True)
+        rep = morphism_class(double)
+        assert rep.mono and rep.normal_mono and rep.exact
 
 
 class TestShortExact:
