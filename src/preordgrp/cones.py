@@ -442,14 +442,18 @@ def units(cone):
     """Subgroup of elements x with both x and -x in the cone.
 
     Every member of an explicit cone (a normal subgroup), from unit
-    generators on generated cones (complete: a vanishing non-negative
-    combination forces each participating generator to be a unit), and
-    compositionally on recipe cones.
+    generators on generated cones (a generator is a unit exactly when it
+    takes part in a vanishing non-negative combination, read off the
+    solver's Hilbert basis of those), and compositionally on recipe cones.
     """
     if isinstance(cone, ExplicitCone):
         return subgroup_from_elements(cone.group, cone.members)
     if isinstance(cone, GeneratorCone):
-        unit_gens = [g for g in cone.cone_generators if cone.contains(-g)]
+        unit_cols = _generator_solver(cone).unit_columns
+        if unit_cols is None:
+            unit_gens = [g for g in cone.cone_generators if cone.contains(-g)]
+        else:
+            unit_gens = [cone.cone_generators[j] for j in unit_cols]
         return subgroup(cone.group, unit_gens)
     if isinstance(cone, CoverCone):
         return trivial_subgroup(cone.group)

@@ -345,15 +345,45 @@ def _feasibility_bound(A, B, c):
     return nvars * (m * a) ** (2 * m + 1)
 
 
+def _positive_functional(cols, dim):
+    """An integer y with y.col > 0 for every column, or None.
+
+    The perceptron rule adds a column to y while y is not positive on it.
+    When no nonzero x >= 0 has sum x_j col_j = 0 such a y exists, and then
+    the rule stops after finitely many updates (Novikoff); it gives up
+    after ``HILBERT_FRONTIER_CAP`` of them.
+    """
+    y = [0] * dim
+    for _ in range(HILBERT_FRONTIER_CAP):
+        bad = next((col for col in cols
+                    if sum(a * b for a, b in zip(y, col)) <= 0), None)
+        if bad is None:
+            return y
+        y = [a + b for a, b in zip(y, bad)]
+    return None
+
+
 class NonnegSolver:
     """Decides A n + B v = c with n >= 0 and v free, exactly.
 
     The free block is eliminated once via Smith normal form (its rows turn
     into congruences); repeated queries against the same (A, B) pair reuse
     the transform.  The search is a depth-first branch and bound over n with
-    interval, gcd and congruence pruning; completeness comes from the
-    a-priori solution-size bound, which the search never actually approaches
-    on sane inputs.
+    interval, gcd and congruence pruning, inside the box that equality rows
+    of one sign put around n.
+
+    When those rows leave a variable unbounded, the columns are split once,
+    on the first query.  The unit columns, the support of the relation
+    monoid { n >= 0 : A n + B v = 0 } read off its Hilbert basis, generate
+    a group, so they join the free block.  The rest is pointed, so an
+    integer combination y of its equality rows E n = r is positive on every
+    column (Gordan's alternative, Schrijver 1986, section 7.8), and the
+    derived row (y E) n = y r bounds each n_j by y r / (y E)_j.  A witness
+    of the split system maps back by solving for the unit coefficients and
+    adding a multiple of the sum of the Hilbert basis, a relation positive
+    exactly on the unit columns.  Only when the Hilbert basis or the
+    functional passes ``HILBERT_FRONTIER_CAP`` does the search fall back on
+    the a-priori solution-size bound, which is complete but can be huge.
     """
 
     def __init__(self, A, B):
@@ -398,9 +428,95 @@ class NonnegSolver:
                 congs.append((coeffs, uc[i] % d, d))
         return eqs, congs
 
+    @cached_property
+    def relations(self):
+        """Hilbert basis of { n >= 0 : A n + B v = 0 for some v }, or None
+        past the cap; see :func:`hilbert_basis`."""
+        return _hilbert_basis(self)
+
+    @cached_property
+    def unit_columns(self):
+        """Indices j in the support of some relation, or None past the
+        cap: exactly the columns of A that are units of the cone they
+        generate modulo the columns of B."""
+        if self.relations is None:
+            return None
+        return tuple(j for j in range(self.t)
+                     if any(n[j] for n in self.relations))
+
+    @cached_property
+    def _split(self):
+        """(inner, units, rest, relation, y, phi) for a system whose
+        sign-definite rows leave some variable unbounded, else None.
+
+        ``inner`` solves over the ``rest`` columns with the ``units``
+        columns moved into its free block, ``relation`` is the sum of the
+        Hilbert basis on ``units``, and y weighs the equality rows of
+        ``inner`` into the row phi, positive on every column.
+        """
+        eqs, _ = self._rows([0] * self.m)
+        definite = [coeffs for coeffs, _ in eqs
+                    if all(a >= 0 for a in coeffs) or all(a <= 0 for a in coeffs)]
+        if not any(any(coeffs[j] for coeffs, _ in eqs)
+                   and not any(coeffs[j] for coeffs in definite)
+                   for j in range(self.t)):
+            return None
+        units = self.unit_columns
+        if units is None:
+            return None
+        rest = [j for j in range(self.t) if j not in units]
+        relation = [sum(n[j] for n in self.relations) for j in units]
+        inner = self
+        if units:
+            inner = NonnegSolver(
+                [[row[j] for j in rest] for row in self.A],
+                [[row[j] for j in units] + (list(self.B[i]) if self.u else [])
+                 for i, row in enumerate(self.A)])
+        inner_eqs, _ = inner._rows([0] * self.m)
+        y = _positive_functional(
+            [[coeffs[k] for coeffs, _ in inner_eqs] for k in range(inner.t)],
+            len(inner_eqs))
+        if y is None:
+            return None
+        phi = [sum(a * coeffs[k] for a, (coeffs, _) in zip(y, inner_eqs))
+               for k in range(inner.t)]
+        return inner, units, rest, relation, y, phi
+
     def solve(self, c):
         """A witness n >= 0, or None; None certifies infeasibility."""
+        if self.t:
+            # no integer solution at all (nonnegativity ignored) kills the
+            # search immediately; this catches parity-style obstructions
+            # that the per-row gcd tests miss
+            joint, joint_snf = self._joint
+            if solve(joint, list(c), joint_snf) is None:
+                return None
+            if self._split is not None:
+                return self._solve_split(c)
         eqs, congs = self._rows(c)
+        return self._search(c, eqs, congs)
+
+    def _solve_split(self, c):
+        inner, units, rest, relation, y, phi = self._split
+        eqs, congs = inner._rows(c)
+        eqs.append((phi, sum(a * r for a, (_, r) in zip(y, eqs))))
+        n_rest = inner._search(c, eqs, congs)
+        if n_rest is None:
+            return None
+        n = [0] * self.t
+        for j, x in zip(rest, n_rest):
+            n[j] = x
+        if units:
+            resid = [ci - sum(a * x for a, x in zip(row, n_rest))
+                     for ci, row in zip(c, inner.A)]
+            w = solve(inner.B, resid, inner.snfB)
+            k = max([0] + [_ceil_div(-x, r) for x, r in zip(w, relation)])
+            for j, x, r in zip(units, w, relation):
+                n[j] = x + k * r
+        return n
+
+    def _search(self, c, eqs, congs):
+        """Branch and bound over the rows of c, plus any derived rows."""
         t = self.t
         if t == 0:
             for coeffs, rhs in eqs:
@@ -410,12 +526,8 @@ class NonnegSolver:
                 if r % d != 0:
                     return None
             return []
-        # no integer solution at all (nonnegativity ignored) kills the
-        # search immediately; this catches parity-style obstructions that
-        # the per-row gcd tests miss
-        joint, joint_snf = self._joint
-        if solve(joint, list(c), joint_snf) is None:
-            return None
+        if all(rhs == 0 for _, rhs in eqs) and all(r == 0 for _, r, _ in congs):
+            return [0] * t  # the search, smallest values first, finds it too
         bound = _feasibility_bound(self.A, self.B, c)
         ub = [bound] * t
         # cheap bound tightening from sign-definite equality rows
@@ -594,7 +706,10 @@ def hilbert_basis(A, B):
     >>> hilbert_basis([[1, 1]], [[2]])  # n1 + n2 even
     [(2, 0), (1, 1), (0, 2)]
     """
-    solver = NonnegSolver(A, B)
+    return NonnegSolver(A, B).relations
+
+
+def _hilbert_basis(solver):
     eqs, congs = solver._rows([0] * solver.m)
     t = solver.t
     congs = [([a % d for a in coeffs], d) for coeffs, _, d in congs]

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import deadline
 
 from preordgrp.cli import main, parse_workspace
 from preordgrp.errors import ParseError, ValidationError
@@ -134,6 +135,30 @@ class TestCommands:
         assert code == 0
         assert report["window"] == 4
         assert report["scan"]["reducedness_violations"] == 0
+
+    def test_classify_and_cover_on_unit_pairs(self, tmp_path):
+        # two Z^2 objects on which both commands once crawled
+        doc = {
+            "groups": {"Z2": {"kind": "fgab", "rank": 2, "torsion": []}},
+            "cones": {
+                "lines": {"group": "Z2", "generators": [
+                    [-1, 1], [1, -1], [2, -2], [-1, 0]]},
+                "pair": {"group": "Z2", "generators": [[1, 2], [-2, -1]]},
+            },
+            "objects": {
+                "crawl_classify": {"group": "Z2", "cone": "lines"},
+                "crawl_cover": {"group": "Z2", "cone": "pair"},
+            },
+        }
+        with deadline(5):
+            code, out = run_cli(tmp_path, doc, "classify", "crawl_classify")
+            classification = json.loads(out)["classification"]
+            assert code == 0
+            assert classification["flags"] == []
+            assert classification["exact"] is True
+            code, out = run_cli(tmp_path, doc, "cover", "crawl_cover")
+            assert code == 0
+            assert json.loads(out)["effective_descent"] is True
 
     def test_kernel_cokernel(self, tmp_path):
         code, out = run_cli(tmp_path, basic_document(), "kernel", "mod2")

@@ -178,6 +178,14 @@ def test_nonneg_brute_force_agreement():
                 assert [w[0] + w[1] - w[2], 2 * w[1] - w[2]] == [x, y]
 
 
+def test_nonneg_falls_back_past_the_cap():
+    # the only relation (40000, 1) lies past the Hilbert frontier cap, so
+    # the columns are not split and the box search answers
+    solver = NonnegSolver([[1, -40000]], [[]])
+    assert solver.solve([-1]) == [39999, 1]
+    assert solver.unit_columns is None and solver._split is None
+
+
 def test_nonneg_randomized_cross_validation():
     """Randomized agreement with brute force, congruence slots included.
 
@@ -260,3 +268,59 @@ def test_hilbert_basis_without_rows_is_the_unit_vectors():
 def test_hilbert_basis_cap():
     # the only basis element (40000, 1) lies past the frontier cap
     assert hilbert_basis([[1, -40000]], [[]]) is None
+
+
+def _lineality_system(rng):
+    """Generators on Z^r, maybe plus Z/d, with entries in [-2, 2] and a
+    lineality part: one or two generators come with their negatives."""
+    from preordgrp.groups import make_fgab_group
+    G = make_fgab_group(rng.randint(1, 2),
+                        [rng.choice([2, 3, 4])] if rng.random() < 0.5 else [])
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        g = G.elem([rng.randint(-2, 2) for _ in range(G.ncoords)])
+        gens += [g, -g]
+    gens += [G.elem([rng.randint(-2, 2) for _ in range(G.ncoords)])
+             for _ in range(rng.randint(0, 4 - len(gens)))]
+    return G, gens
+
+
+def test_split_solver_against_brute_force():
+    """Systems with unit generators, against a box of multiplicities.
+
+    Every point that some n in [0, 6]^t reaches must be found, and every
+    witness must solve the system.  A generator is a unit when some
+    vanishing combination in the box uses it; on a width-3 window the
+    subgroup of those must be the units of the generated cone.
+    """
+    from preordgrp.cones import generator_cone, group_window, units
+    from preordgrp.groups import subgroup
+    from preordgrp.intlinalg import from_columns
+    rng = random.Random(4242)
+    split = 0
+    for trial in range(25):
+        G, gens = _lineality_system(rng)
+        t, k = len(gens), G.ncoords
+        rels = G.relation_columns()
+        A = from_columns([list(g.coords) for g in gens], nrows=k)
+        B = from_columns(rels, nrows=k) if rels else [[] for _ in range(k)]
+        solver = NonnegSolver(A, B)
+        reached = {}
+        for n in itertools.product(range(7), repeat=t):
+            x = sum((G.scale(g, v) for g, v in zip(gens, n)), G.zero)
+            reached.setdefault(x, []).append(n)
+        for x in set(reached) | set(group_window(G, 2)):
+            w = solver.solve(list(x.coords))
+            if x in reached:
+                assert w is not None, (gens, x)
+            if w is not None:
+                assert all(v >= 0 for v in w)
+                assert sum((G.scale(g, v) for g, v in zip(gens, w)),
+                           G.zero) == x, (gens, x, w)
+        split += solver._split is not None
+        brute = subgroup(G, [g for j, g in enumerate(gens)
+                             if any(n[j] for n in reached[G.zero])])
+        U = units(generator_cone(G, gens))
+        for x in group_window(G, 3):
+            assert U.contains(x) == brute.contains(x), (gens, x)
+    assert split >= 20

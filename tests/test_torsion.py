@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import deadline
 
 from preordgrp.cones import (
     cone_contains,
@@ -95,6 +96,16 @@ class TestTorsionSequence:
             dec = torsion_sequence(P)
             assert morphism_class(dec.unit).normal_epi, name
             assert morphism_class(dec.counit).normal_mono, name
+
+    def test_cone_with_mixed_signs(self):
+        # the box search once crawled here: the sign-definite rows left
+        # the multiplicities unbounded
+        G = make_fgab_group(2, [2])
+        P = make_pog(G, generator_cone(G, [G.elem(v) for v in (
+            [-2, 0, 0], [-2, -1, 0], [2, 2, 1])]))
+        with deadline(5):
+            dec = torsion_sequence(P)
+            assert dec.certificate.holds
 
 
 class TestReflectorFunctor:
