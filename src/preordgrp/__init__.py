@@ -93,7 +93,7 @@ from .pog import (
     zero_morphism,
     zero_object,
 )
-from .schreier import is_schreier_point, is_special_schreier
+from .schreier import is_special_schreier
 from .torsion import (
     TorsionDecomposition,
     coreflect_T,

@@ -493,12 +493,11 @@ def cmd_orthogonal(ws, args, opts):
 def cmd_schreier(ws, args, opts):
     from .schreier import is_special_schreier
     m = _need(ws, "morphisms", args.morphism, "morphism")
-    rep = is_special_schreier(m.dom.cone, m.hom, opts["window"])
+    rep = is_special_schreier(m.dom.cone, m.hom)
     return {"morphism": args.morphism,
             "special_schreier": rep.holds,
-            "window": rep.window,
-            "exhaustive": rep.exhaustive,
-            "pairs_checked": rep.checked}, 0 if rep.holds else 2
+            "window": None,
+            "exhaustive": True}, 0 if rep.holds else 2
 
 
 def cmd_enumerate(ws, args, opts):
@@ -673,6 +672,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     opts = {"window": args.window, "hom_bound": args.hom_bound}
     try:
+        if args.window < 1:
+            raise errors.ValidationError("--window must be at least 1")
+        if args.hom_bound < 0:
+            raise errors.ValidationError("--hom-bound must be at least 0")
         if args.corpus:
             ws = _corpus_workspace()
         elif args.workspace:

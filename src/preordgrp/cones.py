@@ -45,13 +45,12 @@ class MembershipVerdict:
     """Definitive membership answer with its evidence.
 
     An ``In`` verdict on a generated cone carries the non-negative
-    combination realizing the element; an ``Out`` verdict carries the
-    search bound whose exhaustion certifies completeness.
+    combination realizing the element.  An ``Out`` verdict carries nothing:
+    the solver behind it is complete, so its failure is the proof.
     """
 
     value: str  # "In" | "Out"
     witness: tuple = None
-    bound: int = None
 
     def __bool__(self):
         return self.value == "In"
@@ -192,17 +191,15 @@ def cone_contains(cone, x):
 @lru_cache(maxsize=None)
 def _cone_contains_cached(cone, x):
     if isinstance(cone, ExplicitCone):
-        return MembershipVerdict("In" if x in cone.members else "Out",
-                                 bound=len(cone.members))
+        return MembershipVerdict("In" if x in cone.members else "Out")
     if isinstance(cone, CoverCone):
         n, g = cone.split(x)
         ok = (n >= 1 and cone.base_cone.contains(g)) or (n == 0 and g.is_zero())
         return MembershipVerdict("In" if ok else "Out")
     if isinstance(cone, GeneratorCone):
-        solver = _generator_solver(cone)
-        w = solver.solve(list(x.coords))
+        w = _generator_solver(cone).solve(list(x.coords))
         if w is None:
-            return MembershipVerdict("Out", bound=solver.bound_for(list(x.coords)))
+            return MembershipVerdict("Out")
         return MembershipVerdict("In", witness=tuple(w))
     if isinstance(cone, PreimageCone):
         return cone_contains(cone.inner, cone.hom(x))
@@ -218,7 +215,7 @@ def _cone_contains_cached(cone, x):
         compiler.walk(cone, _AffineExpr.constant(x.coords))
         w = compiler.solve()
         if w is None:
-            return MembershipVerdict("Out", bound=compiler.last_bound)
+            return MembershipVerdict("Out")
         return MembershipVerdict("In", witness=tuple(w))
     raise TypeError(f"unknown cone kind {type(cone)!r}")
 
@@ -268,7 +265,6 @@ class _Compiler:
         self.gen_atoms = []   # (generator columns, relation columns, expr)
         self.lin_atoms = []   # (expr, relation columns): expr == 0 mod lattice
         self.cover_atoms = []  # (expr over the cover carrier, CoverCone)
-        self.last_bound = None
 
     def new_vars(self, k):
         out = list(range(self.nfree, self.nfree + k))
@@ -378,9 +374,7 @@ class _Compiler:
                     pos += 1
         B = [[col[i] for col in free_cols] for i in range(rows)] \
             if free_cols else [[] for _ in range(rows)]
-        solver = NonnegSolver(A, B)
-        self.last_bound = solver.bound_for(c)
-        return solver.solve(c)
+        return NonnegSolver(A, B).solve(c)
 
 
 def _merge_cols(cols_a, cols_b, dim):

@@ -313,8 +313,8 @@ def lemma_M_instance(row1, row2, a_hom, b_hom, c_hom, width=DEFAULT_WINDOW):
     """
     cone1, f1 = row1
     cone2, f2 = row2
-    rep1 = is_special_schreier(cone1, f1, width)
-    rep2 = is_special_schreier(cone2, f2, width)
+    rep1 = is_special_schreier(cone1, f1)
+    rep2 = is_special_schreier(cone2, f2)
     if not rep1 or not rep2:
         raise RowsNotSchreier("a row is not a special Schreier extension")
     from .cones import cone_window, transport_image

@@ -675,9 +675,6 @@ class NonnegSolver:
             return list(n)
         return None
 
-    def bound_for(self, c):
-        return _feasibility_bound(self.A, self.B, c)
-
 
 # ---------------------------------------------------------------------------
 # Hilbert bases

@@ -180,9 +180,13 @@ class TestCommands:
         assert code == 2  # identity is not the kernel of mod2
 
     def test_schreier(self, tmp_path):
-        code, out = run_cli(tmp_path, basic_document(), "schreier", "mod2")
-        report = json.loads(out)
-        assert code == 2 and report["special_schreier"] is False
+        # decided in closed form: no window, even on an infinite carrier
+        for name, holds in (("mod2", False), ("idZN", True)):
+            code, out = run_cli(tmp_path, basic_document(), "schreier", name)
+            report = json.loads(out)
+            assert report["special_schreier"] is holds
+            assert report["exhaustive"] is True and report["window"] is None
+            assert code == (0 if holds else 2)
 
     def test_enumerate_and_oracle(self, tmp_path):
         code, out = run_cli(tmp_path, basic_document(),
@@ -255,6 +259,17 @@ class TestCommands:
         (("sequence-check", "mod2", "idZN"), "arrows do not compose"),
     ])
     def test_arguments_that_do_not_fit(self, tmp_path, capsys, argv, why):
+        code, out = run_cli(tmp_path, basic_document(), *argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {why}\n"
+
+    @pytest.mark.parametrize("argv, why", [
+        (("--window", "-1", "classify", "ZN"), "--window must be at least 1"),
+        (("--window", "0", "classify", "ZN"), "--window must be at least 1"),
+        (("--hom-bound", "-1", "enumerate", "--morphisms", "ZN", "ZN"),
+         "--hom-bound must be at least 0"),
+    ])
+    def test_out_of_range_options(self, tmp_path, capsys, argv, why):
         code, out = run_cli(tmp_path, basic_document(), *argv)
         assert code == 1 and out == ""
         assert capsys.readouterr().err == f"error: {why}\n"

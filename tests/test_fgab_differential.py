@@ -1,5 +1,6 @@
-"""Generated fgab objects: the torsion sequence, the classification and
-two routes to coverings, on cones the bundled corpus does not reach."""
+"""Generated fgab objects: the torsion sequence, the classification, two
+routes to coverings and the special Schreier row, on cones the bundled
+corpus does not reach."""
 
 import pytest
 from conftest import deadline
@@ -9,6 +10,7 @@ from preordgrp.descent import is_covering
 from preordgrp.factor import in_class
 from preordgrp.groups import make_fgab_group
 from preordgrp.pog import classify, identity_morphism, make_pog
+from preordgrp.schreier import is_special_schreier
 from preordgrp.torsion import torsion_sequence
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -32,6 +34,8 @@ def test_generated_objects(P):
     with deadline(5):
         dec = torsion_sequence(P)
         assert dec.certificate.holds
+        # the reflection unit's kernel is the unit group, inside the cone
+        assert is_special_schreier(P.cone, dec.unit.hom).holds
         classify(P)
         for m in (identity_morphism(P), dec.unit):
             assert in_class(m, "Mstar").holds == is_covering(m)

@@ -1,17 +1,18 @@
-"""Schreier points and special Schreier morphisms."""
+"""Special Schreier morphisms."""
 
-from preordgrp.cones import explicit_cone, generator_cone
+import pytest
+
+from preordgrp.cones import CoverCone, cone_window, explicit_cone, generator_cone
+from preordgrp.corpus import corpus_objects, fgab_corpus_objects
+from preordgrp.errors import UnitExtractionUnsupported
 from preordgrp.groups import cyclic_group, make_fgab_group, make_hom
-from preordgrp.schreier import ConeMonoid, is_schreier_point, is_special_schreier
+from preordgrp.oracle import enumerate_pog_morphisms
+from preordgrp.schreier import is_special_schreier
+from preordgrp.torsion import torsion_sequence
 
 Z = make_fgab_group(1, [])
 Zmod2 = make_fgab_group(0, [2])
 N = generator_cone(Z, [Z.elem([1])])
-
-
-def test_identity_point():
-    rep = is_schreier_point(ConeMonoid(N), p=lambda x: x, s=lambda x: x)
-    assert rep.holds
 
 
 def test_cone_level_of_z4_half_cone():
@@ -20,9 +21,7 @@ def test_cone_level_of_z4_half_cone():
     H = cyclic_group(2)
     half = explicit_cone(G, [G.elem(0), G.elem(2)])
     h = make_hom(G, H, [H.elem(i % 2) for i in range(4)])
-    rep = is_special_schreier(half, h)
-    assert rep.holds and rep.exhaustive
-    assert rep.checked == 4
+    assert is_special_schreier(half, h).holds
 
 
 def test_mod2_on_naturals_fails():
@@ -36,9 +35,7 @@ def test_mod2_on_naturals_fails():
 
 
 def test_identity_on_any_cone():
-    rep = is_special_schreier(N, make_hom(Z, Z, [Z.elem([1])]), width=5)
-    assert rep.holds
-    assert rep.window == 5 and not rep.exhaustive
+    assert is_special_schreier(N, make_hom(Z, Z, [Z.elem([1])])).holds
 
 
 def test_total_cone_quotient_is_special_schreier():
@@ -46,18 +43,51 @@ def test_total_cone_quotient_is_special_schreier():
     G = cyclic_group(4)
     H = cyclic_group(2)
     h = make_hom(G, H, [H.elem(i % 2) for i in range(4)])
-    rep = is_special_schreier(explicit_cone(G, G.elements()), h)
-    assert rep.holds and rep.exhaustive
+    assert is_special_schreier(explicit_cone(G, G.elements()), h).holds
+
+
+def test_cover_cone_has_no_closed_form():
+    H = make_fgab_group(2, [])
+    cover = CoverCone(H, N)
+    with pytest.raises(UnitExtractionUnsupported):
+        is_special_schreier(cover, make_hom(H, Z, [Z.zero, Z.elem([1])]))
 
 
 def test_torsion_sequence_cone_rows_over_corpus():
     """The cone-level extension of every corpus torsion sequence is special
-    Schreier: exhaustively on finite objects, on the window for fgab."""
-    from preordgrp.corpus import corpus_objects
-    from preordgrp.torsion import torsion_sequence
+    Schreier."""
     for name, P in corpus_objects().items():
         dec = torsion_sequence(P)
-        rep = is_special_schreier(P.cone, dec.unit.hom, width=4)
-        assert rep.holds, name
-        if P.group.backend == "finite":
-            assert rep.exhaustive
+        assert is_special_schreier(P.cone, dec.unit.hom).holds, name
+
+
+def _kernel_pair_scan(cone, hom, width):
+    """Reference: every pair (a, b) of cone members in the window with
+    f(a) = f(b) splits as (0, b - a) + (a, a) inside the kernel pair."""
+    by_image = {}
+    for a in cone_window(cone, width):
+        by_image.setdefault(hom(a), []).append(a)
+    return all(cone.contains(b - a)
+               for bucket in by_image.values() for a in bucket for b in bucket)
+
+
+def test_closed_form_matches_kernel_pair_scan():
+    """On the bound-1 fgab corpus morphisms the closed form agrees with the
+    window scan of the kernel pair, and each False verdict carries a pair of
+    cone members with equal images whose difference leaves the cone."""
+    objs = sorted(fgab_corpus_objects().items())
+    failures = 0
+    for pname, P in objs:
+        for qname, Q in objs:
+            for m in enumerate_pog_morphisms(P, Q, 1):
+                desc = f"{pname}->{qname}"
+                C, f = P.cone, m.hom
+                rep = is_special_schreier(C, f)
+                assert rep.holds == _kernel_pair_scan(C, f, 2), desc
+                if not rep.holds:
+                    failures += 1
+                    a, b = rep.witness
+                    assert C.contains(a) and C.contains(b), desc
+                    assert f(a) == f(b), desc
+                    assert not C.contains(b - a), desc
+    assert failures > 0
