@@ -15,12 +15,15 @@ group is non-abelian.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BackendMismatch, BadInvariantFactors, NotAGroup, NotNormal
+from .errors import (BackendMismatch, BadInvariantFactors,
+                     EnumerationUnbounded, NotAGroup, NotNormal)
 from .intlinalg import (
+    factored,
     from_columns,
     invariant_factors_of_diagonal,
     lattice_basis,
@@ -28,7 +31,6 @@ from .intlinalg import (
     lattice_member,
     lattice_preimage,
     mat_vec,
-    smith_normal_form,
     solve,
 )
 
@@ -357,7 +359,7 @@ class Presentation:
     _lifts: tuple
 
     def project(self, vec):
-        y = mat_vec([list(r) for r in self._U], list(vec))
+        y = mat_vec(self._U, list(vec))
         coords = [y[i] for i in self._free_idx]
         coords += [y[i] % d for i, d in self._tor_idx]
         return GroupElement(self.group, tuple(coords))
@@ -375,7 +377,7 @@ def fgab_presentation(ncoords, relation_columns):
         R = [[0] for _ in range(ncoords)] if ncoords else []
     if ncoords == 0:
         return Presentation(FgAbGroup(0, ()), 0, (), (), (), ())
-    s = smith_normal_form(R)
+    s = factored(R)
     diag = s.diagonal
     free_idx, tor_idx = [], []
     for i in range(ncoords):
@@ -387,8 +389,7 @@ def fgab_presentation(ncoords, relation_columns):
     group = FgAbGroup(len(free_idx), tuple(d for _, d in tor_idx))
     ui_cols = [[s.U_inv[r][i] for r in range(ncoords)]
                for i in free_idx + [i for i, _ in tor_idx]]
-    return Presentation(group, ncoords, tuple(tuple(r) for r in s.U),
-                        tuple(free_idx), tuple(tor_idx),
+    return Presentation(group, ncoords, s.U, tuple(free_idx), tuple(tor_idx),
                         tuple(tuple(c) for c in ui_cols))
 
 
@@ -572,13 +573,12 @@ def _preimage_lookup(legs):
                 return None
         return find
     to_fgab, M = _stacked_legs(legs)
-    snf = smith_normal_form(M)
 
     def find(columns):
         out = []
         for ys in zip(*columns):
             z = solve(M, [c for y, to in zip(ys, to_fgab)
-                          for c in (y if to is None else to(y)).coords], snf)
+                          for c in (y if to is None else to(y)).coords])
             if z is None:
                 return None
             # a system without rows (zero codomains) solves to []
@@ -684,7 +684,14 @@ class Subgroup:
     def is_whole(self):
         if self.elements is not None:
             return len(self.elements) == self.group.order()
-        return all(self.contains(g) for g in self.group.generators())
+        # the lattice of generators and relations is all of Z^n exactly
+        # when its Smith normal form has n diagonal entries, each 1
+        n = self.group.ncoords
+        cols = _subgroup_lattice(self)
+        if not n or not cols:
+            return not n
+        diag = factored(from_columns(cols, nrows=n)).diagonal
+        return len(diag) == n and all(d == 1 for d in diag)
 
     def is_normal(self):
         if self.elements is None:
@@ -1117,19 +1124,33 @@ def _bounded_elements(H, bound):
     return [H.elem(c) for c in itertools.product(*ranges)]
 
 
+HOM_ENUMERATION_CAP = 100_000
+
+
 def enumerate_homs_bounded(G, H, bound):
     """All fgab -> fgab homs whose free-part coordinates lie in [-bound, bound].
 
     Torsion generators only range over images of compatible order, so the
-    list is exactly the set of homs representable within the bound.
+    list is exactly the set of homs representable within the bound.  The
+    homs are counted before any is built: past ``HOM_ENUMERATION_CAP`` of
+    them the call raises ``EnumerationUnbounded``.
+
+    >>> Z2 = make_fgab_group(2, [])
+    >>> len(enumerate_homs_bounded(Z2, Z2, 1))
+    81
     """
+    # a free generator goes anywhere in the box; one of order d goes to
+    # the d-torsion, prod gcd(d, t) elements, with a zero free part
+    per_free = (2 * bound + 1) ** H.rank * math.prod(H.torsion)
+    count = per_free ** G.rank * math.prod(
+        math.prod(math.gcd(d, t) for t in H.torsion) for d in G.torsion)
+    if count > HOM_ENUMERATION_CAP:
+        raise EnumerationUnbounded(
+            f"{count} homs {G!r} -> {H!r} within bound {bound} exceed the "
+            f"enumeration cap of {HOM_ENUMERATION_CAP}",
+            bound=bound)
     free_candidates = _bounded_elements(H, bound)
-    per_gen = []
-    for i in range(G.rank):
-        per_gen.append(free_candidates)
-    for j, d in enumerate(G.torsion):
-        per_gen.append([h for h in free_candidates if H.scale(h, d).is_zero()])
-    out = []
-    for combo in itertools.product(*per_gen):
-        out.append(GroupHom(G, H, tuple(combo)))
-    return out
+    per_gen = [free_candidates] * G.rank + [
+        [h for h in free_candidates if H.scale(h, d).is_zero()]
+        for d in G.torsion]
+    return [GroupHom(G, H, combo) for combo in itertools.product(*per_gen)]

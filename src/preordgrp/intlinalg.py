@@ -5,6 +5,13 @@ form with tracked unimodular transforms, linear system solving over Z,
 column-lattice arithmetic, and a complete decision procedure for
 non-negative integer feasibility (used for cone membership).
 
+Every factorization inside the package goes through :func:`factored`, one
+shared cache of at most 256 Smith normal forms keyed on the matrix
+contents, so a matrix that many queries share is factored once.  Its
+results hold tuples and are shared between callers, which must not mutate
+them; :func:`smith_normal_form` stays uncached and returns caller-owned
+lists.
+
 Matrices are lists of rows; column vectors are plain lists.  An m x 0 or
 0 x n matrix is represented by the obvious degenerate list shape and every
 routine tolerates it.
@@ -13,7 +20,7 @@ routine tolerates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 
@@ -218,6 +225,30 @@ def smith_normal_form(M):
     return SNF(U=U, D=A, V=V, U_inv=Ui, V_inv=Vi)
 
 
+@lru_cache(maxsize=256)
+def _factored(key):
+    s = smith_normal_form(key)
+    return SNF(*(tuple(map(tuple, X))
+                 for X in (s.U, s.D, s.V, s.U_inv, s.V_inv)))
+
+
+def factored(M):
+    """The Smith normal form of M, shared through a bounded cache.
+
+    The result holds tuples of tuples and is read-only: every caller
+    factoring a matrix with the same entries gets the same object while
+    it stays among the 256 most recently used.
+
+    >>> factored([[2, 4], [6, 8]]).D
+    ((2, 0), (0, 4))
+    """
+    return _factored(tuple(map(tuple, M)))
+
+
+factored.cache_info = _factored.cache_info
+factored.cache_clear = _factored.cache_clear
+
+
 def invariant_factors_of_diagonal(entries):
     """Invariant factors d1 | d2 | ... of a direct sum of cyclic groups.
 
@@ -230,22 +261,19 @@ def invariant_factors_of_diagonal(entries):
     """
     k = len(entries)
     diag = [[entries[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    d = smith_normal_form(diag).diagonal if k else []
+    d = factored(diag).diagonal if k else []
     return [x for x in d if x != 1]
 
 
-def solve(M, b, snf=None):
+def solve(M, b):
     """One integer solution x of M x = b, or None.
-
-    ``snf`` is the Smith normal form of M when the caller already has it,
-    so that many right-hand sides share one factorization.
 
     >>> solve([[2, 0], [0, 3]], [4, 9])
     [2, 3]
     >>> solve([[2]], [3]) is None
     True
     """
-    s = smith_normal_form(M) if snf is None else snf
+    s = factored(M)
     m, n = mat_shape(M)
     ub = mat_vec(s.U, b)
     y = [0] * n
@@ -263,7 +291,7 @@ def solve(M, b, snf=None):
 
 def kernel_basis(M):
     """Basis (list of columns) of the integer kernel lattice of M."""
-    s = smith_normal_form(M)
+    s = factored(M)
     m, n = mat_shape(M)
     cols = columns(s.V)
     out = []
@@ -279,7 +307,7 @@ def lattice_basis(gens, dim):
     if not gens:
         return []
     M = from_columns(gens, nrows=dim)
-    s = smith_normal_form(M)
+    s = factored(M)
     mv = mat_mul(M, s.V)  # equals U_inv * D, so its leading columns are a basis
     cols = columns(mv)
     return [cols[i] for i, d in enumerate(s.diagonal) if d != 0]
@@ -394,21 +422,17 @@ class NonnegSolver:
         self.A = A
         self.B = B
         if self.u:
-            self.snfB = smith_normal_form(B)
+            self.snfB = factored(B)
             self.UA = mat_mul(self.snfB.U, A) if self.t else [[] for _ in range(self.m)]
         else:
             self.snfB = None
             self.UA = A
-        # the matrix z_prune solves depends only on the unassigned variables
-        self._z_systems = {}
 
     @cached_property
     def _joint(self):
-        """The joint integer pre-check matrix [A | B] with its SNF, fixed
-        per solver and factored on the first query that needs it."""
-        M = [list(self.A[i]) + (list(self.B[i]) if self.u else [])
-             for i in range(self.m)]
-        return M, smith_normal_form(M)
+        """The joint integer pre-check matrix [A | B], fixed per solver."""
+        return [list(self.A[i]) + (list(self.B[i]) if self.u else [])
+                for i in range(self.m)]
 
     def _rows(self, c):
         """Equality and congruence rows for a given right-hand side."""
@@ -488,8 +512,7 @@ class NonnegSolver:
             # no integer solution at all (nonnegativity ignored) kills the
             # search immediately; this catches parity-style obstructions
             # that the per-row gcd tests miss
-            joint, joint_snf = self._joint
-            if solve(joint, list(c), joint_snf) is None:
+            if solve(self._joint, list(c)) is None:
                 return None
             if self._split is not None:
                 return self._solve_split(c)
@@ -509,7 +532,7 @@ class NonnegSolver:
         if units:
             resid = [ci - sum(a * x for a, x in zip(row, n_rest))
                      for ci, row in zip(c, inner.A)]
-            w = solve(inner.B, resid, inner.snfB)
+            w = solve(inner.B, resid)
             k = max([0] + [_ceil_div(-x, r) for x, r in zip(w, relation)])
             for j, x, r in zip(units, w, relation):
                 n[j] = x + k * r
@@ -631,16 +654,11 @@ class NonnegSolver:
             rhs = [c[i] - sum(self.A[i][j] * n[j]
                               for j in range(t) if assigned[j])
                    for i in range(self.m)]
-            key = tuple(assigned)
-            if key not in self._z_systems:
-                cols = [[self.A[i][j] for i in range(self.m)]
-                        for j in range(t) if not assigned[j]]
-                cols += [[self.B[i][j] for i in range(self.m)]
-                         for j in range(self.u)]
-                M = from_columns(cols, nrows=self.m)
-                self._z_systems[key] = (M, smith_normal_form(M))
-            M, snf = self._z_systems[key]
-            return solve(M, rhs, snf) is None
+            cols = [[self.A[i][j] for i in range(self.m)]
+                    for j in range(t) if not assigned[j]]
+            cols += [[self.B[i][j] for i in range(self.m)]
+                     for j in range(self.u)]
+            return solve(from_columns(cols, nrows=self.m), rhs) is None
 
         def dfs(remaining):
             if prune():

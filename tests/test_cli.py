@@ -200,6 +200,25 @@ class TestCommands:
         assert code2 == 0 and report2["holds"] is True
         assert report2["bound"] == 2
 
+    def test_unbounded_hom_enumeration_is_refused(self, tmp_path, capsys):
+        # the test arrows Z^2 -> Z^2 at the default --hom-bound 10 are
+        # 21^4 = 194,481 homs, past the enumeration cap; this used to hang
+        doc = basic_document()
+        doc["groups"]["Zsq"] = {"kind": "fgab", "rank": 2, "torsion": []}
+        doc["cones"]["Nsq"] = {"group": "Zsq", "generators": [[1, 0], [0, 1]]}
+        doc["objects"]["NN"] = {"group": "Zsq", "cone": "Nsq"}
+        doc["morphisms"]["idNN"] = {
+            "from": "NN", "to": "NN",
+            "matrix": {"free": [[1, 0], [0, 1]], "mixed": [], "torsion": []}}
+        argv = ("oracle", "--kind", "coequalizer", "idNN", "idNN")
+        with deadline(5):
+            code, out = run_cli(tmp_path, doc, *argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: 194481 homs")
+        code, out = run_cli(tmp_path, doc, "--hom-bound", "2", *argv)
+        report = json.loads(out)
+        assert code == 0 and report["holds"] is True and report["bound"] == 2
+
     def test_search(self, tmp_path):
         code, out = run_cli(tmp_path, basic_document(),
                             "search", "mono_iff_trivial_kernel",

@@ -4,6 +4,7 @@ import copy
 import gc
 import itertools
 import pickle
+import random
 import weakref
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ import pytest
 from preordgrp.errors import (
     BackendMismatch,
     BadInvariantFactors,
+    EnumerationUnbounded,
     NotAGroup,
     NotNormal,
 )
@@ -386,6 +388,32 @@ class TestSubgroups:
         assert pre.is_whole()
         assert lattice_preimage([], [], 2, 0) == [[1, 0], [0, 1]]
 
+    @pytest.mark.parametrize("rank", range(4))
+    @pytest.mark.parametrize("torsion", [(), (2,), (2, 4), (3,)])
+    def test_closed_form_is_whole_matches_membership(self, rank, torsion):
+        # the closed form against the per-generator membership test it
+        # replaced, on generated subgroups of every size: none, a few
+        # random elements, the canonical generators and a unimodular mix
+        G = make_fgab_group(rank, list(torsion))
+        rng = random.Random(rank * 100 + sum(torsion))
+
+        def elem():
+            return G.elem([rng.randint(-3, 3) for _ in range(rank)]
+                          + [rng.randrange(d) for d in torsion])
+
+        gens = list(G.generators())
+        mixed = [a + b for a, b in zip(gens, gens[1:])] + gens[-1:]
+        cases = [[], gens, mixed, gens[1:], [g + g for g in gens]]
+        cases += [[elem() for _ in range(k)] for k in range(1, 5)
+                  for _ in range(6)]
+        verdicts = set()
+        for gs in cases:
+            S = subgroup(G, gs)
+            old = all(S.contains(g) for g in G.generators())
+            assert S.is_whole() == old, (G, gs)
+            verdicts.add(old)
+        assert verdicts == ({True} if G.ncoords == 0 else {True, False})
+
     def test_subgroup_to_group_roundtrip(self):
         S = subgroup(Zmod4, [Zmod4.elem([2])])
         K, inj = subgroup_to_group(S)
@@ -481,6 +509,14 @@ class TestHomEnumeration:
         # torsion respects orders: Z/2 -> Z/4 lands in {0, 2}
         homs3 = enumerate_homs_bounded(Zmod2, Zmod4, 1)
         assert len(homs3) == 2
+
+    def test_bounded_fgab_refuses_past_the_cap(self):
+        # 21^4 = 194,481 homs Z^2 -> Z^2 within bound 10: refused before
+        # any is built
+        with pytest.raises(EnumerationUnbounded) as exc:
+            enumerate_homs_bounded(Z2, Z2, 10)
+        assert exc.value.bound == 10 and "194481 homs" in str(exc.value)
+        assert len(enumerate_homs_bounded(Z2, Z2, 8)) == 17 ** 4
 
 
 class TestMixedBackendPullback:

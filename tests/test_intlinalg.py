@@ -8,6 +8,7 @@ import pytest
 
 from preordgrp.intlinalg import (
     NonnegSolver,
+    factored,
     hilbert_basis,
     identity_matrix,
     invariant_factors_of_diagonal,
@@ -87,6 +88,43 @@ def test_snf_determinism():
     s1 = smith_normal_form(M)
     s2 = smith_normal_form(M)
     assert s1.U == s2.U and s1.V == s2.V and s1.D == s2.D
+
+
+def test_factored_is_read_only():
+    M = [[3, 1, -2], [0, 4, 5]]
+    s = factored(M)
+    for X in (s.U, s.D, s.V, s.U_inv, s.V_inv):
+        assert isinstance(X, tuple) and all(isinstance(r, tuple) for r in X)
+    assert factored([list(r) for r in M]) is s
+    ref = smith_normal_form(M)
+    assert [list(r) for r in s.D] == ref.D and [list(r) for r in s.U] == ref.U
+
+
+def test_public_snf_returns_fresh_lists():
+    M = [[2, 4], [6, 8]]
+    s = smith_normal_form(M)
+    for X in (s.U, s.D, s.V, s.U_inv, s.V_inv):
+        X[0][0] += 7
+        X.append([0])
+    again = smith_normal_form(M)
+    assert again.D == [[2, 0], [0, 4]]
+    assert mat_mul(mat_mul(again.U, M), again.V) == again.D
+    assert M == [[2, 4], [6, 8]]
+
+
+def test_subgroup_membership_factors_once():
+    # every query against one subgroup solves over one lattice matrix
+    from preordgrp.groups import make_fgab_group, subgroup
+    G = make_fgab_group(2, [4])
+    S = subgroup(G, [G.elem([2, 1, 1]), G.elem([0, 3, 2])])
+    rng = random.Random(5)
+    queries = [G.elem([rng.randint(-6, 6), rng.randint(-6, 6),
+                       rng.randrange(4)]) for _ in range(50)]
+    queries[0] = G.elem([2, 1, 1])
+    factored.cache_clear()
+    verdicts = [S.contains(x) for x in queries]
+    assert factored.cache_info().misses == 1
+    assert True in verdicts and False in verdicts
 
 
 def test_invariant_factor_normalization():
