@@ -7,7 +7,9 @@ lists (finite) or integer generator vectors (fgab); morphisms are element
 maps (finite) or matrix blocks "free", "mixed", "torsion" (fgab).
 
 Reports are deterministic: keys sorted, no timestamps, bounds and window
-sizes echoed.  Exit codes: 0 success, 1 input error, 2 property failure.
+sizes echoed.  ``--window`` sets only the ``cover`` confirmation scan;
+other window checks run at the fixed ``cones.WINDOW``.  Exit codes:
+0 success, 1 input error, 2 property failure.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 from . import errors
 from .cones import (
+    WINDOW,
     ExplicitCone,
     GeneratorCone,
     explicit_cone,
@@ -268,9 +271,14 @@ def object_json(P):
     return {"group": group_json(P.group), "cone": cone_json(P.cone)}
 
 
+def window_json(exact):
+    """The window an inexact verdict was checked on; None for a proof."""
+    return None if exact else WINDOW
+
+
 def classification_json(cls):
     return {"flags": sorted(cls.flags), "exact": cls.exact,
-            "window": cls.window}
+            "window": window_json(cls.exact)}
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ def cmd_validate(ws, args, opts):
 
 def cmd_classify(ws, args, opts):
     P = _need(ws, "objects", args.object, "object")
-    cls = classify(P, opts["window"])
+    cls = classify(P)
     return {"object": args.object,
             "classification": classification_json(cls)}, 0
 
@@ -301,7 +309,7 @@ def cmd_classify(ws, args, opts):
 def cmd_torsion(ws, args, opts):
     from .torsion import torsion_sequence
     P = _need(ws, "objects", args.object, "object")
-    dec = torsion_sequence(P, opts["window"])
+    dec = torsion_sequence(P)
     report = {
         "object": args.object,
         "torsion_part": {"order": dec.torsion_part.group.order(),
@@ -310,7 +318,7 @@ def cmd_torsion(ws, args, opts):
                          "reduced": is_reduced(dec.free_part.cone)},
         "short_exact": dec.certificate.holds,
         "exact_checks": dec.certificate.exact_checks,
-        "window": dec.certificate.window,
+        "window": window_json(dec.certificate.exact_checks),
     }
     if dec.free_part.group.backend == "finite":
         report["torsion_free"]["cone_size"] = len(dec.free_part.cone.members)
@@ -320,12 +328,12 @@ def cmd_torsion(ws, args, opts):
 def cmd_pretorsion(ws, args, opts):
     from .torsion import pretorsion_sequence
     P = _need(ws, "objects", args.object, "object")
-    dec = pretorsion_sequence(P, opts["window"])
+    dec = pretorsion_sequence(P)
     report = {
         "object": args.object,
         "torsion_part": object_json(dec.torsion_part),
         "torsion_part_classification":
-            classification_json(classify(dec.torsion_part, opts["window"])),
+            classification_json(classify(dec.torsion_part)),
         "torsion_free": object_json(dec.free_part),
         "preexact": dec.certificate.holds,
     }
@@ -336,33 +344,33 @@ def cmd_reflect(ws, args, opts):
     from .torsion import reflect_F, torsion_sequence
     name = args.name
     if name in ws.morphisms:
-        Fm = reflect_F(ws.morphisms[name], opts["window"])
+        Fm = reflect_F(ws.morphisms[name])
         from .pog import pog_is_iso
-        iso, exact = pog_is_iso(Fm, opts["window"])
+        iso, exact = pog_is_iso(Fm)
         return {"morphism": name,
                 "reflected": {"from": object_json(Fm.dom),
                               "to": object_json(Fm.cod)},
                 "iso": iso, "exact": exact}, 0
     P = _need(ws, "objects", name, "object or morphism")
-    dec = torsion_sequence(P, opts["window"])
+    dec = torsion_sequence(P)
     return {"object": name,
             "torsion_free": object_json(dec.free_part),
-            "unit_normal_epi": is_normal_epi(dec.unit, opts["window"])[0]}, 0
+            "unit_normal_epi": is_normal_epi(dec.unit)[0]}, 0
 
 
 def cmd_proto_reflect(ws, args, opts):
     from .torsion import proto_reflect
     P = _need(ws, "objects", args.object, "object")
-    EP, unit = proto_reflect(P, opts["window"])
+    EP, unit = proto_reflect(P)
     return {"object": args.object,
             "reflection": object_json(EP),
-            "classification": classification_json(classify(EP, opts["window"]))}, 0
+            "classification": classification_json(classify(EP))}, 0
 
 
 def cmd_factor(ws, args, opts):
     from .factor import em_factor, ml_factor
     m = _need(ws, "morphisms", args.morphism, "morphism")
-    fr = (em_factor if args.system == "em" else ml_factor)(m, opts["window"])
+    fr = (em_factor if args.system == "em" else ml_factor)(m)
     ok = fr.e_class.holds and fr.m_class.holds and fr.recomposes(m)
     return {"morphism": args.morphism,
             "system": fr.system,
@@ -375,7 +383,7 @@ def cmd_factor(ws, args, opts):
 def cmd_class(ws, args, opts):
     from .factor import in_class
     m = _need(ws, "morphisms", args.morphism, "morphism")
-    rep = in_class(m, args.of, opts["window"])
+    rep = in_class(m, args.of)
     return {"morphism": args.morphism, "class": args.of,
             "in_class": rep.holds, "exact": rep.exact,
             "detail": rep.detail}, 0 if rep.holds else 2
@@ -384,7 +392,7 @@ def cmd_class(ws, args, opts):
 def cmd_covering(ws, args, opts):
     from .descent import is_covering
     m = _need(ws, "morphisms", args.morphism, "morphism")
-    ok = is_covering(m, opts["window"])
+    ok = is_covering(m)
     return {"morphism": args.morphism, "covering": ok}, 0 if ok else 2
 
 
@@ -406,7 +414,7 @@ def cmd_cover(ws, args, opts):
     }
     if cover.projection is not None:
         # effective descent morphisms are exactly the normal epis here
-        normal_epi, _ = is_normal_epi(cover.projection, opts["window"])
+        normal_epi, _ = is_normal_epi(cover.projection)
         report["projection_normal_epi"] = normal_epi
         report["effective_descent"] = normal_epi
     return report, 0 if cover.scan.clean else 2
@@ -417,7 +425,7 @@ def cmd_kernel(ws, args, opts):
     K, inj = pog_kernel(m)
     return {"morphism": args.morphism,
             "kernel": object_json(K),
-            "classification": classification_json(classify(K, opts["window"]))}, 0
+            "classification": classification_json(classify(K))}, 0
 
 
 def cmd_cokernel(ws, args, opts):
@@ -425,7 +433,7 @@ def cmd_cokernel(ws, args, opts):
     Q, proj = pog_cokernel(m)
     return {"morphism": args.morphism,
             "cokernel": object_json(Q),
-            "projection_normal_epi": is_normal_epi(proj, opts["window"])[0]}, 0
+            "projection_normal_epi": is_normal_epi(proj)[0]}, 0
 
 
 def cmd_limit(ws, args, opts):
@@ -456,9 +464,10 @@ def cmd_sequence_check(ws, args, opts):
     f = _need(ws, "morphisms", args.f, "morphism")
     if k.cod != f.dom:
         raise errors.ValidationError("arrows do not compose")
-    cert = is_short_exact(k, f, opts["window"])
+    cert = is_short_exact(k, f)
     return {"k": args.k, "f": args.f, "short_exact": cert.holds,
-            "exact_checks": cert.exact_checks, "window": cert.window,
+            "exact_checks": cert.exact_checks,
+            "window": window_json(cert.exact_checks),
             "reasons": list(cert.reasons)}, 0 if cert.holds else 2
 
 
@@ -467,13 +476,13 @@ def cmd_stable_units(ws, args, opts):
     from .torsion import torsion_sequence
     B = _need(ws, "objects", args.object, "object")
     g = _need(ws, "morphisms", args.morphism, "morphism")
-    if g.cod != torsion_sequence(B, opts["window"]).free_part:
+    if g.cod != torsion_sequence(B).free_part:
         raise errors.ValidationError(
             "g must land in the torsion-free part of B")
-    rep = check_stable_units_instance(B, g, opts["window"])
+    rep = check_stable_units_instance(B, g)
     return {"object": args.object, "morphism": args.morphism,
             "preserved": rep.holds, "exact": rep.exact,
-            "window": rep.window}, 0 if rep.holds else 2
+            "window": window_json(rep.exact)}, 0 if rep.holds else 2
 
 
 def cmd_orthogonal(ws, args, opts):
@@ -484,7 +493,7 @@ def cmd_orthogonal(ws, args, opts):
     b = _need(ws, "morphisms", args.b, "morphism")
     if a.cod != m.dom or e.cod != b.dom:
         raise errors.ValidationError("morphisms do not compose")
-    rep = check_orthogonality(e, m, a, b, opts["window"])
+    rep = check_orthogonality(e, m, a, b)
     return {"e": args.e, "m": args.m,
             "orthogonal": rep.holds, "unique": rep.unique,
             "detail": rep.detail}, 0 if rep.holds else 2
@@ -586,8 +595,9 @@ def build_parser():
     parser.add_argument("--workspace", help="path to a JSON workspace document")
     parser.add_argument("--corpus", action="store_true",
                         help="use the bundled corpus as the workspace")
-    parser.add_argument("--window", type=int, default=8,
-                        help="coordinate window for bounded verification")
+    parser.add_argument("--window", type=int, default=WINDOW,
+                        help="coordinate window of the cover command's "
+                             "confirmation scan; echoed in every report")
     parser.add_argument("--hom-bound", type=int, default=10,
                         help="matrix-entry bound for fgab hom enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,8 @@ by a Hilbert basis lifted along its legs.
 
 The ``CoverCone`` leaf is the positive cone of the canonical partially
 ordered cover Z x G; it is provably reduced and not finitely generated, so
-it only supports predicate evaluation and window scans.
+it only supports predicate evaluation and window scans.  A predicate that
+falls back to a scan reads the fixed width ``WINDOW``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .groups import (
     trivial_subgroup,
 )
 from .intlinalg import NonnegSolver, from_columns, hilbert_basis, mat_vec
+
+WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -559,7 +562,7 @@ def generated_subgroup(cone):
     return subgroup(cone.group, gens)
 
 
-def cone_is_subgroup(cone, width=8):
+def cone_is_subgroup(cone):
     """Whether the cone equals its own unit group (protomodularity).
 
     Returns (answer, exact).  Exact on every finitely generated cone (each
@@ -574,7 +577,7 @@ def cone_is_subgroup(cone, width=8):
     if isinstance(cone, CoverCone):
         return False, True  # contains (1, 0) but never its inverse
     N = units(cone)
-    for x in cone_window(cone, width):
+    for x in cone_window(cone, WINDOW):
         if not N.contains(x):
             return False, True
     return True, False

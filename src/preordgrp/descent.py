@@ -7,21 +7,26 @@ Every (G, P) is covered by H = Z x G with positive cone
     { (n, g) : n >= 1 and g in P }  together with  (0, 0),
 
 a reduced cone that is provably not finitely generated (no element (1, p)
-decomposes), so cover-side checks are predicate- and window-based and say
-so.  The projection (n, g) |-> g is a normal epimorphism: every g lifts to
-(0, g) and every positive p lifts to (1, p).
+decomposes).  Cover-side predicates therefore fall back to the fixed window
+``cones.WINDOW`` and mark those verdicts inexact; only the confirmation
+scan of the cover's axioms takes its width from the caller.  The
+projection (n, g) |-> g is a normal epimorphism: every g lifts to (0, g)
+and every positive p lifts to (1, p).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cones import (
+    WINDOW,
     CoverCone,
     cone_contains,
     cone_window,
     units,
 )
+from .errors import EnumerationUnbounded
 from .groups import (
     FgAbGroup,
     GroupHom,
@@ -32,7 +37,6 @@ from .groups import (
     subgroup_intersection,
 )
 from .pog import (
-    DEFAULT_WINDOW,
     POGMorphism,
     PreorderedGroup,
     is_normal_epi,
@@ -78,16 +82,32 @@ class CoverScanReport:
                 and self.reducedness_violations == 0)
 
 
-def scan_cover(virtual, width=DEFAULT_WINDOW):
+COVER_SCAN_CAP = 2_000_000
+
+
+def scan_cover(virtual, width=WINDOW):
     """Window confirmation of the cover's cone axioms and reducedness.
 
     All three hold analytically (the first coordinate of a sum of two
     positives is either >= 2 or both summands are zero), so any violation
     here is a bug, not a mathematical discovery.  Positivity of a sum or a
     conjugate only depends on its base part, so the quadratic scans run
-    over base-window pairs rather than cover-window pairs.
+    over base-window pairs rather than cover-window pairs.  The checks are
+    counted on the whole base window before anything is built: past
+    ``COVER_SCAN_CAP`` of them the call raises ``EnumerationUnbounded``.
     """
     base = virtual.base
+    G = base.group
+    if G.backend == "finite":
+        points = G.order()
+    else:
+        points = (2 * width + 1) ** G.rank * math.prod(G.torsion)
+    # base pairs, reducedness levels and, off abelian bases, conjugates
+    checks = points * (points + width + (0 if G.is_abelian() else G.order()))
+    if checks > COVER_SCAN_CAP:
+        raise EnumerationUnbounded(
+            f"the cover scan at window {width} needs up to {checks} checks, "
+            f"past the cap of {COVER_SCAN_CAP}")
     base_pos = list(cone_window(base.cone, width))
     n_levels = width  # positives pair with first coordinates 1..width
     positives = n_levels * len(base_pos) + 1
@@ -121,7 +141,7 @@ class CoverResult:
     surjectivity_note: str = ""
 
 
-def canonical_cover(P, width=DEFAULT_WINDOW):
+def canonical_cover(P, width=WINDOW):
     """The effective descent morphism (Z x G, cover cone) -->> (G, P).
 
     For an fgab base the group level is realized exactly (new free
@@ -196,7 +216,7 @@ def _identity_images(G):
     return identity_hom(G).images
 
 
-def kernel_pair(f, width=DEFAULT_WINDOW):
+def kernel_pair(f):
     """Eq(f) with both projections, diagonal, symmetry and transitivity."""
     lim = pog_pullback(f, f)
     R = lim.obj
@@ -218,14 +238,13 @@ def kernel_pair(f, width=DEFAULT_WINDOW):
 class FibrationReport:
     holds: bool
     exact: bool
-    window: int = None
     detail: str = ""
 
     def __bool__(self):
         return self.holds
 
 
-def is_discrete_fibration(f1, f0, R, Rp, width=DEFAULT_WINDOW):
+def is_discrete_fibration(f1, f0, R, Rp):
     """(f1, f0) is a discrete fibration of equivalence relations.
 
     Both projection squares must commute and the square over the second
@@ -240,16 +259,16 @@ def is_discrete_fibration(f1, f0, R, Rp, width=DEFAULT_WINDOW):
     cmp_hom = factor_through_legs([leg.hom for leg in lim.legs],
                                   [f1.hom, R.r2.hom])
     cmp = structural_morphism(cmp_hom, R.carrier, lim.obj, "fibration comparison")
-    iso, exact = pog_is_iso(cmp, width)
-    return FibrationReport(iso, exact, None if exact else width,
-                           "comparison iso" if iso else "square is not a pullback")
+    iso, exact = pog_is_iso(cmp)
+    return FibrationReport(iso, exact, "comparison iso" if iso
+                           else "square is not a pullback")
 
 
 # ---------------------------------------------------------------------------
 # covering predicates
 # ---------------------------------------------------------------------------
 
-def is_covering(m, width=DEFAULT_WINDOW):
+def is_covering(m):
     """A morphism is a covering iff its kernel is partially ordered,
     i.e. the kernel meets the unit group trivially."""
     ker = kernel_subgroup(m.hom)
@@ -257,12 +276,12 @@ def is_covering(m, width=DEFAULT_WINDOW):
     return subgroup_intersection(ker, N).is_trivial()
 
 
-def is_covering_along(m, p, width=DEFAULT_WINDOW):
+def is_covering_along(m, p):
     """Pull m back along the normal epimorphism p and test for a trivial
     covering there (unit-group restriction an isomorphism)."""
-    if not is_normal_epi(p, width)[0]:
+    if not is_normal_epi(p)[0]:
         raise ValueError("p must be a normal epimorphism")
     if m.cod != p.cod:
         raise ValueError("codomains must match")
     lim = pog_pullback(p, m)
-    return bool(in_class(lim.legs[0], "M", width))
+    return bool(in_class(lim.legs[0], "M"))

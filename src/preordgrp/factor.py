@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import extract_generators, units
+from .cones import WINDOW, extract_generators, units
 from .errors import EnumerationUnbounded, NotACommutingSquare, RowsNotSchreier
 from .groups import (
     _subgroup_lattice,
@@ -31,7 +31,6 @@ from .groups import (
 )
 from .intlinalg import NonnegSolver, from_columns
 from .pog import (
-    DEFAULT_WINDOW,
     POGMorphism,
     PreorderedGroup,
     compose_pog,
@@ -59,7 +58,7 @@ class ClassReport:
         return self.holds
 
 
-def in_class(m, cls, width=DEFAULT_WINDOW):
+def in_class(m, cls):
     """Membership in E, M, Eprime or Mstar.
 
     E: the reflector inverts the morphism.  M: the unit-group restriction
@@ -67,19 +66,19 @@ def in_class(m, cls, width=DEFAULT_WINDOW):
     kernel.  Mstar: the kernel is partially ordered.
     """
     if cls == "E":
-        Fm = reflect_F(m, width)
-        iso, exact = pog_is_iso(Fm, width)
+        Fm = reflect_F(m)
+        iso, exact = pog_is_iso(Fm)
         return ClassReport("E", iso, exact, "reflected morphism iso" if iso
                            else "reflected morphism is not an isomorphism")
     if cls == "M":
-        Tm = coreflect_T(m, width)
+        Tm = coreflect_T(m)
         iso = is_isomorphism(Tm.hom)
         return ClassReport("M", iso, True, "unit restriction iso" if iso
                            else "unit restriction is not an isomorphism")
     ker = kernel_subgroup(m.hom)
     N = units(m.dom.cone)
     if cls == "Eprime":
-        normal_epi, exact = is_normal_epi(m, width)
+        normal_epi, exact = is_normal_epi(m)
         if not normal_epi:
             return ClassReport("Eprime", False, exact,
                                "not a normal epimorphism")
@@ -95,7 +94,7 @@ def in_class(m, cls, width=DEFAULT_WINDOW):
     raise ValueError(f"unknown class {cls!r}")
 
 
-def e_conditions(m, width=DEFAULT_WINDOW):
+def e_conditions(m):
     """The three elementary conditions equivalent to membership in E:
 
     (a) the unit group of the domain is the full preimage of the codomain's;
@@ -154,26 +153,26 @@ class FactorizationResult:
         return compose(self.m.hom, self.e.hom).images == f.hom.images
 
 
-def em_factor(f, width=DEFAULT_WINDOW):
+def em_factor(f):
     """Reflective (E, M) factorization through B x_{F(B)} F(A).
 
     >>> # exercised throughout the test-suite
     """
-    dec_A = torsion_sequence(f.dom, width)
-    dec_B = torsion_sequence(f.cod, width)
-    Ff = reflect_F(f, width)
+    dec_A = torsion_sequence(f.dom)
+    dec_B = torsion_sequence(f.cod)
+    Ff = reflect_F(f)
     lim = pog_pullback(dec_B.unit, Ff)
     mid = lim.obj
     e_hom = factor_through_legs([leg.hom for leg in lim.legs],
                                 [f.hom, dec_A.unit.hom])
     e = induced_morphism(e_hom, f.dom, mid,
-                         "mediating map of certified cone maps", width)
+                         "mediating map of certified cone maps")
     m = lim.legs[0]
     return FactorizationResult(e, m, mid, "EM",
-                               in_class(e, "E", width), in_class(m, "M", width))
+                               in_class(e, "E"), in_class(m, "M"))
 
 
-def ml_factor(f, width=DEFAULT_WINDOW):
+def ml_factor(f):
     """Monotone-light factorization: quotient by the units of the kernel,
     then a covering."""
     ker = kernel_subgroup(f.hom)
@@ -182,12 +181,12 @@ def ml_factor(f, width=DEFAULT_WINDOW):
     from .cones import transport_image
     qcone = transport_image(proj, f.dom.cone)
     mid = PreorderedGroup(Q, qcone)
-    e = induced_morphism(proj, f.dom, mid, "quotient projection", width)
+    e = induced_morphism(proj, f.dom, mid, "quotient projection")
     mstar = induced_morphism(factor_through_epi(proj, f.hom), mid, f.cod,
-                             "induced on the quotient by kernel units", width)
+                             "induced on the quotient by kernel units")
     result = FactorizationResult(e, mstar, mid, "MonotoneLight",
-                                 in_class(e, "Eprime", width),
-                                 in_class(mstar, "Mstar", width))
+                                 in_class(e, "Eprime"),
+                                 in_class(mstar, "Mstar"))
     if not result.recomposes(f):
         raise AssertionError("monotone-light factors do not recompose")
     return result
@@ -208,7 +207,7 @@ class OrthogonalityReport:
         return self.holds
 
 
-def check_orthogonality(e, m, a, b, width=DEFAULT_WINDOW):
+def check_orthogonality(e, m, a, b):
     """Unique diagonal for a commuting square m . a = b . e.
 
     With e an epimorphism the diagonal is forced on the image, so existence
@@ -225,7 +224,7 @@ def check_orthogonality(e, m, a, b, width=DEFAULT_WINDOW):
         if phi_hom is None:
             return OrthogonalityReport(
                 False, detail="kernel of e is not killed by a")
-        ok, bad, cert = cone_preservation(phi_hom, B.cone, C.cone, width)
+        ok, bad, cert = cone_preservation(phi_hom, B.cone, C.cone)
         if not ok:
             return OrthogonalityReport(
                 False, detail=f"forced diagonal not order preserving at {bad}")
@@ -240,7 +239,7 @@ def check_orthogonality(e, m, a, b, width=DEFAULT_WINDOW):
                 continue
             if compose(m.hom, h).images != b.hom.images:
                 continue
-            ok, _, cert = cone_preservation(h, B.cone, C.cone, width)
+            ok, _, cert = cone_preservation(h, B.cone, C.cone)
             if ok:
                 found.append(POGMorphism(B, C, h, cert))
         if len(found) == 1:
@@ -259,35 +258,34 @@ def check_orthogonality(e, m, a, b, width=DEFAULT_WINDOW):
 class StableUnitsReport:
     holds: bool
     exact: bool
-    window: int = None
     detail: str = ""
 
     def __bool__(self):
         return self.holds
 
 
-def check_stable_units_instance(B, g, width=DEFAULT_WINDOW):
+def check_stable_units_instance(B, g):
     """The reflector preserves the pullback of g along the unit of B.
 
     Forms P = B x_{F(B)} C, reflects the square and tests that the induced
     comparison into F(B) x_{F(B)} F(C) is an isomorphism.
     """
-    dec_B = torsion_sequence(B, width)
+    dec_B = torsion_sequence(B)
     if g.cod != dec_B.free_part:
         raise ValueError("g must land in the torsion-free part of B")
     lim = pog_pullback(dec_B.unit, g)
-    Feta = reflect_F(dec_B.unit, width)
-    Fg = reflect_F(g, width)
-    FP = torsion_sequence(lim.obj, width).free_part
-    Fp1 = reflect_F(lim.legs[0], width)
-    Fp2 = reflect_F(lim.legs[1], width)
+    Feta = reflect_F(dec_B.unit)
+    Fg = reflect_F(g)
+    FP = torsion_sequence(lim.obj).free_part
+    Fp1 = reflect_F(lim.legs[0])
+    Fp2 = reflect_F(lim.legs[1])
     ref_lim = pog_pullback(Feta, Fg)
     u_hom = factor_through_legs([leg.hom for leg in ref_lim.legs],
                                 [Fp1.hom, Fp2.hom])
     u = structural_morphism(u_hom, FP, ref_lim.obj, "comparison into the "
                             "reflected pullback")
-    iso, exact = pog_is_iso(u, width)
-    return StableUnitsReport(iso, exact, None if exact else width,
+    iso, exact = pog_is_iso(u)
+    return StableUnitsReport(iso, exact,
                              "comparison map iso" if iso else
                              "reflected square is not a pullback")
 
@@ -302,7 +300,7 @@ class LemmaMReport:
         return self.holds
 
 
-def lemma_M_instance(row1, row2, a_hom, b_hom, c_hom, width=DEFAULT_WINDOW):
+def lemma_M_instance(row1, row2, a_hom, b_hom, c_hom, width=WINDOW):
     """Pullback conclusion of the short-five square for special Schreier rows.
 
     ``row1 = (cone1, f1)`` and ``row2 = (cone2, f2)`` present the cone-level

@@ -34,7 +34,6 @@ from .groups import (
     subgroup,
 )
 from .pog import (
-    DEFAULT_WINDOW,
     POGMorphism,
     cone_map_surjective,
     cone_preservation,
@@ -118,7 +117,7 @@ class VerificationReport:
         return self.holds
 
 
-def verify_universal_property(query, width=DEFAULT_WINDOW):
+def verify_universal_property(query):
     """Check existence and uniqueness of mediating morphisms.
 
     ``query.data`` by kind:
@@ -135,7 +134,7 @@ def verify_universal_property(query, width=DEFAULT_WINDOW):
     handler = _HANDLERS.get(kind)
     if handler is None:
         raise ValueError(f"unknown universal property kind {kind!r}")
-    return handler(query, width)
+    return handler(query)
 
 
 def _report(kind, ok, tested, bound, why=""):
@@ -183,7 +182,7 @@ def _mediate_pair(P, p1, p2, u1, u2, X):
                       X, P)
 
 
-def _verify_kernel(query, width):
+def _verify_kernel(query):
     m, K, inj = query.data
     if not is_injective(inj.hom):
         return _report("Kernel", False, 0, query.bound, "candidate is not monic")
@@ -202,7 +201,7 @@ def _verify_kernel(query, width):
     return _report("Kernel", True, tested, query.bound)
 
 
-def _verify_equalizer(query, width):
+def _verify_equalizer(query):
     m1, m2, E, inj = query.data
     tested = 0
     if _composite(m1, inj).images != _composite(m2, inj).images:
@@ -221,14 +220,14 @@ def _verify_equalizer(query, width):
     return _report("Equalizer", True, tested, query.bound)
 
 
-def _verify_cokernel(query, width):
+def _verify_cokernel(query):
     m, Q, proj = query.data
     if not is_surjective(proj.hom):
         return _report("Cokernel", False, 0, query.bound, "candidate not epic")
     if not _composite(proj, m).is_zero():
         return _report("Cokernel", False, 0, query.bound,
                        "candidate does not kill the image")
-    surj, _ = cone_map_surjective(proj, width)
+    surj, _ = cone_map_surjective(proj)
     if not surj:
         return _report("Cokernel", False, 0, query.bound,
                        "candidate cone map is not surjective")
@@ -244,7 +243,7 @@ def _verify_cokernel(query, width):
     return _report("Cokernel", True, tested, query.bound)
 
 
-def _verify_coequalizer(query, width):
+def _verify_coequalizer(query):
     m1, m2, Q, proj = query.data
     if not is_surjective(proj.hom):
         return _report("Coequalizer", False, 0, query.bound, "candidate not epic")
@@ -263,7 +262,7 @@ def _verify_coequalizer(query, width):
     return _report("Coequalizer", True, tested, query.bound)
 
 
-def _verify_product(query, width):
+def _verify_product(query):
     A, B, P, p1, p2 = query.data
     tested = 0
     for X in query.test_objects:
@@ -279,7 +278,7 @@ def _verify_product(query, width):
     return _report("Product", True, tested, query.bound)
 
 
-def _verify_pullback(query, width):
+def _verify_pullback(query):
     f, g, P, p1, p2 = query.data
     tested = 0
     for X in query.test_objects:
@@ -297,18 +296,18 @@ def _verify_pullback(query, width):
     return _report("Pullback", True, tested, query.bound)
 
 
-def _verify_z_prekernel(query, width):
+def _verify_z_prekernel(query):
     from .torsion import is_z_trivial
     f, K, k = query.data
     if not is_injective(k.hom):
         return _report("ZPrekernel", False, 0, query.bound, "candidate not monic")
-    if not is_z_trivial(compose_pog(f, k), width):
+    if not is_z_trivial(compose_pog(f, k)):
         return _report("ZPrekernel", False, 0, query.bound,
                        "composite is not trivial")
     tested = 0
     for X in query.test_objects:
         for alpha in _arrows(X, f.dom, query.bound):
-            if not is_z_trivial(compose_pog(f, alpha), width):
+            if not is_z_trivial(compose_pog(f, alpha)):
                 continue
             tested += 1
             if _mediate_into(k, alpha, X) is None:
@@ -317,18 +316,18 @@ def _verify_z_prekernel(query, width):
     return _report("ZPrekernel", True, tested, query.bound)
 
 
-def _verify_z_precokernel(query, width):
+def _verify_z_precokernel(query):
     from .torsion import is_z_trivial
     f, C, c = query.data
     if not is_surjective(c.hom):
         return _report("ZPrecokernel", False, 0, query.bound, "candidate not epic")
-    if not is_z_trivial(compose_pog(c, f), width):
+    if not is_z_trivial(compose_pog(c, f)):
         return _report("ZPrecokernel", False, 0, query.bound,
                        "composite is not trivial")
     tested = 0
     for X in query.test_objects:
         for alpha in _arrows(f.cod, X, query.bound):
-            if not is_z_trivial(compose_pog(alpha, f), width):
+            if not is_z_trivial(compose_pog(alpha, f)):
                 continue
             tested += 1
             if _mediate_out_of(c, alpha) is None:
@@ -337,12 +336,12 @@ def _verify_z_precokernel(query, width):
     return _report("ZPrecokernel", True, tested, query.bound)
 
 
-def _verify_reflection_unit(query, width):
+def _verify_reflection_unit(query):
     from .pog import classify
     unit, target_flag = query.data
     tested = 0
     for X in query.test_objects:
-        if target_flag not in classify(X, width):
+        if target_flag not in classify(X):
             continue
         for m in _arrows(unit.dom, X, query.bound):
             tested += 1
@@ -352,12 +351,12 @@ def _verify_reflection_unit(query, width):
     return _report("ReflectionUnit", True, tested, query.bound)
 
 
-def _verify_coreflection_counit(query, width):
+def _verify_coreflection_counit(query):
     from .pog import classify
     counit, source_flag = query.data
     tested = 0
     for X in query.test_objects:
-        if source_flag not in classify(X, width):
+        if source_flag not in classify(X):
             continue
         for m in _arrows(X, counit.cod, query.bound):
             tested += 1

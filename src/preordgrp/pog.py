@@ -8,9 +8,9 @@ classified against the characterizations of normal epi- and monomorphisms
 (surjective on both levels, respectively kernel-style cone restriction).
 
 Cone comparisons are decided on generators.  Cones without them (the
-cover cone and cones built over it) fall back to a rectangular coordinate
-window and say so in their certificate; a counterexample found inside a
-window is always definitive.
+cover cone and cones built over it) fall back to the fixed coordinate
+window ``cones.WINDOW`` and say so through their ``exact`` flag; a
+counterexample found inside the window is always definitive.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import (
+    WINDOW,
     Cone,
     ImageCone,
     cone_contains,
@@ -58,9 +59,6 @@ from .groups import (
     subgroup_to_group,
     zero_hom,
 )
-
-DEFAULT_WINDOW = 8
-
 
 @dataclass(frozen=True)
 class PreorderedGroup:
@@ -112,7 +110,6 @@ class Classification:
 
     flags: frozenset
     exact: bool = True
-    window: int = None
 
     def __contains__(self, flag):
         return flag in self.flags
@@ -126,7 +123,7 @@ class Classification:
         return isinstance(other, Classification) and self.flags == other.flags
 
 
-def classify(P, width=DEFAULT_WINDOW):
+def classify(P):
     """Flags among total / protomodular / partially_ordered / discrete.
 
     Total means the cone is the whole group (its unit group is everything);
@@ -139,12 +136,12 @@ def classify(P, width=DEFAULT_WINDOW):
         flags.add("total")
     if N.is_trivial():
         flags.add("partially_ordered")
-    proto, exact = cone_is_subgroup(P.cone, width)
+    proto, exact = cone_is_subgroup(P.cone)
     if proto:
         flags.add("protomodular")
         if N.is_trivial():
             flags.add("discrete")
-    return Classification(frozenset(flags), exact, None if exact else width)
+    return Classification(frozenset(flags), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,6 @@ class ConeCertificate:
     kind: str                 # "generators" | "structural" | "window"
     verdicts: tuple = ()
     note: str = ""
-    window: int = None
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ class POGMorphism:
         return self.hom.is_zero()
 
 
-def cone_preservation(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
+def cone_preservation(hom, dom_cone, cod_cone):
     """(ok, offending generator or None, certificate)."""
     gens = extract_generators(dom_cone)
     if gens is not None:
@@ -186,13 +182,13 @@ def cone_preservation(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
                 return False, g, None
             verdicts.append((g, v))
         return True, None, ConeCertificate("generators", tuple(verdicts))
-    for x in cone_window(dom_cone, width):
+    for x in cone_window(dom_cone, WINDOW):
         if not cone_contains(cod_cone, hom(x)):
             return False, x, None
-    return True, None, ConeCertificate("window", window=width)
+    return True, None, ConeCertificate("window")
 
 
-def make_pog_morphism(hom, dom, cod, width=DEFAULT_WINDOW):
+def make_pog_morphism(hom, dom, cod):
     """Certified morphism; the certificate stores one In-verdict per
     domain-cone generator.
 
@@ -206,7 +202,7 @@ def make_pog_morphism(hom, dom, cod, width=DEFAULT_WINDOW):
     """
     if hom.dom != dom.group or hom.cod != cod.group:
         raise ValueError("hom endpoints do not match the objects")
-    ok, bad, cert = cone_preservation(hom, dom.cone, cod.cone, width)
+    ok, bad, cert = cone_preservation(hom, dom.cone, cod.cone)
     if not ok:
         raise ConeNotPreserved(f"cone generator {bad} maps outside the cone",
                                generator=bad)
@@ -218,12 +214,12 @@ def structural_morphism(hom, dom, cod, note):
     return POGMorphism(dom, cod, hom, ConeCertificate("structural", note=note))
 
 
-def induced_morphism(hom, dom, cod, note, width=DEFAULT_WINDOW):
+def induced_morphism(hom, dom, cod, note):
     """Morphism induced from certified ones: its cone preservation holds
     by construction, and is certified on generators when the domain cone
     has them; otherwise it is structural with ``note``."""
     if extract_generators(dom.cone) is not None:
-        return make_pog_morphism(hom, dom, cod, width)
+        return make_pog_morphism(hom, dom, cod)
     return structural_morphism(hom, dom, cod, note)
 
 
@@ -359,11 +355,10 @@ class MorphismClassReport:
     normal_epi: bool
     effective_descent: bool
     exact: bool = True        # False when a window stood in for a proof
-    window: int = None
     details: tuple = ()
 
 
-def cone_map_surjective(m, width=DEFAULT_WINDOW):
+def cone_map_surjective(m):
     """Does every positive element of the codomain lift into the domain cone?
 
     Complete whenever the codomain cone is finitely generated: each
@@ -378,13 +373,13 @@ def cone_map_surjective(m, width=DEFAULT_WINDOW):
             and m.cod.cone.inner == m.dom.cone:
         return (True, True)  # codomain cone is this map's direct image
     img_cone = transport_image(m.hom, m.dom.cone)
-    for y in cone_window(m.cod.cone, width):
+    for y in cone_window(m.cod.cone, WINDOW):
         if not cone_contains(img_cone, y):
             return (False, True)
     return (True, False)
 
 
-def cone_square_is_pullback(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
+def cone_square_is_pullback(hom, dom_cone, cod_cone):
     """Is dom_cone exactly the preimage of cod_cone along hom?
 
     Returns (holds, exact).  Both inclusions are checked on generators:
@@ -404,20 +399,20 @@ def cone_square_is_pullback(hom, dom_cone, cod_cone, width=DEFAULT_WINDOW):
         pre_gens = extract_generators(transport_preimage(hom, cod_cone))
         if pre_gens is not None:
             return (all(cone_contains(dom_cone, g) for g in pre_gens), True)
-    for x in group_window(hom.dom, width):
+    for x in group_window(hom.dom, WINDOW):
         if bool(cone_contains(dom_cone, x)) != bool(cone_contains(cod_cone, hom(x))):
             return (False, True)
     return (True, False)
 
 
-def is_normal_epi(m, width=DEFAULT_WINDOW):
+def is_normal_epi(m):
     """Surjective on groups and on cones.  Returns (holds, exact)."""
     if not is_surjective(m.hom):
         return False, True
-    return cone_map_surjective(m, width)
+    return cone_map_surjective(m)
 
 
-def morphism_class(m, width=DEFAULT_WINDOW):
+def morphism_class(m):
     """Mono/epi/normal mono/normal epi/effective descent flags.
 
     Effective descent equals normal epi in this category, so the report
@@ -426,23 +421,21 @@ def morphism_class(m, width=DEFAULT_WINDOW):
     mono = is_injective(m.hom)
     epi = is_surjective(m.hom)
     details = []
-    normal_epi, exact = is_normal_epi(m, width) if epi else (False, True)
+    normal_epi, exact = is_normal_epi(m) if epi else (False, True)
     if epi:
         details.append(("cone_surjective", normal_epi))
     normal_mono = False
     if mono and image_subgroup(m.hom).is_normal():
-        pb, pb_exact = cone_square_is_pullback(
-            m.hom, m.dom.cone, m.cod.cone, width)
+        pb, pb_exact = cone_square_is_pullback(m.hom, m.dom.cone, m.cod.cone)
         normal_mono = pb
         exact = exact and pb_exact
         details.append(("cone_square_pullback", pb))
     return MorphismClassReport(
         mono=mono, epi=epi, normal_mono=normal_mono, normal_epi=normal_epi,
-        effective_descent=normal_epi, exact=exact,
-        window=None if exact else width, details=tuple(details))
+        effective_descent=normal_epi, exact=exact, details=tuple(details))
 
 
-def pog_is_iso(m, width=DEFAULT_WINDOW):
+def pog_is_iso(m):
     """Isomorphism test: group-level iso plus order-reflecting inverse.
 
     Returns (answer, exact).  The inverse's cone preservation is checked on
@@ -453,7 +446,7 @@ def pog_is_iso(m, width=DEFAULT_WINDOW):
     if not is_isomorphism(m.hom):
         return False, True
     inv = inverse_hom(m.hom)
-    ok, _, cert = cone_preservation(inv, m.cod.cone, m.dom.cone, width)
+    ok, _, cert = cone_preservation(inv, m.cod.cone, m.dom.cone)
     if not ok:
         return False, True
     return True, cert.kind != "window"
@@ -470,24 +463,23 @@ class SequenceCertificate:
     f: POGMorphism
     holds: bool
     exact_checks: bool         # all checks were exact (no window fallback)
-    window: int = None
     reasons: tuple = ()
 
     def __bool__(self):
         return self.holds
 
-    def reverify(self, width=DEFAULT_WINDOW):
+    def reverify(self):
         """Recompute every recorded check from the stored arrows."""
         if self.kind == "ShortExact":
-            return is_short_exact(self.k, self.f, width)
+            return is_short_exact(self.k, self.f)
         from .torsion import is_z_trivial
-        zrep = is_z_trivial(compose_pog(self.f, self.k), width)
+        zrep = is_z_trivial(compose_pog(self.f, self.k))
         return SequenceCertificate(
             self.kind, self.k, self.f, bool(zrep), True,
             reasons=() if zrep else ("composite is not trivial",))
 
 
-def is_short_exact(k, f, width=DEFAULT_WINDOW):
+def is_short_exact(k, f):
     """k then f is short exact: group-exact, kernel cone square a pullback,
     and the cone map of f surjective.
 
@@ -518,17 +510,16 @@ def is_short_exact(k, f, width=DEFAULT_WINDOW):
         holds = False
         reasons.append("f is not surjective")
     if holds:
-        pb, pb_exact = cone_square_is_pullback(
-            k.hom, k.dom.cone, k.cod.cone, width)
+        pb, pb_exact = cone_square_is_pullback(k.hom, k.dom.cone, k.cod.cone)
         exact = exact and pb_exact
         if not pb:
             holds = False
             reasons.append("kernel cone square is not a pullback")
     if holds:
-        surj, surj_exact = cone_map_surjective(f, width)
+        surj, surj_exact = cone_map_surjective(f)
         exact = exact and surj_exact
         if not surj:
             holds = False
             reasons.append("cone map of f is not surjective")
     return SequenceCertificate("ShortExact", k, f, holds, exact,
-                               None if exact else width, tuple(reasons))
+                               tuple(reasons))

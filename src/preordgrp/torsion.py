@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import (
+    WINDOW,
     cone_contains,
+    cone_window,
     explicit_cone,
     extract_generators,
     generator_cone,
@@ -40,7 +42,6 @@ from .groups import (
     subgroup_to_group,
 )
 from .pog import (
-    DEFAULT_WINDOW,
     POGMorphism,
     PreorderedGroup,
     SequenceCertificate,
@@ -79,7 +80,7 @@ def subgroup_as_cone(S):
 
 
 @lru_cache(maxsize=None)
-def torsion_sequence(P, width=DEFAULT_WINDOW):
+def torsion_sequence(P):
     """Canonical short exact sequence of the torsion theory.
 
     >>> from .groups import make_fgab_group
@@ -93,40 +94,37 @@ def torsion_sequence(P, width=DEFAULT_WINDOW):
     N = units(P.cone)
     NG, inj = subgroup_to_group(N)
     T = PreorderedGroup(NG, total_cone(NG))
-    counit = make_pog_morphism(inj, T, P, width)
+    counit = make_pog_morphism(inj, T, P)
     Q, proj = quotient(P.group, N)
     qcone = transport_image(proj, P.cone)
     F = PreorderedGroup(Q, qcone)
-    unit = induced_morphism(proj, P, F, "quotient pushes the cone forward",
-                            width)
-    cert = is_short_exact(counit, unit, width)
+    unit = induced_morphism(proj, P, F, "quotient pushes the cone forward")
+    cert = is_short_exact(counit, unit)
     return TorsionDecomposition(P, T, F, counit, unit, cert, "torsion")
 
 
-def reflect_F(m, width=DEFAULT_WINDOW):
+def reflect_F(m):
     """Image of a morphism under the torsion-free reflector."""
-    dec_dom = torsion_sequence(m.dom, width)
-    dec_cod = torsion_sequence(m.cod, width)
+    dec_dom = torsion_sequence(m.dom)
+    dec_cod = torsion_sequence(m.cod)
     # the map induced between the quotients
     h = factor_through_epi(dec_dom.unit.hom,
                            compose(dec_cod.unit.hom, m.hom))
     if h is None:
         raise ValueError("morphism does not map units to units")
     return induced_morphism(h, dec_dom.free_part, dec_cod.free_part,
-                            "induced between quotients of a certified map",
-                            width)
+                            "induced between quotients of a certified map")
 
 
-def coreflect_T(m, width=DEFAULT_WINDOW):
+def coreflect_T(m):
     """Restriction of a morphism to the torsion parts (unit groups)."""
-    dec_dom = torsion_sequence(m.dom, width)
-    dec_cod = torsion_sequence(m.cod, width)
+    dec_dom = torsion_sequence(m.dom)
+    dec_cod = torsion_sequence(m.cod)
     h = factor_through_mono(dec_cod.counit.hom,
                             compose(m.hom, dec_dom.counit.hom))
     if h is None:
         raise ValueError("morphism does not map units to units")
-    return make_pog_morphism(h, dec_dom.torsion_part, dec_cod.torsion_part,
-                             width)
+    return make_pog_morphism(h, dec_dom.torsion_part, dec_cod.torsion_part)
 
 
 @dataclass(frozen=True)
@@ -183,14 +181,14 @@ def hom_torsion_to_free_is_zero(src, dst, bound=DEFAULT_HOM_BOUND):
                          witness=witness_img)
 
 
-def uniqueness_check(P, alt_k, alt_f, width=DEFAULT_WINDOW):
+def uniqueness_check(P, alt_k, alt_f):
     """Comparison isomorphisms between the canonical torsion sequence of P
     and an alternative one (kernel total, cokernel partially ordered).
 
     Returns (t, f) with t between the torsion parts and f between the
     torsion-free parts, both verified isomorphisms.
     """
-    cert = is_short_exact(alt_k, alt_f, width)
+    cert = is_short_exact(alt_k, alt_f)
     if not cert:
         raise NotComparable("alternative sequence is not short exact: "
                             + "; ".join(cert.reasons))
@@ -200,21 +198,21 @@ def uniqueness_check(P, alt_k, alt_f, width=DEFAULT_WINDOW):
         raise NotComparable("alternative cokernel is not partially ordered")
     if alt_k.cod != P or alt_f.dom != P:
         raise NotComparable("alternative sequence is not over this object")
-    dec = torsion_sequence(P, width)
+    dec = torsion_sequence(P)
     # f with f . eta = eta_alt, induced by the cokernel property of eta
     f_hom = factor_through_epi(dec.unit.hom, alt_f.hom)
     if f_hom is None:
         raise NotComparable("alternative cokernel does not factor through "
                             "the canonical one")
-    f = induced_morphism(f_hom, dec.free_part, alt_f.cod, "induced", width)
+    f = induced_morphism(f_hom, dec.free_part, alt_f.cod, "induced")
     # t with eps_alt . t = eps, induced by the kernel property of eps_alt
     t_hom = factor_through_mono(alt_k.hom, dec.counit.hom)
     if t_hom is None:
         raise NotComparable("canonical torsion part does not factor "
                             "through the alternative kernel")
-    t = make_pog_morphism(t_hom, dec.torsion_part, alt_k.dom, width)
-    t_iso, t_exact = pog_is_iso(t, width)
-    f_iso, f_exact = pog_is_iso(f, width)
+    t = make_pog_morphism(t_hom, dec.torsion_part, alt_k.dom)
+    t_iso, t_exact = pog_is_iso(t)
+    f_iso, f_exact = pog_is_iso(f)
     if not (t_iso and f_iso):
         raise NotComparable("comparison maps are not isomorphisms")
     return t, f
@@ -236,15 +234,14 @@ class ZTrivialReport:
         return self.holds
 
 
-def is_z_trivial(m, width=DEFAULT_WINDOW):
+def is_z_trivial(m):
     """A morphism is trivial for the pretorsion theory iff its cone map is
     zero; it then factors through its image carrying the discrete order."""
     gens = extract_generators(m.dom.cone)
     if gens is not None:
         bad = [g for g in gens if not m.hom(g).is_zero()]
     else:
-        from .cones import cone_window
-        bad = [g for g in cone_window(m.dom.cone, width)
+        bad = [g for g in cone_window(m.dom.cone, WINDOW)
                if not m.hom(g).is_zero()]
     if bad:
         return ZTrivialReport(False, witness=bad[0])
@@ -253,42 +250,42 @@ def is_z_trivial(m, width=DEFAULT_WINDOW):
     mid = PreorderedGroup(I, trivial_cone(I))
     a_hom = factor_through_mono(inj, m.hom)
     left = structural_morphism(a_hom, m.dom, mid, "cone map is zero")
-    right = make_pog_morphism(inj, mid, m.cod, width)
+    right = make_pog_morphism(inj, mid, m.cod)
     return ZTrivialReport(True, mid, left, right)
 
 
 @lru_cache(maxsize=None)
-def proto_coreflect(P, width=DEFAULT_WINDOW):
+def proto_coreflect(P):
     """Pretorsion torsion part (G, N) with its counit into (G, P)."""
     N = units(P.cone)
     TP = PreorderedGroup(P.group, subgroup_as_cone(N))
-    counit = make_pog_morphism(identity_hom(P.group), TP, P, width)
+    counit = make_pog_morphism(identity_hom(P.group), TP, P)
     return TP, counit
 
 
 @lru_cache(maxsize=None)
-def proto_reflect(P, width=DEFAULT_WINDOW):
+def proto_reflect(P):
     """Protomodular reflection (G, M) with its unit from (G, P); M is the
     subgroup generated by the cone and its negatives."""
     from .cones import generated_subgroup
     M = generated_subgroup(P.cone)
     EP = PreorderedGroup(P.group, subgroup_as_cone(M))
-    unit = make_pog_morphism(identity_hom(P.group), P, EP, width)
+    unit = make_pog_morphism(identity_hom(P.group), P, EP)
     return EP, unit
 
 
 @lru_cache(maxsize=None)
-def pretorsion_sequence(P, width=DEFAULT_WINDOW):
+def pretorsion_sequence(P):
     """Short preexact sequence (G, N) >--> (G, P) -->> (G/N, P/N).
 
     The composite has zero cone map, the left arrow is the prekernel of the
     right one and the right arrow its precokernel; those universal
     properties are verified against enumerated morphisms by the oracle.
     """
-    TP, counit = proto_coreflect(P, width)
-    dec = torsion_sequence(P, width)
+    TP, counit = proto_coreflect(P)
+    dec = torsion_sequence(P)
     composite = compose_pog(dec.unit, counit)
-    zrep = is_z_trivial(composite, width)
+    zrep = is_z_trivial(composite)
     cert = SequenceCertificate(
         "ZPreexact", counit, dec.unit, bool(zrep), True,
         reasons=() if zrep else ("composite is not trivial",))

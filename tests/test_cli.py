@@ -83,15 +83,19 @@ class TestParse:
         assert ws.objects["X"].group.torsion == (2, 4)
 
 
-def run_cli(tmp_path, doc, *argv):
+def run_main(*argv):
     import io
     import contextlib
-    path = tmp_path / "ws.json"
-    path.write_text(json.dumps(doc))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(["--workspace", str(path), *argv])
+        code = main(list(argv))
     return code, buf.getvalue()
+
+
+def run_cli(tmp_path, doc, *argv):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return run_main("--workspace", str(path), *argv)
 
 
 class TestCommands:
@@ -135,6 +139,28 @@ class TestCommands:
         assert code == 0
         assert report["window"] == 4
         assert report["scan"]["reducedness_violations"] == 0
+
+    def test_cover_scan_past_the_cap_is_refused(self, capsys):
+        # 121^2 base points at window 60 pair into about 2 * 10^8 checks;
+        # the scan is refused before it builds anything
+        with deadline(5):
+            code, out = run_main("--corpus", "--window", "60", "cover",
+                                 "Z2_ZxN")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "error: the cover scan at window 60 needs up to")
+        code, out = run_main("--corpus", "cover", "Z2_ZxN")
+        assert code == 0 and json.loads(out)["scan"]["positives_checked"] > 0
+
+    def test_window_reaches_classify_only_in_the_envelope(self):
+        reports = {}
+        for width in (4, 8):
+            code, out = run_main("--corpus", "--window", str(width),
+                                 "classify", "Z_nat")
+            assert code == 0
+            reports[width] = json.loads(out)
+            assert reports[width].pop("window") == width
+        assert reports[4] == reports[8]
 
     def test_classify_and_cover_on_unit_pairs(self, tmp_path):
         # two Z^2 objects on which both commands once crawled

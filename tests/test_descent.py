@@ -174,6 +174,19 @@ class TestDiscreteFibrations:
         R = kernel_pair(cover.projection)
         assert "partially_ordered" in classify(R.carrier)
 
+    @pytest.mark.parametrize("width", [8, 3])
+    def test_cover_side_fibration_is_marked_inexact(self, width):
+        # the comparison into the pullback over the cover cone has no
+        # generators, so its iso verdict is a window check at cones.WINDOW
+        # whatever width the cover's own scan used; the cover cone itself
+        # is classified in closed form
+        cover = canonical_cover(ZN, width=width)
+        R = kernel_pair(cover.projection)
+        rep = is_discrete_fibration(identity_morphism(R.carrier),
+                                    identity_morphism(cover.realized), R, R)
+        assert rep.holds and rep.exact is False
+        assert classify(cover.realized).exact is True
+
 
 class TestCoverings:
     def test_mod2_is_covering(self):

@@ -107,6 +107,21 @@ class TestTorsionSequence:
             dec = torsion_sequence(P)
             assert dec.certificate.holds
 
+    def test_one_decomposition_per_object(self):
+        # the factorization classes and the pretorsion sequence reuse the
+        # cached torsion sequence instead of keying a second entry
+        from preordgrp.corpus import corpus_objects
+        from preordgrp.factor import in_class
+        objects = list(corpus_objects().values())
+        torsion_sequence.cache_clear()
+        pretorsion_sequence.cache_clear()
+        for P in objects:
+            torsion_sequence(P)
+        for P in objects:
+            assert in_class(identity_morphism(P), "E").holds
+            assert pretorsion_sequence(P).certificate.holds
+        assert torsion_sequence.cache_info().misses == len(set(objects))
+
 
 class TestReflectorFunctor:
     def test_reflect_identity(self):

@@ -1,0 +1,56 @@
+"""The window width is one fixed fact, ``cones.WINDOW``.
+
+Predicates that fall back to a window scan read it themselves; only the
+functions whose check is a window of the caller's width take a ``width``
+parameter.
+"""
+
+import importlib
+import inspect
+
+from preordgrp import cones
+
+MODULES = ("cones", "pog", "torsion", "factor", "descent", "oracle")
+
+TAKES_WIDTH = {
+    "cones.group_window",
+    "cones.cone_window",
+    "descent.scan_cover",
+    "descent.canonical_cover",
+    "factor.lemma_M_instance",
+}
+
+
+def _functions(module):
+    """(qualified name, function) for every function and method the module
+    defines; cached functions are unwrapped."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, inspect.unwrap(obj)
+
+
+def test_only_the_window_checks_take_a_width():
+    found = set()
+    for short in MODULES:
+        module = importlib.import_module(f"preordgrp.{short}")
+        for name, fn in _functions(module):
+            if "width" in inspect.signature(fn).parameters:
+                found.add(f"{short}.{name}")
+    assert found == TAKES_WIDTH
+
+
+def test_one_window_constant():
+    pog = importlib.import_module("preordgrp.pog")
+    assert cones.WINDOW == 8
+    assert not hasattr(pog, "DEFAULT_WINDOW")
+    for name in TAKES_WIDTH - {"cones.group_window", "cones.cone_window"}:
+        short, fn = name.split(".")
+        module = importlib.import_module(f"preordgrp.{short}")
+        default = inspect.signature(getattr(module, fn)).parameters["width"]
+        assert default.default == cones.WINDOW, name
