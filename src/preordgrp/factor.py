@@ -16,7 +16,6 @@ from .errors import EnumerationUnbounded, NotACommutingSquare, RowsNotSchreier
 from .groups import (
     _subgroup_lattice,
     compose,
-    enumerate_group_homs,
     factor_through_epi,
     factor_through_legs,
     image_subgroup,
@@ -233,15 +232,10 @@ def check_orthogonality(e, m, a, b):
         phi = POGMorphism(B, C, phi_hom, cert)
         return OrthogonalityReport(True, phi, unique=True)
     if B.group.backend == "finite" and C.group.backend == "finite":
-        found = []
-        for h in enumerate_group_homs(B.group, C.group):
-            if compose(h, e.hom).images != a.hom.images:
-                continue
-            if compose(m.hom, h).images != b.hom.images:
-                continue
-            ok, _, cert = cone_preservation(h, B.cone, C.cone)
-            if ok:
-                found.append(POGMorphism(B, C, h, cert))
+        from .oracle import enumerate_pog_morphisms
+        found = [phi for phi in enumerate_pog_morphisms(B, C)
+                 if compose(phi.hom, e.hom).images == a.hom.images
+                 and compose(m.hom, phi.hom).images == b.hom.images]
         if len(found) == 1:
             return OrthogonalityReport(True, found[0], unique=True)
         return OrthogonalityReport(False, unique=len(found) <= 1,

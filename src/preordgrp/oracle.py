@@ -16,29 +16,46 @@ fgab backend only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import product
+from typing import NamedTuple
 
-from .cones import (
-    explicit_cone,
-)
-from .errors import UnknownLaw
+from .cones import explicit_cone, units
+from .descent import is_covering
+from .errors import BackendMismatch, ImageNotNormal, UnknownLaw
+from .factor import check_stable_units_instance, in_class
 from .groups import (
     compose,
     enumerate_group_homs,
     enumerate_homs_bounded,
     factor_through_epi,
     factor_through_legs,
-    factor_through_mono,
+    image_subgroup,
     is_injective,
     is_surjective,
+    kernel_subgroup,
     subgroup,
+    subgroup_equal,
+    subgroup_intersection,
+    subgroup_preimage,
 )
 from .pog import (
     POGMorphism,
+    classify,
     cone_map_surjective,
     cone_preservation,
+    cone_square_is_pullback,
     compose_pog,
     is_normal_epi,
+    is_short_exact,
+    pog_cokernel,
+    pog_kernel,
+)
+from .torsion import (
+    is_z_trivial,
+    pretorsion_sequence,
+    reflect_F,
+    torsion_sequence,
 )
 
 DEFAULT_TEST_BOUND = 2
@@ -71,26 +88,31 @@ def enumerate_cones(G):
     return cones
 
 
-@lru_cache(maxsize=None)
 def enumerate_pog_morphisms(P, Q, bound=DEFAULT_TEST_BOUND):
     """All order-preserving morphisms P -> Q.
 
-    Complete between finite objects; bound-complete (matrix entries in
-    [-bound, bound]) between fgab objects.
+    Complete between finite objects, whatever the bound; bound-complete
+    (matrix entries in [-bound, bound]) between fgab objects.  The lists
+    are cached once per finite pair and once per fgab pair and bound.
     """
-    if P.group.backend == "finite" and Q.group.backend == "finite":
+    finite = P.group.backend == "finite" and Q.group.backend == "finite"
+    return _pog_morphisms(P, Q, None if finite else bound)
+
+
+@lru_cache(maxsize=None)
+def _pog_morphisms(P, Q, bound):
+    if bound is None:
         homs = enumerate_group_homs(P.group, Q.group)
     elif P.group.backend == "fgab" and Q.group.backend == "fgab":
         homs = enumerate_homs_bounded(P.group, Q.group, bound)
     else:
-        from .errors import BackendMismatch
         raise BackendMismatch("morphism enumeration needs matching backends")
-    out = []
-    for h in homs:
-        ok, _, cert = cone_preservation(h, P.cone, Q.cone)
-        if ok:
-            out.append(POGMorphism(P, Q, h, cert))
-    return tuple(out)
+    found = (_certified(h, P, Q) for h in homs)
+    return tuple(m for m in found if m is not None)
+
+
+enumerate_pog_morphisms.cache_info = _pog_morphisms.cache_info
+enumerate_pog_morphisms.cache_clear = _pog_morphisms.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +151,33 @@ def verify_universal_property(query):
       ZPrecokernel:           (f, candidate, arrow c)
       ReflectionUnit:         (unit arrow, target flag)
       CoreflectionCounit:     (counit arrow, source flag)
+
+    Each kind has one of three shapes: test arrows factor into a mono, out
+    of an epi, or into a pair of jointly monic legs.  Only then is a found
+    mediating map a hom and the only one, so any other candidate is
+    refused before a test arrow, as are those the kind's preconditions fail.
     """
-    kind = query.kind
-    handler = _HANDLERS.get(kind)
-    if handler is None:
-        raise ValueError(f"unknown universal property kind {kind!r}")
-    return handler(query)
-
-
-def _report(kind, ok, tested, bound, why=""):
-    return VerificationReport(ok, kind, tested, bound, why)
+    kind = _KINDS.get(query.kind)
+    if kind is None:
+        raise ValueError(f"unknown universal property kind {query.kind!r}")
+    shape, data = kind.shape, query.data
+    legs = data[kind.legs]
+    sound = shape.sound(legs)
+    why = kind.preconditions(sound, *data) or (None if sound else shape.unsound)
+    if why:
+        return VerificationReport(False, query.kind, 0, query.bound, why)
+    tested = 0
+    for X in query.test_objects:
+        if not kind.admits_object(X, *data):
+            continue
+        for test in shape.tests(legs, X, query.bound):
+            if not kind.admits(test, *data):
+                continue
+            tested += 1
+            if shape.mediate(legs, test, X) is None:
+                return VerificationReport(False, query.kind, tested, query.bound,
+                                          kind.failure.format(X.describe()))
+    return VerificationReport(True, query.kind, tested, query.bound)
 
 
 def _arrows(X, A, bound):
@@ -149,9 +188,9 @@ def _arrows(X, A, bound):
 
 
 def _composite(g, f):
-    """The group hom of g after f.  The handlers that only test a
-    composite (zero, or equal to another) skip the cone certificate
-    ``compose_pog`` would derive for it."""
+    """The group hom of g after f.  The kinds that only test a composite
+    (zero, or equal to another) skip the cone certificate ``compose_pog``
+    would derive for it."""
     if f.cod != g.dom:
         raise ValueError("morphisms do not compose")
     return compose(g.hom, f.hom)
@@ -166,217 +205,205 @@ def _certified(w_hom, dom, cod):
     return POGMorphism(dom, cod, w_hom, cert) if ok else None
 
 
-def _mediate_into(candidate_arrow, alpha, X):
-    """Mediating morphism for limit-style properties, as a POGMorphism."""
-    return _certified(factor_through_mono(candidate_arrow.hom, alpha.hom),
-                      X, candidate_arrow.dom)
+# The shapes.  A candidate is a tuple of legs: the one arrow of a mono or
+# an epi, the two arrows of a pair.  A test into it is one arrow X -> cod
+# per leg, a test out of it one arrow dom -> X.
+
+def _jointly_monic(legs):
+    """Legs with trivially intersecting kernels, along which
+    ``factor_through_legs`` finds a hom; one such leg is a mono."""
+    kernels = [kernel_subgroup(leg.hom) for leg in legs]
+    return reduce(subgroup_intersection, kernels).is_trivial()
 
 
-def _mediate_out_of(candidate_arrow, alpha):
-    return _certified(factor_through_epi(candidate_arrow.hom, alpha.hom),
-                      candidate_arrow.cod, alpha.cod)
+def _tests_into(legs, X, bound):
+    return product(*[_arrows(X, leg.cod, bound) for leg in legs])
 
 
-def _mediate_pair(P, p1, p2, u1, u2, X):
-    return _certified(factor_through_legs([p1.hom, p2.hom], [u1.hom, u2.hom]),
-                      X, P)
+def _mediate_into(legs, test, X):
+    return _certified(factor_through_legs([leg.hom for leg in legs],
+                                          [t.hom for t in test]),
+                      X, legs[0].dom)
 
 
-def _verify_kernel(query):
-    m, K, inj = query.data
-    if not is_injective(inj.hom):
-        return _report("Kernel", False, 0, query.bound, "candidate is not monic")
+def _epic(legs):
+    """An onto leg; ``factor_through_epi`` finds a hom along it."""
+    return is_surjective(legs[0].hom)
+
+
+def _tests_out_of(legs, X, bound):
+    return _arrows(legs[0].dom, X, bound)
+
+
+def _mediate_out_of(legs, alpha, X):
+    return _certified(factor_through_epi(legs[0].hom, alpha.hom),
+                      legs[0].cod, X)
+
+
+class _Shape(NamedTuple):
+    sound: object      # legs -> whether a found mediating map is a unique hom
+    unsound: str       # the refusal when it is not
+    tests: object      # (legs, X, bound) -> test arrows between X and legs
+    mediate: object    # (legs, test, X) -> mediating morphism, or None
+
+
+_INTO_MONO = _Shape(_jointly_monic, "candidate not monic",
+                    _tests_into, _mediate_into)
+_INTO_LEGS = _Shape(_jointly_monic, "legs not jointly monic",
+                    _tests_into, _mediate_into)
+_OUT_OF_EPI = _Shape(_epic, "candidate not epic",
+                     _tests_out_of, _mediate_out_of)
+
+
+# The kinds.  A kind's preconditions see the shape's verdict, so that a
+# kind that checked the candidate's mono or epi before keeps its order and
+# its words; the shape refuses an unsound candidate the kind let pass.
+
+def _every(_, *data):
+    return True
+
+
+def _kernel_preconditions(monic, m, K, inj):
+    if not monic:
+        return "candidate is not monic"
     if not _composite(m, inj).is_zero():
-        return _report("Kernel", False, 0, query.bound,
-                       "candidate does not compose to zero")
-    tested = 0
-    for X in query.test_objects:
-        for alpha in _arrows(X, m.dom, query.bound):
-            if not _composite(m, alpha).is_zero():
-                continue
-            tested += 1
-            if _mediate_into(inj, alpha, X) is None:
-                return _report("Kernel", False, tested, query.bound,
-                               f"no mediating map for a test arrow from {X.describe()}")
-    return _report("Kernel", True, tested, query.bound)
+        return "candidate does not compose to zero"
+    return None
 
 
-def _verify_equalizer(query):
-    m1, m2, E, inj = query.data
-    tested = 0
+def _kernel_admits(test, m, K, inj):
+    return _composite(m, test[0]).is_zero()
+
+
+def _equalizer_preconditions(monic, m1, m2, E, inj):
     if _composite(m1, inj).images != _composite(m2, inj).images:
-        return _report("Equalizer", False, 0, query.bound,
-                       "candidate does not equalize")
-    if not is_injective(inj.hom):
-        return _report("Equalizer", False, 0, query.bound, "candidate not monic")
-    for X in query.test_objects:
-        for alpha in _arrows(X, m1.dom, query.bound):
-            if _composite(m1, alpha).images != _composite(m2, alpha).images:
-                continue
-            tested += 1
-            if _mediate_into(inj, alpha, X) is None:
-                return _report("Equalizer", False, tested, query.bound,
-                               "no mediating map")
-    return _report("Equalizer", True, tested, query.bound)
+        return "candidate does not equalize"
+    if not monic:
+        return "candidate not monic"
+    return None
 
 
-def _verify_cokernel(query):
-    m, Q, proj = query.data
-    if not is_surjective(proj.hom):
-        return _report("Cokernel", False, 0, query.bound, "candidate not epic")
-    if not _composite(proj, m).is_zero():
-        return _report("Cokernel", False, 0, query.bound,
-                       "candidate does not kill the image")
-    surj, _ = cone_map_surjective(proj)
-    if not surj:
-        return _report("Cokernel", False, 0, query.bound,
-                       "candidate cone map is not surjective")
-    tested = 0
-    for X in query.test_objects:
-        for alpha in _arrows(m.cod, X, query.bound):
-            if not _composite(alpha, m).is_zero():
-                continue
-            tested += 1
-            if _mediate_out_of(proj, alpha) is None:
-                return _report("Cokernel", False, tested, query.bound,
-                               f"no mediating map to {X.describe()}")
-    return _report("Cokernel", True, tested, query.bound)
+def _equalizer_admits(test, m1, m2, E, inj):
+    return _composite(m1, test[0]).images == _composite(m2, test[0]).images
 
 
-def _verify_coequalizer(query):
-    m1, m2, Q, proj = query.data
-    if not is_surjective(proj.hom):
-        return _report("Coequalizer", False, 0, query.bound, "candidate not epic")
-    if _composite(proj, m1).images != _composite(proj, m2).images:
-        return _report("Coequalizer", False, 0, query.bound,
-                       "candidate does not coequalize")
-    tested = 0
-    for X in query.test_objects:
-        for alpha in _arrows(m1.cod, X, query.bound):
-            if _composite(alpha, m1).images != _composite(alpha, m2).images:
-                continue
-            tested += 1
-            if _mediate_out_of(proj, alpha) is None:
-                return _report("Coequalizer", False, tested, query.bound,
-                               "no mediating map")
-    return _report("Coequalizer", True, tested, query.bound)
-
-
-def _verify_product(query):
-    A, B, P, p1, p2 = query.data
-    tested = 0
-    for X in query.test_objects:
-        arrows1 = _arrows(X, A, query.bound)
-        arrows2 = _arrows(X, B, query.bound)
-        for u1 in arrows1:
-            for u2 in arrows2:
-                tested += 1
-                w = _mediate_pair(P, p1, p2, u1, u2, X)
-                if w is None:
-                    return _report("Product", False, tested, query.bound,
-                                   "no mediating map into the product")
-    return _report("Product", True, tested, query.bound)
-
-
-def _verify_pullback(query):
-    f, g, P, p1, p2 = query.data
-    tested = 0
-    for X in query.test_objects:
-        arrows1 = _arrows(X, f.dom, query.bound)
-        arrows2 = _arrows(X, g.dom, query.bound)
-        for u1 in arrows1:
-            comp1 = _composite(f, u1).images
-            for u2 in arrows2:
-                if comp1 != _composite(g, u2).images:
-                    continue
-                tested += 1
-                if _mediate_pair(P, p1, p2, u1, u2, X) is None:
-                    return _report("Pullback", False, tested, query.bound,
-                                   "no mediating map into the pullback")
-    return _report("Pullback", True, tested, query.bound)
-
-
-def _verify_z_prekernel(query):
-    from .torsion import is_z_trivial
-    f, K, k = query.data
-    if not is_injective(k.hom):
-        return _report("ZPrekernel", False, 0, query.bound, "candidate not monic")
+def _z_prekernel_preconditions(monic, f, K, k):
+    if not monic:
+        return "candidate not monic"
     if not is_z_trivial(compose_pog(f, k)):
-        return _report("ZPrekernel", False, 0, query.bound,
-                       "composite is not trivial")
-    tested = 0
-    for X in query.test_objects:
-        for alpha in _arrows(X, f.dom, query.bound):
-            if not is_z_trivial(compose_pog(f, alpha)):
-                continue
-            tested += 1
-            if _mediate_into(k, alpha, X) is None:
-                return _report("ZPrekernel", False, tested, query.bound,
-                               "no mediating map")
-    return _report("ZPrekernel", True, tested, query.bound)
+        return "composite is not trivial"
+    return None
 
 
-def _verify_z_precokernel(query):
-    from .torsion import is_z_trivial
-    f, C, c = query.data
-    if not is_surjective(c.hom):
-        return _report("ZPrecokernel", False, 0, query.bound, "candidate not epic")
+def _z_prekernel_admits(test, f, K, k):
+    return is_z_trivial(compose_pog(f, test[0]))
+
+
+def _cokernel_preconditions(epic, m, Q, proj):
+    if not epic:
+        return "candidate not epic"
+    if not _composite(proj, m).is_zero():
+        return "candidate does not kill the image"
+    if not cone_map_surjective(proj)[0]:
+        return "candidate cone map is not surjective"
+    return None
+
+
+def _cokernel_admits(alpha, m, Q, proj):
+    return _composite(alpha, m).is_zero()
+
+
+def _coequalizer_preconditions(epic, m1, m2, Q, proj):
+    if not epic:
+        return "candidate not epic"
+    if _composite(proj, m1).images != _composite(proj, m2).images:
+        return "candidate does not coequalize"
+    return None
+
+
+def _coequalizer_admits(alpha, m1, m2, Q, proj):
+    return _composite(alpha, m1).images == _composite(alpha, m2).images
+
+
+def _z_precokernel_preconditions(epic, f, C, c):
+    if not epic:
+        return "candidate not epic"
     if not is_z_trivial(compose_pog(c, f)):
-        return _report("ZPrecokernel", False, 0, query.bound,
-                       "composite is not trivial")
-    tested = 0
-    for X in query.test_objects:
-        for alpha in _arrows(f.cod, X, query.bound):
-            if not is_z_trivial(compose_pog(alpha, f)):
-                continue
-            tested += 1
-            if _mediate_out_of(c, alpha) is None:
-                return _report("ZPrecokernel", False, tested, query.bound,
-                               "no mediating map")
-    return _report("ZPrecokernel", True, tested, query.bound)
+        return "composite is not trivial"
+    return None
 
 
-def _verify_reflection_unit(query):
-    from .pog import classify
-    unit, target_flag = query.data
-    tested = 0
-    for X in query.test_objects:
-        if target_flag not in classify(X):
-            continue
-        for m in _arrows(unit.dom, X, query.bound):
-            tested += 1
-            if _mediate_out_of(unit, m) is None:
-                return _report("ReflectionUnit", False, tested, query.bound,
-                               f"no factorization through the unit to {X.describe()}")
-    return _report("ReflectionUnit", True, tested, query.bound)
+def _z_precokernel_admits(alpha, f, C, c):
+    return is_z_trivial(compose_pog(alpha, f))
 
 
-def _verify_coreflection_counit(query):
-    from .pog import classify
-    counit, source_flag = query.data
-    tested = 0
-    for X in query.test_objects:
-        if source_flag not in classify(X):
-            continue
-        for m in _arrows(X, counit.cod, query.bound):
-            tested += 1
-            if _mediate_into(counit, m, X) is None:
-                return _report("CoreflectionCounit", False, tested, query.bound,
-                               f"no corestriction from {X.describe()}")
-    return _report("CoreflectionCounit", True, tested, query.bound)
+def _product_preconditions(jointly_monic, A, B, P, p1, p2):
+    if (p1.cod, p2.cod) != (A, B):
+        return "legs do not reach the factors"
+    return None
 
 
-_HANDLERS = {
-    "Kernel": _verify_kernel,
-    "Equalizer": _verify_equalizer,
-    "Cokernel": _verify_cokernel,
-    "Coequalizer": _verify_coequalizer,
-    "Product": _verify_product,
-    "Pullback": _verify_pullback,
-    "ZPrekernel": _verify_z_prekernel,
-    "ZPrecokernel": _verify_z_precokernel,
-    "ReflectionUnit": _verify_reflection_unit,
-    "CoreflectionCounit": _verify_coreflection_counit,
+def _pullback_preconditions(jointly_monic, f, g, P, p1, p2):
+    if _composite(f, p1).images != _composite(g, p2).images:
+        return "candidate square does not commute"
+    return None
+
+
+def _pullback_admits(test, f, g, P, p1, p2):
+    return _composite(f, test[0]).images == _composite(g, test[1]).images
+
+
+def _reflection_preconditions(epic, unit, flag):
+    if flag not in classify(unit.cod):
+        return f"unit codomain is not {flag}"
+    return None
+
+
+def _coreflection_preconditions(monic, counit, flag):
+    if flag not in classify(counit.dom):
+        return f"counit domain is not {flag}"
+    return None
+
+
+def _flagged(X, arrow, flag):
+    return flag in classify(X)
+
+
+class _Kind(NamedTuple):
+    shape: _Shape
+    legs: slice               # where the candidate's legs sit in query.data
+    preconditions: object     # (sound, *data) -> reason, or None
+    failure: str              # for a test arrow without mediating map; {} is X
+    admits: object = _every   # (test, *data) -> whether the test arrow counts
+    admits_object: object = _every  # (X, *data) -> whether X gives test arrows
+
+
+_FIRST, _LAST, _LAST_TWO = slice(0, 1), slice(-1, None), slice(-2, None)
+
+_KINDS = {
+    "Kernel": _Kind(_INTO_MONO, _LAST, _kernel_preconditions,
+                    "no mediating map for a test arrow from {}",
+                    _kernel_admits),
+    "Equalizer": _Kind(_INTO_MONO, _LAST, _equalizer_preconditions,
+                       "no mediating map", _equalizer_admits),
+    "ZPrekernel": _Kind(_INTO_MONO, _LAST, _z_prekernel_preconditions,
+                        "no mediating map", _z_prekernel_admits),
+    "CoreflectionCounit": _Kind(_INTO_MONO, _FIRST, _coreflection_preconditions,
+                                "no corestriction from {}",
+                                admits_object=_flagged),
+    "Cokernel": _Kind(_OUT_OF_EPI, _LAST, _cokernel_preconditions,
+                      "no mediating map to {}", _cokernel_admits),
+    "Coequalizer": _Kind(_OUT_OF_EPI, _LAST, _coequalizer_preconditions,
+                         "no mediating map", _coequalizer_admits),
+    "ZPrecokernel": _Kind(_OUT_OF_EPI, _LAST, _z_precokernel_preconditions,
+                          "no mediating map", _z_precokernel_admits),
+    "ReflectionUnit": _Kind(_OUT_OF_EPI, _FIRST, _reflection_preconditions,
+                            "no factorization through the unit to {}",
+                            admits_object=_flagged),
+    "Product": _Kind(_INTO_LEGS, _LAST_TWO, _product_preconditions,
+                     "no mediating map into the product"),
+    "Pullback": _Kind(_INTO_LEGS, _LAST_TWO, _pullback_preconditions,
+                      "no mediating map into the pullback", _pullback_admits),
 }
 
 
@@ -397,110 +424,96 @@ def _all_corpus_morphisms(order_bound):
                 yield f"{pname} -> {qname}", m
 
 
-def _law_mono_iff_trivial_kernel(order_bound):
-    from .groups import kernel_subgroup
+def _first_failing_morphism(check, order_bound):
+    """The search of a per-morphism law: the witness ``check(desc, m)``
+    gives for the first corpus morphism m that breaks it, or None."""
     for desc, m in _all_corpus_morphisms(order_bound):
-        mono = is_injective(m.hom)
-        trivial = kernel_subgroup(m.hom).is_trivial()
-        if mono != trivial:
-            return f"{desc}: mono={mono} but trivial kernel={trivial}"
+        witness = check(desc, m)
+        if witness:
+            return witness
     return None
 
 
-def _law_mono_pullback_square(order_bound):
+def _mono_iff_trivial_kernel(desc, m):
+    mono = is_injective(m.hom)
+    trivial = kernel_subgroup(m.hom).is_trivial()
+    if mono != trivial:
+        return f"{desc}: mono={mono} but trivial kernel={trivial}"
+    return None
+
+
+def _mono_pullback_square(desc, m):
     """Right map mono iff the left square of a morphism of torsion
     sequences is a pullback."""
-    from .torsion import reflect_F
-    from .groups import subgroup_equal, subgroup_preimage
-    from .cones import units as cone_units
-    for desc, m in _all_corpus_morphisms(order_bound):
-        Fm = reflect_F(m)
-        mono = is_injective(Fm.hom)
-        # left square over the group level is a pullback iff the units of
-        # the domain are the full preimage of the units of the codomain
-        pb = subgroup_equal(subgroup_preimage(m.hom, cone_units(m.cod.cone)),
-                            cone_units(m.dom.cone))
-        if mono != pb:
-            return f"{desc}: F(m) mono={mono} but left square pullback={pb}"
+    mono = is_injective(reflect_F(m).hom)
+    # left square over the group level is a pullback iff the units of
+    # the domain are the full preimage of the units of the codomain
+    pb = subgroup_equal(subgroup_preimage(m.hom, units(m.cod.cone)),
+                        units(m.dom.cone))
+    if mono != pb:
+        return f"{desc}: F(m) mono={mono} but left square pullback={pb}"
     return None
 
 
-def _law_kernel_characterization(order_bound):
-    from .pog import pog_kernel, cone_square_is_pullback
-    from .groups import kernel_subgroup, image_subgroup, subgroup_equal
-    for desc, m in _all_corpus_morphisms(order_bound):
-        K, inj = pog_kernel(m)
-        if not subgroup_equal(image_subgroup(inj.hom), kernel_subgroup(m.hom)):
-            return f"{desc}: kernel image mismatch"
-        pb, _ = cone_square_is_pullback(inj.hom, K.cone, m.dom.cone)
-        if not pb:
-            return f"{desc}: kernel cone square is not a pullback"
+def _kernel_characterization(desc, m):
+    K, inj = pog_kernel(m)
+    if not subgroup_equal(image_subgroup(inj.hom), kernel_subgroup(m.hom)):
+        return f"{desc}: kernel image mismatch"
+    pb, _ = cone_square_is_pullback(inj.hom, K.cone, m.dom.cone)
+    if not pb:
+        return f"{desc}: kernel cone square is not a pullback"
     return None
 
 
-def _law_cokernel_characterization(order_bound):
-    from .pog import pog_cokernel
-    from .errors import ImageNotNormal
-    for desc, m in _all_corpus_morphisms(order_bound):
-        try:
-            Q, proj = pog_cokernel(m)
-        except ImageNotNormal:
-            continue
-        if not is_normal_epi(proj)[0]:
-            return f"{desc}: cokernel projection is not a normal epi"
+def _cokernel_characterization(desc, m):
+    try:
+        Q, proj = pog_cokernel(m)
+    except ImageNotNormal:
+        return None
+    if not is_normal_epi(proj)[0]:
+        return f"{desc}: cokernel projection is not a normal epi"
     return None
 
 
-def _law_short_exact_characterization(order_bound):
-    from .pog import pog_kernel, pog_cokernel, is_short_exact
-    from .errors import ImageNotNormal
-    for desc, m in _all_corpus_morphisms(order_bound):
-        K, inj = pog_kernel(m)
-        try:
-            Q, proj = pog_cokernel(inj)
-        except ImageNotNormal:
-            continue
-        cert = is_short_exact(inj, proj)
-        if not cert.holds:
-            return f"{desc}: kernel/cokernel pair is not short exact: {cert.reasons}"
+def _short_exact_characterization(desc, m):
+    K, inj = pog_kernel(m)
+    try:
+        Q, proj = pog_cokernel(inj)
+    except ImageNotNormal:
+        return None
+    cert = is_short_exact(inj, proj)
+    if not cert.holds:
+        return f"{desc}: kernel/cokernel pair is not short exact: {cert.reasons}"
     return None
 
 
-def _law_eprime_subset_e(order_bound):
-    from .factor import in_class
-    for desc, m in _all_corpus_morphisms(order_bound):
-        if in_class(m, "Eprime").holds and not in_class(m, "E").holds:
-            return f"{desc}: in Eprime but not in E"
+def _eprime_subset_e(desc, m):
+    if in_class(m, "Eprime").holds and not in_class(m, "E").holds:
+        return f"{desc}: in Eprime but not in E"
     return None
 
 
-def _law_m_subset_mstar(order_bound):
-    from .factor import in_class
-    for desc, m in _all_corpus_morphisms(order_bound):
-        if in_class(m, "M").holds and not in_class(m, "Mstar").holds:
-            return f"{desc}: in M but not in Mstar"
+def _m_subset_mstar(desc, m):
+    if in_class(m, "M").holds and not in_class(m, "Mstar").holds:
+        return f"{desc}: in M but not in Mstar"
     return None
 
 
-def _law_hom_total_to_reduced_zero(order_bound):
-    from .pog import classify
-    from .torsion import hom_torsion_to_free_is_zero
-    objs = _finite_objects(order_bound)
-    for pname, P in objs:
-        if "total" not in classify(P):
-            continue
-        for qname, Q in objs:
-            if "partially_ordered" not in classify(Q):
-                continue
-            rep = hom_torsion_to_free_is_zero(P, Q)
-            if not rep.holds:
-                return f"{pname} -> {qname}: nonzero morphism {rep.witness}"
+def _hom_total_to_reduced_zero(desc, m):
+    if ("total" in classify(m.dom) and "partially_ordered" in classify(m.cod)
+            and not m.is_zero()):
+        return f"{desc}: nonzero morphism {m.hom}"
+    return None
+
+
+def _every_morphism_is_covering(desc, m):
+    """Deliberately false; the search must produce a witness."""
+    if not is_covering(m):
+        return f"{desc} is not a covering (kernel has nontrivial units)"
     return None
 
 
 def _law_torsion_sequence(order_bound):
-    from .pog import classify
-    from .torsion import torsion_sequence
     for pname, P in _finite_objects(order_bound):
         dec = torsion_sequence(P)
         if not dec.certificate.holds:
@@ -513,8 +526,6 @@ def _law_torsion_sequence(order_bound):
 
 
 def _law_stable_units(order_bound):
-    from .factor import check_stable_units_instance
-    from .torsion import torsion_sequence
     objs = _finite_objects(order_bound)
     for bname, B in objs:
         FB = torsion_sequence(B).free_part
@@ -526,57 +537,44 @@ def _law_stable_units(order_bound):
     return None
 
 
-def _law_prekernel_clause(order_bound):
-    from .torsion import pretorsion_sequence
+def _law_pretorsion_clause(clause, order_bound):
+    """The Z-prekernel or the Z-precokernel clause of every pretorsion
+    sequence."""
     objs = _finite_objects(order_bound)
     test = tuple(P for _, P in objs)
     for pname, P in objs:
         dec = pretorsion_sequence(P)
-        q = UniversalPropertyQuery("ZPrekernel", (dec.unit, dec.torsion_part,
-                                                  dec.counit), test)
+        if clause == "prekernel":
+            q = UniversalPropertyQuery("ZPrekernel", (dec.unit, dec.torsion_part,
+                                                      dec.counit), test)
+        else:
+            q = UniversalPropertyQuery("ZPrecokernel", (dec.counit, dec.free_part,
+                                                        dec.unit), test)
         rep = verify_universal_property(q)
         if not rep.holds:
-            return f"{pname}: prekernel clause fails: {rep.counterexample}"
+            return f"{pname}: {clause} clause fails: {rep.counterexample}"
     return None
 
 
-def _law_precokernel_clause(order_bound):
-    from .torsion import pretorsion_sequence
-    objs = _finite_objects(order_bound)
-    test = tuple(P for _, P in objs)
-    for pname, P in objs:
-        dec = pretorsion_sequence(P)
-        q = UniversalPropertyQuery("ZPrecokernel", (dec.counit, dec.free_part,
-                                                    dec.unit), test)
-        rep = verify_universal_property(q)
-        if not rep.holds:
-            return f"{pname}: precokernel clause fails: {rep.counterexample}"
-    return None
-
-
-def _law_every_morphism_is_covering(order_bound):
-    """Deliberately false; the search must produce a witness."""
-    from .descent import is_covering
-    for desc, m in _all_corpus_morphisms(order_bound):
-        if not is_covering(m):
-            return f"{desc} is not a covering (kernel has nontrivial units)"
-    return None
-
+_MORPHISM_LAWS = {
+    "mono_iff_trivial_kernel": _mono_iff_trivial_kernel,
+    "mono_pullback_square": _mono_pullback_square,
+    "kernel_characterization": _kernel_characterization,
+    "cokernel_characterization": _cokernel_characterization,
+    "short_exact_characterization": _short_exact_characterization,
+    "eprime_subset_e": _eprime_subset_e,
+    "m_subset_mstar": _m_subset_mstar,
+    "hom_total_to_reduced_zero": _hom_total_to_reduced_zero,
+    "every_morphism_is_covering": _every_morphism_is_covering,
+}
 
 LAW_REGISTRY = {
-    "mono_iff_trivial_kernel": _law_mono_iff_trivial_kernel,
-    "mono_pullback_square": _law_mono_pullback_square,
-    "kernel_characterization": _law_kernel_characterization,
-    "cokernel_characterization": _law_cokernel_characterization,
-    "short_exact_characterization": _law_short_exact_characterization,
-    "eprime_subset_e": _law_eprime_subset_e,
-    "m_subset_mstar": _law_m_subset_mstar,
-    "hom_total_to_reduced_zero": _law_hom_total_to_reduced_zero,
+    **{law: partial(_first_failing_morphism, check)
+       for law, check in _MORPHISM_LAWS.items()},
     "torsion_sequence": _law_torsion_sequence,
     "stable_units": _law_stable_units,
-    "prekernel_clause": _law_prekernel_clause,
-    "precokernel_clause": _law_precokernel_clause,
-    "every_morphism_is_covering": _law_every_morphism_is_covering,
+    "prekernel_clause": partial(_law_pretorsion_clause, "prekernel"),
+    "precokernel_clause": partial(_law_pretorsion_clause, "precokernel"),
 }
 
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 
 from .cones import (
     WINDOW,
-    cone_contains,
     cone_window,
     explicit_cone,
     extract_generators,
@@ -34,7 +33,6 @@ from .cones import (
 from .errors import NotComparable
 from .groups import (
     compose,
-    enumerate_group_homs,
     factor_through_epi,
     factor_through_mono,
     identity_hom,
@@ -153,12 +151,9 @@ def hom_torsion_to_free_is_zero(src, dst, bound=DEFAULT_HOM_BOUND):
         raise ValueError("target must be partially ordered")
     G, H = src.group, dst.group
     if G.backend == "finite" and H.backend == "finite":
-        found = []
-        for h in enumerate_group_homs(G, H):
-            if all(cone_contains(dst.cone, h(x)) for x in G.elements()):
-                found.append(h)
-        nonzero = [h for h in found
-                   if any(not img.is_zero() for img in h.images)]
+        from .oracle import enumerate_pog_morphisms
+        found = enumerate_pog_morphisms(src, dst)
+        nonzero = [m.hom for m in found if not m.is_zero()]
         return ZeroHomReport(not nonzero, len(found),
                              witness=nonzero[0] if nonzero else None)
     Ndst = units(dst.cone)

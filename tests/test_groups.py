@@ -17,7 +17,11 @@ from preordgrp.errors import (
     NotAGroup,
     NotNormal,
 )
-from preordgrp.corpus import klein_four_group, symmetric_group_3
+from preordgrp.corpus import (
+    finite_corpus_groups,
+    klein_four_group,
+    symmetric_group_3,
+)
 from preordgrp.groups import (
     FiniteGroup,
     compose,
@@ -517,6 +521,61 @@ class TestHomEnumeration:
             enumerate_homs_bounded(Z2, Z2, 10)
         assert exc.value.bound == 10 and "194481 homs" in str(exc.value)
         assert len(enumerate_homs_bounded(Z2, Z2, 8)) == 17 ** 4
+
+
+def _obeys_full_law(G, images):
+    """Reference: h(a + b) = h(a) + h(b) on every pair of elements."""
+    h = dict(zip(G.elements(), images))
+    return all(h[a + b] == h[a] + h[b]
+               for a in G.elements() for b in G.elements())
+
+
+def _homs_by_full_law(G, H):
+    """Reference enumeration: generator images in ``itertools.product``
+    order, extended along a breadth-first spanning tree of the Cayley
+    graph, kept iff the full law holds."""
+    gens = G.generators()
+    out = []
+    for combo in itertools.product(H.elements(), repeat=len(gens)):
+        images = {G.zero: H.zero}
+        frontier = [G.zero]
+        while frontier:
+            reached = []
+            for x in frontier:
+                for g, y in zip(gens, combo):
+                    if x + g not in images:
+                        images[x + g] = images[x] + y
+                        reached.append(x + g)
+            frontier = reached
+        images = [images[x] for x in G.elements()]
+        if _obeys_full_law(G, images):
+            out.append(tuple(images))
+    return out
+
+
+class TestCayleyGraphLaw:
+    @pytest.mark.parametrize("dom, cod", [(4, 2), ("V4", "V4"), ("S3", 3),
+                                          ("S3", 2), (1, 2)])
+    def test_make_hom_accepts_exactly_the_full_law(self, dom, cod):
+        G, H = [finite_corpus_groups()[g] if isinstance(g, str)
+                else cyclic_group(g) for g in (dom, cod)]
+        accepted = 0
+        for images in itertools.product(H.elements(), repeat=G.order()):
+            try:
+                make_hom(G, H, images)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == _obeys_full_law(G, images), images
+            accepted += ok
+        assert accepted == len(enumerate_group_homs(G, H))
+
+    def test_enumeration_matches_the_full_law(self):
+        groups = finite_corpus_groups()
+        for gn, G in groups.items():
+            for hn, H in groups.items():
+                got = [h.images for h in enumerate_group_homs(G, H)]
+                assert got == _homs_by_full_law(G, H), (gn, hn)
 
 
 class TestMixedBackendPullback:

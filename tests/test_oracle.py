@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from preordgrp.cones import explicit_cone
+from preordgrp.cones import explicit_cone, trivial_cone
 from preordgrp.corpus import (
     finite_corpus_groups,
     finite_corpus_objects,
@@ -302,6 +302,110 @@ class TestCompositeTests:
         with pytest.raises(ValueError):
             verify_universal_property(UniversalPropertyQuery(
                 "Kernel", (m, m.cod, identity_morphism(m.cod)), _test_objects()))
+
+
+def _z4_mod2(dom_cone, cod_cone):
+    """Z/4 -> Z/2, x -> x mod 2, between the objects with the given cones
+    (member indices)."""
+    G, H = cyclic_group(4), cyclic_group(2)
+    P = make_pog(G, explicit_cone(G, [G.elem(i) for i in dom_cone]))
+    Q = make_pog(H, explicit_cone(H, [H.elem(i) for i in cod_cone]))
+    return make_pog_morphism(
+        make_hom(G, H, [H.elem(i % 2) for i in range(4)]), P, Q)
+
+
+def _assert_refused(kind, data, reason):
+    """The query fails before any test arrow, for the given reason."""
+    rep = verify_universal_property(
+        UniversalPropertyQuery(kind, data, _test_objects()))
+    assert (rep.holds, rep.tested, rep.counterexample) == (False, 0, reason)
+
+
+class TestSoundCandidates:
+    """A mediating map found by exact preimages is a hom, and the only one,
+    when the candidate is mono, epi or has jointly monic legs; any other
+    candidate is refused before a test arrow is tried."""
+
+    def test_pullback_legs_must_be_jointly_monic(self):
+        # (Z/4, mod 2, mod 2) over id of Z/2, all total: Z/2 -> Z/2 does
+        # not factor through Z/4 -> Z/2 by any hom
+        m = _z4_mod2(range(4), [0, 1])
+        one = identity_morphism(m.cod)
+        _assert_refused("Pullback", (one, one, m.dom, m, m),
+                        "legs not jointly monic")
+
+    def test_product_legs_must_be_jointly_monic(self):
+        m = _z4_mod2([0], [0])
+        _assert_refused("Product", (m.cod, m.cod, m.dom, m, m),
+                        "legs not jointly monic")
+
+    def test_coreflection_counit_must_be_monic(self):
+        # the same map as a counit from the total objects
+        m = _z4_mod2(range(4), [0, 1])
+        _assert_refused("CoreflectionCounit", (m, "total"),
+                        "candidate not monic")
+
+    def test_reflection_unit_must_be_epic(self):
+        G, H = cyclic_group(2), cyclic_group(4)
+        incl = make_pog_morphism(
+            make_hom(G, H, [H.elem(0), H.elem(2)]),
+            make_pog(G, explicit_cone(G, [G.zero])),
+            make_pog(H, explicit_cone(H, [H.zero])))
+        _assert_refused("ReflectionUnit", (incl, "partially_ordered"),
+                        "candidate not epic")
+
+
+class TestCandidatesOfTheRightForm:
+    """A candidate whose legs miss the diagram, that is not a pullback
+    square, or whose unit or counit leaves the class, is refused before a
+    test arrow is tried."""
+
+    def test_pullback_square_must_commute(self):
+        # the product of Z/2 with itself over id of Z/2 is not its pullback
+        H = cyclic_group(2)
+        T = make_pog(H, explicit_cone(H, H.elements()))
+        one = identity_morphism(T)
+        lim = pog_product(T, T)
+        _assert_refused("Pullback", (one, one, lim.obj, *lim.legs),
+                        "candidate square does not commute")
+
+    def test_product_legs_must_reach_the_factors(self):
+        # the product of Z/2 with itself offered as that of Z/2 and Z/3
+        objs = finite_corpus_objects_up_to(4)
+        A, B = objs["Z2/cone0"], objs["Z3/cone0"]
+        lim = pog_product(A, A)
+        _assert_refused("Product", (A, B, lim.obj, *lim.legs),
+                        "legs do not reach the factors")
+
+    def test_reflection_unit_must_land_in_the_class(self):
+        # (Z/4, {0, 2}) is not partially ordered, so its identity is not
+        # its reflection
+        one = identity_morphism(_mod2().dom)
+        _assert_refused("ReflectionUnit", (one, "partially_ordered"),
+                        "unit codomain is not partially_ordered")
+
+    def test_coreflection_counit_must_start_in_the_class(self):
+        one = identity_morphism(_mod2().dom)
+        _assert_refused("CoreflectionCounit", (one, "total"),
+                        "counit domain is not total")
+
+
+def test_one_enumeration_per_finite_pair():
+    objs = list(finite_corpus_objects_up_to(4).values())
+    enumerate_pog_morphisms.cache_clear()
+    for P in objs:
+        for Q in objs:
+            assert (enumerate_pog_morphisms(P, Q)
+                    is enumerate_pog_morphisms(P, Q, 2)
+                    is enumerate_pog_morphisms(P, Q, 10))
+    info = enumerate_pog_morphisms.cache_info()
+    assert info.misses == len(objs) ** 2 == 144
+    assert info.hits == 2 * 144
+    # an fgab pair is cached per bound
+    A = make_pog(Z, trivial_cone(Z))
+    assert len(enumerate_pog_morphisms(A, A, 1)) == 3
+    assert len(enumerate_pog_morphisms(A, A, 2)) == 5
+    assert enumerate_pog_morphisms.cache_info().misses == 144 + 2
 
 
 class TestSearch:
