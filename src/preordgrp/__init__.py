@@ -59,7 +59,6 @@ from .groups import (
     identity_hom,
     make_fgab_group,
     make_finite_group,
-    make_group,
     make_hom,
     quotient,
     subgroup,
@@ -87,7 +86,6 @@ from .pog import (
     pog_cokernel,
     pog_equalizer,
     pog_kernel,
-    pog_limit,
     pog_product,
     pog_pullback,
     zero_morphism,

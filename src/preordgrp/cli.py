@@ -436,25 +436,34 @@ def cmd_cokernel(ws, args, opts):
             "projection_normal_epi": is_normal_epi(proj)[0]}, 0
 
 
+def _inputs(ws, kind, names):
+    """The named inputs of a construction, checked to fit it: one morphism
+    for a kernel or cokernel, two objects for a product, two morphisms
+    with a common codomain for a pullback, a parallel pair otherwise."""
+    want = 1 if kind in ("kernel", "cokernel") else 2
+    if len(names) != want:
+        raise errors.ValidationError(
+            f"{kind} needs {want} {'name' if want == 1 else 'names'}, "
+            f"got {len(names)}")
+    if kind == "product":
+        return [_need(ws, "objects", name, "object") for name in names]
+    ms = [_need(ws, "morphisms", name, "morphism") for name in names]
+    if kind == "pullback" and ms[0].cod != ms[1].cod:
+        raise errors.ValidationError("pullback needs a common codomain")
+    if kind in ("equalizer", "coequalizer") and (ms[0].dom != ms[1].dom
+                                                 or ms[0].cod != ms[1].cod):
+        raise errors.ValidationError(f"{kind} needs a parallel pair")
+    return ms
+
+
+_LIMITS = {"product": pog_product, "pullback": pog_pullback,
+           "equalizer": pog_equalizer}
+
+
 def cmd_limit(ws, args, opts):
-    if args.kind == "product":
-        P1 = _need(ws, "objects", args.args[0], "object")
-        P2 = _need(ws, "objects", args.args[1], "object")
-        lim = pog_product(P1, P2)
-    elif args.kind == "pullback":
-        m1 = _need(ws, "morphisms", args.args[0], "morphism")
-        m2 = _need(ws, "morphisms", args.args[1], "morphism")
-        if m1.cod != m2.cod:
-            raise errors.ValidationError("pullback needs a common codomain")
-        lim = pog_pullback(m1, m2)
-    elif args.kind == "equalizer":
-        m1 = _need(ws, "morphisms", args.args[0], "morphism")
-        m2 = _need(ws, "morphisms", args.args[1], "morphism")
-        if m1.dom != m2.dom or m1.cod != m2.cod:
-            raise errors.ValidationError("equalizer needs a parallel pair")
-        lim = pog_equalizer(m1, m2)
-    else:
+    if args.kind not in _LIMITS:
         raise errors.UnknownCommand(f"unknown limit kind {args.kind!r}")
+    lim = _LIMITS[args.kind](*_inputs(ws, args.kind, args.args))
     return {"kind": args.kind, "inputs": list(args.args),
             "limit": object_json(lim.obj)}, 0
 
@@ -530,38 +539,21 @@ def cmd_oracle(ws, args, opts):
     from .oracle import UniversalPropertyQuery, verify_universal_property
     test = tuple(ws.objects[k] for k in sorted(ws.objects))
     kind = args.kind
-    if kind == "kernel":
-        m = _need(ws, "morphisms", args.args[0], "morphism")
-        K, inj = pog_kernel(m)
-        q = UniversalPropertyQuery("Kernel", (m, K, inj), test, opts["hom_bound"])
-    elif kind == "cokernel":
-        m = _need(ws, "morphisms", args.args[0], "morphism")
-        Q, proj = pog_cokernel(m)
-        q = UniversalPropertyQuery("Cokernel", (m, Q, proj), test, opts["hom_bound"])
-    elif kind == "product":
-        P1 = _need(ws, "objects", args.args[0], "object")
-        P2 = _need(ws, "objects", args.args[1], "object")
-        lim = pog_product(P1, P2)
-        q = UniversalPropertyQuery(
-            "Product", (P1, P2, lim.obj, lim.legs[0], lim.legs[1]),
-            test, opts["hom_bound"])
-    elif kind == "pullback":
-        m1 = _need(ws, "morphisms", args.args[0], "morphism")
-        m2 = _need(ws, "morphisms", args.args[1], "morphism")
-        if m1.cod != m2.cod:
-            raise errors.ValidationError("pullback needs a common codomain")
-        lim = pog_pullback(m1, m2)
-        q = UniversalPropertyQuery(
-            "Pullback", (m1, m2, lim.obj, lim.legs[0], lim.legs[1]),
-            test, opts["hom_bound"])
-    elif kind == "coequalizer":
-        m1 = _need(ws, "morphisms", args.args[0], "morphism")
-        m2 = _need(ws, "morphisms", args.args[1], "morphism")
-        Q, proj = pog_coequalizer(m1, m2)
-        q = UniversalPropertyQuery(
-            "Coequalizer", (m1, m2, Q, proj), test, opts["hom_bound"])
-    else:
+    if kind not in ("kernel", "cokernel", "product", "pullback",
+                    "coequalizer"):
         raise errors.UnknownCommand(f"unknown oracle kind {kind!r}")
+    inputs = _inputs(ws, kind, args.args)
+    if kind == "kernel":
+        candidate = pog_kernel(*inputs)
+    elif kind == "cokernel":
+        candidate = pog_cokernel(*inputs)
+    elif kind == "coequalizer":
+        candidate = pog_coequalizer(*inputs)
+    else:
+        lim = _LIMITS[kind](*inputs)
+        candidate = (lim.obj, *lim.legs)
+    q = UniversalPropertyQuery(kind.capitalize(), (*inputs, *candidate),
+                               test, opts["hom_bound"])
     rep = verify_universal_property(q)
     return {"kind": rep.kind, "holds": rep.holds, "tested": rep.tested,
             "bound": rep.bound,

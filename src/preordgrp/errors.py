@@ -73,7 +73,7 @@ class RowsNotSchreier(PreordGrpError):
 
 
 class NotACommutingSquare(PreordGrpError):
-    """Orthogonality query on a square that does not commute."""
+    """Orthogonality or short-five query on a square that does not commute."""
 
 
 class EnumerationUnbounded(PreordGrpError):

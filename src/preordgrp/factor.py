@@ -11,19 +11,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import WINDOW, extract_generators, units
+from .cones import (
+    cone_contains,
+    extract_generators,
+    generated_subgroup,
+    transport_image,
+    transport_product,
+    units,
+)
 from .errors import EnumerationUnbounded, NotACommutingSquare, RowsNotSchreier
 from .groups import (
     _subgroup_lattice,
     compose,
     factor_through_epi,
     factor_through_legs,
+    group_pullback,
     image_subgroup,
     is_isomorphism,
     is_surjective,
     kernel_subgroup,
     quotient,
     subgroup_equal,
+    subgroup_image,
     subgroup_intersection,
     subgroup_preimage,
     subgroup_sum,
@@ -177,7 +186,6 @@ def ml_factor(f):
     ker = kernel_subgroup(f.hom)
     NK = subgroup_intersection(ker, units(f.dom.cone))
     Q, proj = quotient(f.dom.group, NK)
-    from .cones import transport_image
     qcone = transport_image(proj, f.dom.cone)
     mid = PreorderedGroup(Q, qcone)
     e = induced_morphism(proj, f.dom, mid, "quotient projection")
@@ -287,47 +295,55 @@ def check_stable_units_instance(B, g):
 @dataclass(frozen=True)
 class LemmaMReport:
     holds: bool
-    window: int = None         # None when the scan was exhaustive
     detail: str = ""
 
     def __bool__(self):
         return self.holds
 
 
-def lemma_M_instance(row1, row2, a_hom, b_hom, c_hom, width=WINDOW):
+def lemma_M_instance(row1, row2, a_hom, b_hom, c_hom):
     """Pullback conclusion of the short-five square for special Schreier rows.
 
     ``row1 = (cone1, f1)`` and ``row2 = (cone2, f2)`` present the cone-level
-    extensions Ker -> cone -> image; ``a_hom`` must restrict to an
-    isomorphism of the kernel monoids.  The right-hand square is then
-    verified to be a pullback: the comparison x |-> (b(x), f1(x)) must be a
-    bijection onto { (u, v) : f2(u) = c(v) } over the window.
+    extensions Ker -> cone -> image, and the square f2 . b = c . f1 must
+    commute.  On a special Schreier row the kernel monoid C ∩ ker f is
+    (C - C) ∩ ker f, the group units(C) ∩ ker f, so ``a_hom`` restricts to
+    an isomorphism of the kernel monoids iff it maps the first group onto
+    the second with trivial kernel.  The right-hand square is a pullback
+    iff the comparison x |-> (b(x), f1(x)) maps cone1 bijectively onto the
+    pullback cone, decided on generators: the comparison sends cone1's
+    generators into the pullback cone, its kernel meets <cone1> trivially
+    (x - y lies in <cone1> for x, y in cone1), and every generator of the
+    pullback cone is the image of a member of cone1.
     """
     cone1, f1 = row1
     cone2, f2 = row2
-    rep1 = is_special_schreier(cone1, f1)
-    rep2 = is_special_schreier(cone2, f2)
-    if not rep1 or not rep2:
+    if not is_special_schreier(cone1, f1) or not is_special_schreier(cone2, f2):
         raise RowsNotSchreier("a row is not a special Schreier extension")
-    from .cones import cone_window, transport_image
-    ker1 = [x for x in cone_window(cone1, width) if f1(x).is_zero()]
-    ker2 = [x for x in cone_window(cone2, width) if f2(x).is_zero()]
-    mapped = sorted(a_hom(x).coords for x in ker1)
-    if mapped != sorted(x.coords for x in ker2):
+    K1, K2 = (subgroup_intersection(units(cone), kernel_subgroup(f))
+              for cone, f in (row1, row2))
+    if not (subgroup_equal(subgroup_image(a_hom, K1), K2)
+            and subgroup_intersection(kernel_subgroup(a_hom), K1).is_trivial()):
         raise ValueError("a is not an isomorphism of the kernel monoids")
-    finite = cone1.group.backend == "finite" and cone2.group.backend == "finite"
-    window = None if finite else width
-    comparison = set()
-    for x in cone_window(cone1, width):
-        key = (b_hom(x).coords, f1(x).coords)
-        if key in comparison:
-            return LemmaMReport(False, window, "comparison is not injective")
-        comparison.add(key)
-    coneB1 = transport_image(f1, cone1)
-    for u in cone_window(cone2, width):
-        fu = f2(u)
-        for v in cone_window(coneB1, width):
-            if c_hom(v) == fu and (u.coords, v.coords) not in comparison:
-                return LemmaMReport(False, window,
-                                    f"pair ({u}, {v}) has no preimage")
-    return LemmaMReport(True, window)
+    if compose(f2, b_hom).images != compose(c_hom, f1).images:
+        raise NotACommutingSquare("f2.b differs from c.f1")
+    P, p1, p2 = group_pullback(f2, c_hom)
+    comparison = factor_through_legs([p1, p2], [b_hom, f1])
+    pullback_cone = transport_product(cone2, transport_image(f1, cone1),
+                                      P, p1, p2)
+    for x in extract_generators(cone1):
+        if not cone_contains(pullback_cone, comparison(x)):
+            return LemmaMReport(False, f"b is not order preserving at {x}")
+    meet = subgroup_intersection(kernel_subgroup(comparison),
+                                 generated_subgroup(cone1))
+    if not meet.is_trivial():
+        return LemmaMReport(False, "comparison is not injective")
+    targets = extract_generators(pullback_cone)
+    if targets is None:
+        raise EnumerationUnbounded("pullback cone past its Hilbert-basis cap")
+    image = transport_image(comparison, cone1)
+    for y in targets:
+        if not cone_contains(image, y):
+            return LemmaMReport(False,
+                                f"pair ({p1(y)}, {p2(y)}) has no preimage")
+    return LemmaMReport(True)

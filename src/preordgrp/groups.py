@@ -407,20 +407,6 @@ def make_fgab_group(rank, torsion):
     return FgAbGroup(rank, tuple(invariant_factors_of_diagonal(list(torsion))))
 
 
-def make_group(kind, **data):
-    """Group of either backend from keyword data.
-
-    ``kind='finite'`` wants ``elements`` and ``table``; ``kind='fgab'``
-    wants ``rank`` and ``torsion``.  The JSON loader does not use it: it
-    calls ``make_finite_group`` and ``fgab_presentation`` itself.
-    """
-    if kind == "finite":
-        return make_finite_group(data["elements"], data["table"])
-    if kind == "fgab":
-        return make_fgab_group(data["rank"], data.get("torsion", []))
-    raise NotAGroup(f"unknown backend {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 # ---------------------------------------------------------------------------
@@ -559,12 +545,6 @@ def inverse_hom(h):
     return factor_through_mono(h, identity_hom(h.cod))
 
 
-def preimage_element(h, y):
-    """Some x with h(x) = y, or None."""
-    xs = _preimage_lookup([h])([[y]])
-    return None if xs is None else xs[0]
-
-
 def _preimage_lookup(legs):
     """Exact preimages along homs out of one domain D.
 
@@ -639,19 +619,28 @@ def factor_through_epi(p, t):
     the relation check on an fgab codomain of p ensures (p: Z -> Z/2 with
     t = id_Z agrees on the generator, yet no w exists).
     """
+    return _factoring_through_epi(p)(t)
+
+
+def _factoring_through_epi(p):
+    """``factor_through_epi`` along p as a function of t: the preimages of
+    p's codomain are looked up once, for every t."""
     Q = p.cod
     if Q.backend == "finite" and p.dom.backend != "finite":
         raise BackendMismatch("factoring through an fgab -> finite epi")
     xs = _preimage_lookup([p])(
         [Q.elements() if Q.backend == "finite" else Q.generators()])
-    if xs is None:
-        return None
-    w = GroupHom(Q, t.cod, tuple(map(t, xs)))
-    if Q.backend == "fgab" and _relation_failure(w):
-        return None
-    if compose(w, p).images != t.images:
-        return None
-    return w
+
+    def factor(t):
+        if xs is None:
+            return None
+        w = GroupHom(Q, t.cod, tuple(map(t, xs)))
+        if Q.backend == "fgab" and _relation_failure(w):
+            return None
+        if compose(w, p).images != t.images:
+            return None
+        return w
+    return factor
 
 
 def factor_through_legs(legs, targets):
@@ -662,10 +651,20 @@ def factor_through_legs(legs, targets):
     preimages then make w a hom on both backends (the legs reflect sums
     and orders), so nothing is re-checked.
     """
-    xs = _preimage_lookup(legs)([t.images for t in targets])
-    if xs is None:
-        return None
-    return GroupHom(targets[0].dom, legs[0].dom, tuple(xs))
+    return _factoring_through_legs(legs)(targets)
+
+
+def _factoring_through_legs(legs):
+    """``factor_through_legs`` along fixed legs as a function of the
+    targets: the lookup of preimages is built once, for every family."""
+    find = _preimage_lookup(legs)
+
+    def factor(targets):
+        xs = find([t.images for t in targets])
+        if xs is None:
+            return None
+        return GroupHom(targets[0].dom, legs[0].dom, tuple(xs))
+    return factor
 
 
 def factor_through_mono(i, t):
@@ -751,12 +750,6 @@ def subgroup_from_elements(group, elements):
     """Finite-backend subgroup from an explicit element set (must be closed)."""
     els = frozenset(elements)
     return Subgroup(group, tuple(sorted(els, key=lambda e: e.coords)), els)
-
-
-def whole_subgroup(group):
-    if group.backend == "finite":
-        return subgroup_from_elements(group, group.elements())
-    return subgroup(group, group.generators())
 
 
 def trivial_subgroup(group):
@@ -914,14 +907,6 @@ def quotient(G, S):
 def group_kernel(h):
     """Kernel as a group plus its injection into the domain."""
     return subgroup_to_group(kernel_subgroup(h))
-
-
-def group_cokernel(h):
-    """Cokernel: quotient of the codomain by the (normalized) image."""
-    img = image_subgroup(h)
-    if h.cod.backend == "finite" and not img.is_normal():
-        raise NotNormal("image is not a normal subgroup")
-    return quotient(h.cod, img)
 
 
 # ---------------------------------------------------------------------------

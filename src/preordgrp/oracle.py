@@ -25,11 +25,11 @@ from .descent import is_covering
 from .errors import BackendMismatch, ImageNotNormal, UnknownLaw
 from .factor import check_stable_units_instance, in_class
 from .groups import (
+    _factoring_through_epi,
+    _factoring_through_legs,
     compose,
     enumerate_group_homs,
     enumerate_homs_bounded,
-    factor_through_epi,
-    factor_through_legs,
     image_subgroup,
     is_injective,
     is_surjective,
@@ -166,6 +166,7 @@ def verify_universal_property(query):
     why = kind.preconditions(sound, *data) or (None if sound else shape.unsound)
     if why:
         return VerificationReport(False, query.kind, 0, query.bound, why)
+    mediate = shape.mediator(legs)
     tested = 0
     for X in query.test_objects:
         if not kind.admits_object(X, *data):
@@ -174,7 +175,7 @@ def verify_universal_property(query):
             if not kind.admits(test, *data):
                 continue
             tested += 1
-            if shape.mediate(legs, test, X) is None:
+            if mediate(test, X) is None:
                 return VerificationReport(False, query.kind, tested, query.bound,
                                           kind.failure.format(X.describe()))
     return VerificationReport(True, query.kind, tested, query.bound)
@@ -220,10 +221,10 @@ def _tests_into(legs, X, bound):
     return product(*[_arrows(X, leg.cod, bound) for leg in legs])
 
 
-def _mediate_into(legs, test, X):
-    return _certified(factor_through_legs([leg.hom for leg in legs],
-                                          [t.hom for t in test]),
-                      X, legs[0].dom)
+def _mediator_into(legs):
+    factor = _factoring_through_legs([leg.hom for leg in legs])
+    return lambda test, X: _certified(factor([t.hom for t in test]),
+                                      X, legs[0].dom)
 
 
 def _epic(legs):
@@ -235,24 +236,25 @@ def _tests_out_of(legs, X, bound):
     return _arrows(legs[0].dom, X, bound)
 
 
-def _mediate_out_of(legs, alpha, X):
-    return _certified(factor_through_epi(legs[0].hom, alpha.hom),
-                      legs[0].cod, X)
+def _mediator_out_of(legs):
+    factor = _factoring_through_epi(legs[0].hom)
+    return lambda alpha, X: _certified(factor(alpha.hom), legs[0].cod, X)
 
 
 class _Shape(NamedTuple):
     sound: object      # legs -> whether a found mediating map is a unique hom
     unsound: str       # the refusal when it is not
     tests: object      # (legs, X, bound) -> test arrows between X and legs
-    mediate: object    # (legs, test, X) -> mediating morphism, or None
+    mediator: object   # legs -> ((test, X) -> mediating morphism, or None),
+                       # the legs' preimage lookup built once per query
 
 
 _INTO_MONO = _Shape(_jointly_monic, "candidate not monic",
-                    _tests_into, _mediate_into)
+                    _tests_into, _mediator_into)
 _INTO_LEGS = _Shape(_jointly_monic, "legs not jointly monic",
-                    _tests_into, _mediate_into)
+                    _tests_into, _mediator_into)
 _OUT_OF_EPI = _Shape(_epic, "candidate not epic",
-                     _tests_out_of, _mediate_out_of)
+                     _tests_out_of, _mediator_out_of)
 
 
 # The kinds.  A kind's preconditions see the shape's verdict, so that a
@@ -435,8 +437,10 @@ def _first_failing_morphism(check, order_bound):
 
 
 def _mono_iff_trivial_kernel(desc, m):
-    mono = is_injective(m.hom)
-    trivial = kernel_subgroup(m.hom).is_trivial()
+    """A hom on a finite domain is mono iff its images are pairwise
+    distinct; ``is_injective`` decides it by a trivial kernel."""
+    mono = len(set(m.hom.images)) == len(m.hom.images)
+    trivial = is_injective(m.hom)
     if mono != trivial:
         return f"{desc}: mono={mono} but trivial kernel={trivial}"
     return None

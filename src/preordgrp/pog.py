@@ -316,16 +316,6 @@ def pog_equalizer(m1, m2):
         inj, Epog, m1.dom, "equalizer inclusion restricts the cone"),))
 
 
-def pog_limit(kind, *args):
-    if kind == "product":
-        return pog_product(*args)
-    if kind == "pullback":
-        return pog_pullback(*args)
-    if kind == "equalizer":
-        return pog_equalizer(*args)
-    raise ValueError(f"unknown limit kind {kind!r}")
-
-
 def pog_coequalizer(m1, m2):
     """Quotient by the normal closure of the differences, with image cone."""
     if m1.dom != m2.dom or m1.cod != m2.cod:

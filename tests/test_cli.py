@@ -302,6 +302,11 @@ class TestCommands:
         (("limit", "--kind", "equalizer", "mod2", "idZN"),
          "equalizer needs a parallel pair"),
         (("sequence-check", "mod2", "idZN"), "arrows do not compose"),
+        (("oracle", "--kind", "coequalizer", "idZN", "mod2"),
+         "coequalizer needs a parallel pair"),
+        (("oracle", "--kind", "product", "ZN"), "product needs 2 names, got 1"),
+        (("oracle", "--kind", "kernel", "mod2", "idZN"),
+         "kernel needs 1 name, got 2"),
     ])
     def test_arguments_that_do_not_fit(self, tmp_path, capsys, argv, why):
         code, out = run_cli(tmp_path, basic_document(), *argv)

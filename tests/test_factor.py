@@ -27,13 +27,16 @@ from preordgrp.pog import (
     pog_is_iso,
     zero_morphism,
 )
-from preordgrp.torsion import torsion_sequence
+from preordgrp.torsion import reflect_F, torsion_sequence
 
 Z = make_fgab_group(1, [])
 Zmod2 = make_fgab_group(0, [2])
 ZN = make_pog(Z, generator_cone(Z, [Z.elem([1])]))
 ZZ = make_pog(Z, total_cone(Z))
 Z2tot = make_pog(Zmod2, total_cone(Zmod2))
+Z2 = make_fgab_group(2, [])
+NxZ = make_pog(Z2, generator_cone(Z2, [Z2.elem([1, 0]), Z2.elem([0, 1]),
+                                       Z2.elem([0, -1])]))
 
 
 def mod2():
@@ -319,6 +322,25 @@ class TestStableUnits:
         assert count >= 20
 
 
+def exhaustive_lemma_M(row1, row2, a, b, c):
+    """Lemma M by its definition over finite carriers: the error the
+    instance must raise, else whether x |-> (b(x), f1(x)) maps cone1
+    bijectively onto the pullback cone { (u, v) in cone2 x f1(cone1) :
+    f2(u) = c(v) }."""
+    (cone1, f1), (cone2, f2) = row1, row2
+    K1 = [x for x in cone1.members if f1(x).is_zero()]
+    K2 = {x for x in cone2.members if f2(x).is_zero()}
+    aK1 = {a(x) for x in K1}
+    if len(aK1) != len(K1) or aK1 != K2:
+        return ValueError
+    if any(f2(b(x)) != c(f1(x)) for x in f1.dom.elements()):
+        return NotACommutingSquare
+    pairs = {(b(x), f1(x)) for x in cone1.members}
+    target = {(u, f1(x)) for u in cone2.members for x in cone1.members
+              if f2(u) == c(f1(x))}
+    return len(pairs) == len(cone1.members) and pairs == target
+
+
 class TestLemmaM:
     def rows_for(self, P):
         dec = torsion_sequence(P)
@@ -337,8 +359,63 @@ class TestLemmaM:
         row, dec = self.rows_for(ZZ)
         neg = make_hom(Z, Z, [Z.elem([-1])])
         Q = dec.free_part.group
-        rep = lemma_M_instance(row, row, neg, neg, identity_hom(Q), width=4)
+        rep = lemma_M_instance(row, row, neg, neg, identity_hom(Q))
         assert rep.holds
+
+    def test_shear_on_total(self):
+        # a window scan sees the shear's image of the box leave the box
+        P = make_pog(Z2, total_cone(Z2))
+        row, dec = self.rows_for(P)
+        shear = make_hom(Z2, Z2, [Z2.elem([1, 0]), Z2.elem([1, 1])])
+        rep = lemma_M_instance(row, row, shear, shear,
+                               identity_hom(dec.free_part.group))
+        assert rep.holds
+
+    def test_automorphism_of_N_times_Z(self):
+        # (x, y) |-> (x, x + y); the preimage (1, -9) of the pullback pair
+        # ((1, -8), 1) lies outside a width-8 box
+        row, dec = self.rows_for(NxZ)
+        m = make_pog_morphism(
+            make_hom(Z2, Z2, [Z2.elem([1, 1]), Z2.elem([0, 1])]), NxZ, NxZ)
+        rep = lemma_M_instance(row, row, m.hom, m.hom, reflect_F(m).hom)
+        assert rep.holds
+
+    def test_b_not_order_preserving(self):
+        row, dec = self.rows_for(NxZ)
+        flip = make_hom(Z2, Z2, [Z2.elem([-1, 0]), Z2.elem([0, 1])])
+        Q = dec.free_part.group
+        rep = lemma_M_instance(row, row, flip, flip,
+                               make_hom(Q, Q, [Q.elem([-1])]))
+        assert not rep.holds
+        assert "not order preserving" in rep.detail
+
+    def test_square_must_commute(self):
+        row, dec = self.rows_for(NxZ)
+        Q = dec.free_part.group
+        with pytest.raises(NotACommutingSquare):
+            lemma_M_instance(row, row, identity_hom(Z2), identity_hom(Z2),
+                             make_hom(Q, Q, [Q.elem([2])]))
+
+    def test_finite_ladders_match_exhaustive_reference(self):
+        from preordgrp.corpus import finite_corpus_objects_up_to
+        from preordgrp.groups import enumerate_group_homs
+        verdicts = set()
+        for P in finite_corpus_objects_up_to(4).values():
+            row, dec = self.rows_for(P)
+            endos = enumerate_group_homs(P.group, P.group)
+            B = dec.free_part.group
+            for a in endos:
+                for b in endos:
+                    for c in enumerate_group_homs(B, B):
+                        expected = exhaustive_lemma_M(row, row, a, b, c)
+                        verdicts.add(expected)
+                        if expected in (ValueError, NotACommutingSquare):
+                            with pytest.raises(expected):
+                                lemma_M_instance(row, row, a, b, c)
+                        else:
+                            rep = lemma_M_instance(row, row, a, b, c)
+                            assert rep.holds == expected
+        assert verdicts == {True, False, ValueError, NotACommutingSquare}
 
     def test_gate_rejects_non_iso_kernel_map(self):
         G = cyclic_group(4)

@@ -418,6 +418,17 @@ class TestSearch:
         w = search_counterexample("every_morphism_is_covering", 4)
         assert w is not None and "covering" in w
 
+    def test_mono_law_can_fail(self, monkeypatch):
+        # a kernel that is always trivial makes every hom look injective;
+        # the law must see the non-injective homs of the corpus
+        assert search_counterexample("mono_iff_trivial_kernel", 4) is None
+        from preordgrp import groups, oracle
+        wrong = lambda h: groups.trivial_subgroup(h.dom)  # noqa: E731
+        monkeypatch.setattr(groups, "kernel_subgroup", wrong)
+        monkeypatch.setattr(oracle, "kernel_subgroup", wrong)
+        w = search_counterexample("mono_iff_trivial_kernel", 4)
+        assert w is not None and "mono=False but trivial kernel=True" in w
+
     def test_unknown_law(self):
         with pytest.raises(UnknownLaw):
             search_counterexample("nonsense_law")

@@ -33,8 +33,8 @@ from preordgrp.pog import (
     morphism_class,
     pog_coequalizer,
     pog_cokernel,
+    pog_equalizer,
     pog_kernel,
-    pog_limit,
     pog_product,
     pog_pullback,
     zero_morphism,
@@ -197,19 +197,19 @@ class TestKernelCokernel:
 
 class TestLimits:
     def test_product(self):
-        lim = pog_limit("product", ZN, ZN)
+        lim = pog_product(ZN, ZN)
         assert lim.obj.group.rank == 2
         assert cone_contains(lim.obj.cone, lim.obj.group.elem([1, 2]))
         assert not cone_contains(lim.obj.cone, lim.obj.group.elem([1, -2]))
 
     def test_equalizer_of_id_and_negation(self):
         neg = make_pog_morphism(make_hom(Z, Z, [Z.elem([-1])]), ZZ, ZZ)
-        lim = pog_limit("equalizer", identity_morphism(ZZ), neg)
+        lim = pog_equalizer(identity_morphism(ZZ), neg)
         assert lim.obj.group.order() == 1
 
     def test_pullback_of_mod2_pair(self):
         m = mod2()
-        lim = pog_limit("pullback", m, m)
+        lim = pog_pullback(m, m)
         P = lim.obj
         assert P.group.rank == 2
         # cone = pairs of naturals with matching parity

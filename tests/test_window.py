@@ -17,7 +17,6 @@ TAKES_WIDTH = {
     "cones.cone_window",
     "descent.scan_cover",
     "descent.canonical_cover",
-    "factor.lemma_M_instance",
 }
 
 
