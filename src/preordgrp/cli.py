@@ -561,9 +561,14 @@ def cmd_oracle(ws, args, opts):
 
 
 def cmd_search(ws, args, opts):
+    from .corpus import finite_corpus_objects_up_to
     from .oracle import search_counterexample
     witness = search_counterexample(args.law, args.bound)
-    return {"law": args.law, "bound": args.bound,
+    # the corpus stops short of most bounds; say how far the search went
+    checked = max((P.group.order() for P in
+                   finite_corpus_objects_up_to(args.bound).values()),
+                  default=None)
+    return {"law": args.law, "bound": args.bound, "checked_order": checked,
             "counterexample": witness}, 0 if witness is None else 2
 
 

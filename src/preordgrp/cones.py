@@ -554,7 +554,10 @@ def _lifted_generators(cone):
 
 
 def generated_subgroup(cone):
-    """Subgroup generated by the cone together with its negatives."""
+    """Subgroup generated by the cone together with its negatives; the
+    members of an explicit cone are that subgroup already."""
+    if isinstance(cone, ExplicitCone):
+        return subgroup_from_elements(cone.group, cone.members)
     gens = extract_generators(cone)
     if gens is None:
         raise UnitExtractionUnsupported(

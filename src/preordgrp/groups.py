@@ -10,6 +10,11 @@ Elements are immutable coordinate tuples; all arithmetic is exact.  Groups
 are written additively throughout (conjugation of x by g is g + x - g),
 which matches the usual convention for preordered groups even when the
 group is non-abelian.
+
+Both backends intern their groups: one live object per Cayley table, one
+per ``(rank, torsion)``.  Group ``==`` and ``hash`` are therefore the
+identity ones, and run no Python code inside the hash of an element, a
+hom, a cone or an ``lru_cache`` key.
 """
 
 from __future__ import annotations
@@ -194,19 +199,24 @@ class FiniteGroup(GroupObject):
 
 
 class FgAbGroup(GroupObject):
+    """Z^rank + Z/d1 + ... + Z/dk, interned on ``(rank, torsion)`` like
+    ``FiniteGroup``; ``make_fgab_group`` normalizes outside input first."""
+
     backend = "fgab"
+    _interned = weakref.WeakValueDictionary()
 
-    def __init__(self, rank, torsion):
-        self.rank = rank
-        self.torsion = tuple(torsion)
-        self.ncoords = rank + len(self.torsion)
+    def __new__(cls, rank, torsion):
+        key = (rank, tuple(torsion))
+        self = cls._interned.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self.rank, self.torsion = key
+            self.ncoords = rank + len(self.torsion)
+            cls._interned[key] = self
+        return self
 
-    def __eq__(self, other):
-        return (isinstance(other, FgAbGroup)
-                and self.rank == other.rank and self.torsion == other.torsion)
-
-    def __hash__(self):
-        return hash(("fgab", self.rank, self.torsion))
+    def __reduce__(self):
+        return FgAbGroup, (self.rank, self.torsion)
 
     def reduce(self, coords):
         out = list(coords[: self.rank])
@@ -421,14 +431,29 @@ class GroupHom:
     images: tuple
 
     def __call__(self, x):
+        """Image of x; an fgab -> fgab hom sums the generator images with
+        x's coordinates as coefficients and reduces once.
+
+        >>> Z, ZxZ4 = make_fgab_group(1, []), make_fgab_group(1, [4])
+        >>> h = make_hom(Z, ZxZ4, [ZxZ4.elem([2, 3])])
+        >>> h(Z.elem([-3])).coords
+        (-6, 3)
+        """
         if x.group != self.dom:
             raise ValueError("element not in the domain")
         if self.dom.backend == "finite":
             return self.images[x.coords[0]]
-        out = self.cod.zero
+        cod = self.cod
+        if cod.backend == "fgab":
+            out = [0] * cod.ncoords
+            for c, img in zip(x.coords, self.images):
+                if c:
+                    out = [a + c * b for a, b in zip(out, img.coords)]
+            return GroupElement(cod, cod.reduce(out))
+        out = cod.zero
         for c, img in zip(x.coords, self.images):
             if c:
-                out = out + self.cod.scale(img, c)
+                out = out + cod.scale(img, c)
         return out
 
     def is_zero(self):
@@ -825,7 +850,10 @@ def normal_closure(group, elements):
 # kernels, quotients, subgroup presentation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def kernel_subgroup(h):
+    """Kernel of h; homs and subgroups are frozen, so one cached result
+    serves every caller."""
     return subgroup_preimage(h, trivial_subgroup(h.cod))
 
 

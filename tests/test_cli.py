@@ -246,10 +246,20 @@ class TestCommands:
         assert code == 0 and report["holds"] is True and report["bound"] == 2
 
     def test_search(self, tmp_path):
+        from preordgrp.corpus import finite_corpus_objects
+        orders = [P.group.order() for P in finite_corpus_objects().values()]
         code, out = run_cli(tmp_path, basic_document(),
                             "search", "mono_iff_trivial_kernel",
                             "--bound", "4")
-        assert code == 0 and json.loads(out)["counterexample"] is None
+        report = json.loads(out)
+        assert code == 0 and report["counterexample"] is None
+        assert report["checked_order"] == max(n for n in orders if n <= 4)
+        # the corpus stops well short of 32; the report says where
+        code, out = run_main("--corpus", "search", "mono_iff_trivial_kernel",
+                             "--bound", "32")
+        report = json.loads(out)
+        assert code == 0 and report["bound"] == 32
+        assert report["checked_order"] == max(orders) < 32
 
     def test_input_error_exit_code(self, tmp_path):
         doc = basic_document()

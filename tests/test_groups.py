@@ -3,6 +3,7 @@
 import copy
 import gc
 import itertools
+import math
 import pickle
 import random
 import weakref
@@ -23,6 +24,7 @@ from preordgrp.corpus import (
     symmetric_group_3,
 )
 from preordgrp.groups import (
+    FgAbGroup,
     FiniteGroup,
     compose,
     cyclic_group,
@@ -101,7 +103,8 @@ class TestMakeGroup:
 
 
 class TestInterning:
-    """One live FiniteGroup per (element names, Cayley table)."""
+    """One live FiniteGroup per (element names, Cayley table), one live
+    FgAbGroup per (rank, torsion)."""
 
     def test_same_data_same_object(self):
         a = make_finite_group(["0", "1"], [[0, 1], [1, 0]])
@@ -137,6 +140,18 @@ class TestInterning:
         G = klein_four_group()
         assert copy.deepcopy(G) is G
         assert pickle.loads(pickle.dumps(G)) is G
+
+    def test_fgab_same_data_same_object(self):
+        assert FgAbGroup(1, [2]) is FgAbGroup(1, (2,))
+        assert make_fgab_group(0, [4, 2]) is FgAbGroup(0, (2, 4))
+        assert FgAbGroup(1, ()) is not FgAbGroup(0, ())
+
+    def test_fgab_copies_keep_identity(self):
+        G = make_fgab_group(1, [2, 6])
+        assert copy.copy(G) is G and copy.deepcopy(G) is G
+        assert pickle.loads(pickle.dumps(G)) is G
+        x = G.elem([3, 1, 5])
+        assert pickle.loads(pickle.dumps(x)).group is G
 
     def test_unreferenced_group_is_released(self):
         G = make_finite_group(["p", "q"], [[0, 1], [1, 0]])
@@ -228,6 +243,39 @@ def _validated_maps(dom, cod):
         except ValueError:
             pass
     return out
+
+
+class TestApplyFgab:
+    """An fgab -> fgab hom applied in one pass agrees with summing the
+    scaled generator images one at a time."""
+
+    @staticmethod
+    def random_hom(rng, G, H):
+        images = [H.elem([rng.randint(-5, 5) for _ in range(H.ncoords)])
+                  for _ in range(G.rank)]
+        for d in G.torsion:
+            # zero free part, torsion coordinates killed by d
+            images.append(H.elem([0] * H.rank + [
+                rng.randint(-3, 3) * (t // math.gcd(t, d))
+                for t in H.torsion]))
+        return make_hom(G, H, images)
+
+    def test_matches_reference_sum(self):
+        rng = random.Random(17)
+        groups = [make_fgab_group(*rt) for rt in
+                  [(2, []), (1, [2]), (0, [2, 4]), (1, [4]), (2, [6]), (0, [3])]]
+        for G, H in itertools.product(groups, repeat=2):
+            for _ in range(5):
+                h = self.random_hom(rng, G, H)
+                for _ in range(5):
+                    x = G.elem([rng.randint(-9, 9) for _ in range(G.ncoords)])
+                    ref = H.zero
+                    for c, img in zip(x.coords, h.images):
+                        ref = H.add(ref, H.scale(img, c))
+                    assert h(x) == ref
+
+    def test_kernel_cache_is_bounded(self):
+        assert kernel_subgroup.cache_info().maxsize == 256
 
 
 class TestMediatingMaps:
