@@ -124,10 +124,10 @@ def parse_workspace(document):
                 if not _is_int(rank) or not isinstance(torsion, list):
                     _fail_parse(path, "'rank' must be an integer and "
                                 "'torsion' a list")
-                if rank < 0 or any(not isinstance(d, int) or d <= 0
+                if rank < 0 or any(not _is_int(d) or d <= 0
                                    for d in torsion):
                     raise errors.BadInvariantFactors(
-                        "rank must be >= 0 and torsion entries positive")
+                        "rank must be >= 0 and torsion positive integers")
                 n = rank + len(torsion)
                 if n > MAX_FGAB_COORDS:
                     raise errors.ValidationError(
@@ -230,6 +230,9 @@ def _hom_from_blocks(dom, cod, blocks):
     free = blocks.get("free", [])
     mixed = blocks.get("mixed", [])
     tors = blocks.get("torsion", [])
+    if any(len(row) > dom.rank for row in free + mixed) or any(
+            len(row) > len(dom.torsion) for row in tors):
+        raise ValueError("a matrix row is longer than its domain block")
     images = []
     for j in range(dom.rank):
         coords = [row[j] if j < len(row) else 0 for row in free]

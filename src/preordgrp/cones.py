@@ -2,18 +2,20 @@
 membership.
 
 A cone is either explicit (finite carrier), generated (fgab carrier), or
-a recipe node remembering how it was built from other cones (product,
-pullback, preimage, direct image, restriction to a subgroup).  Recipe cones
-keep their construction tree: membership is decided on it, compiled into
-one non-negative integer feasibility problem where needed, and unit groups
-are computed compositionally.  Generators are extracted on demand; a
-pullback or preimage of finitely generated cones is finitely generated,
-by a Hilbert basis lifted along its legs.
+a recipe node on an fgab carrier remembering how it was built from other
+cones (product, pullback, preimage, direct image).  On a finite carrier
+every transport computes its members directly: a cone there is a normal
+subgroup.  Recipe cones keep their construction tree: membership is
+decided on it, compiled into one non-negative integer feasibility problem
+where needed, and unit groups are computed compositionally.  Generators
+are extracted on demand; a pullback or preimage of finitely generated
+cones is finitely generated, by a Hilbert basis lifted along its legs.
 
 The ``CoverCone`` leaf is the positive cone of the canonical partially
 ordered cover Z x G; it is provably reduced and not finitely generated, so
-it only supports predicate evaluation and window scans.  A predicate that
-falls back to a scan reads the fixed width ``WINDOW``.
+it only supports predicate evaluation and window scans.  A predicate
+quantified over a cone runs over ``deciding_members``: the generators,
+or else the members in the fixed window ``WINDOW``, marked inexact.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .groups import (
     GroupHom,
     _preimage_lookup,
     _stacked_legs,
+    is_surjective,
     kernel_subgroup,
     subgroup,
     subgroup_from_elements,
@@ -108,10 +111,10 @@ class PreimageCone(Cone):
 
 @dataclass(frozen=True)
 class ImageCone(Cone):
-    """Direct image q(P) along a surjective carrier map.
+    """Direct image q(P) along a surjection into an fgab carrier.
 
-    Only constructed when the inner cone is not finitely generated; the
-    extractable case collapses to a :class:`GeneratorCone` on the nose.
+    Only constructed when the inner cone has no generators, so it has none
+    either; the image of a generated cone is generated by their images.
     """
 
     group: object
@@ -478,17 +481,12 @@ def is_reduced(cone):
 
 def extract_generators(cone):
     """Monoid generators of the cone, or None: the cover cone is not
-    finitely generated, nor are cones built over it, and a Hilbert basis
-    past its cap is given up."""
+    finitely generated, nor are cones built over it (an ``ImageCone`` among
+    them), and a Hilbert basis past its cap is given up."""
     if isinstance(cone, ExplicitCone):
         return tuple(cone.sorted_members())
     if isinstance(cone, GeneratorCone):
         return cone.cone_generators
-    if isinstance(cone, ImageCone):
-        inner = extract_generators(cone.inner)
-        if inner is not None:
-            return tuple(cone.hom(g) for g in inner)
-        return None
     if isinstance(cone, ProductCone) and cone.injections is not None:
         parts = [extract_generators(p) for p in cone.parts]
         if any(p is None for p in parts):
@@ -565,72 +563,71 @@ def generated_subgroup(cone):
     return subgroup(cone.group, gens)
 
 
+def deciding_members(cone):
+    """The members that decide a predicate quantified over the cone, as
+    ``(members, exact)``: its generators with ``exact=True`` when it has
+    them, else its members in the window ``WINDOW`` with ``exact=False``.
+    A member that fails the predicate refutes it either way."""
+    gens = extract_generators(cone)
+    if gens is not None:
+        return gens, True
+    return cone_window(cone, WINDOW), False
+
+
 def cone_is_subgroup(cone):
     """Whether the cone equals its own unit group (protomodularity).
 
-    Returns (answer, exact).  Exact on every finitely generated cone (each
-    generator must be a unit) and on the cover cone; a cone built over a
-    cover cone falls back to a coordinate window, where a member that is
-    not a unit refutes definitively and a clean scan passes with
-    ``exact=False``.
+    Returns (answer, exact): every deciding member must be a unit, and
+    one that is not refutes definitively.  The cover cone is decided
+    exactly.
     """
-    gens = extract_generators(cone)
-    if gens is not None:
-        return all(cone.contains(-g) for g in gens), True
     if isinstance(cone, CoverCone):
         return False, True  # contains (1, 0) but never its inverse
-    N = units(cone)
-    for x in cone_window(cone, WINDOW):
-        if not N.contains(x):
-            return False, True
-    return True, False
+    members, exact = deciding_members(cone)
+    if not all(cone.contains(-x) for x in members):
+        return False, True
+    return True, exact
 
 
 # ---------------------------------------------------------------------------
 # transport
 # ---------------------------------------------------------------------------
 
-def _materialize(cone):
-    """Explicit form of a recipe cone on a finite carrier."""
-    members = [x for x in cone.group.elements() if cone_contains(cone, x)]
-    return explicit_cone(cone.group, members)
-
-
 def transport_product(c1, c2, carrier, proj1, proj2, inj1=None, inj2=None):
-    cone = ProductCone(carrier, (c1, c2), (proj1, proj2),
-                       (inj1, inj2) if inj1 is not None else None)
+    """Cone of the elements whose projections lie in c1 and c2; on a finite
+    carrier the parts are explicit and so is the result."""
     if carrier.backend == "finite":
-        return _materialize(cone)
-    return cone
+        return explicit_cone(carrier, [
+            x for x, a, b in zip(carrier.elements(), proj1.images,
+                                 proj2.images)
+            if a in c1.members and b in c2.members])
+    return ProductCone(carrier, (c1, c2), (proj1, proj2),
+                       (inj1, inj2) if inj1 is not None else None)
 
 
 def transport_preimage(hom, inner):
-    cone = PreimageCone(hom.dom, hom, inner)
     if hom.dom.backend == "finite":
-        return _materialize(cone)
-    return cone
+        return explicit_cone(hom.dom, [
+            x for x, y in zip(hom.dom.elements(), hom.images)
+            if cone_contains(inner, y)])
+    return PreimageCone(hom.dom, hom, inner)
 
 
 def transport_image(hom, inner):
-    """Direct image cone along a surjective carrier map."""
-    from .groups import is_surjective
+    """Direct image cone: generated by the generator images (in a finite
+    codomain, the subgroup they generate), else an ``ImageCone`` along a
+    surjection into an fgab codomain."""
     gens = extract_generators(inner)
     if gens is not None:
+        images = [hom(g) for g in gens]
         if hom.cod.backend == "finite":
-            if inner.group.backend == "finite":
-                members = sorted({hom(x) for x in inner.members},
-                                 key=lambda e: e.coords)
-                return explicit_cone(hom.cod, members)
-            cone = ImageCone(hom.cod, hom, inner)
-            return _materialize(cone)
-        return generator_cone(hom.cod, [hom(g) for g in gens])
-    if not is_surjective(hom):
+            return explicit_cone(hom.cod, subgroup(hom.cod, images).elements)
+        return generator_cone(hom.cod, images)
+    if hom.cod.backend == "finite" or not is_surjective(hom):
         raise ImageNotComputable(
-            "image of a non-finitely-generated cone along a non-surjection")
-    cone = ImageCone(hom.cod, hom, inner)
-    if hom.cod.backend == "finite":
-        return _materialize(cone)
-    return cone
+            "image of a non-finitely-generated cone into a finite group or "
+            "along a non-surjection")
+    return ImageCone(hom.cod, hom, inner)
 
 
 # ---------------------------------------------------------------------------

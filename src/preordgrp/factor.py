@@ -209,6 +209,7 @@ class OrthogonalityReport:
     diagonal: POGMorphism = None
     unique: bool = True
     detail: str = ""
+    exact: bool = True         # False when a window stood in for a proof
 
     def __bool__(self):
         return self.holds
@@ -238,7 +239,8 @@ def check_orthogonality(e, m, a, b):
         if compose(m.hom, phi_hom).images != b.hom.images:
             return OrthogonalityReport(False, detail="m.phi differs from b")
         phi = POGMorphism(B, C, phi_hom, cert)
-        return OrthogonalityReport(True, phi, unique=True)
+        return OrthogonalityReport(True, phi, unique=True,
+                                   exact=cert.kind != "window")
     if B.group.backend == "finite" and C.group.backend == "finite":
         from .oracle import enumerate_pog_morphisms
         found = [phi for phi in enumerate_pog_morphisms(B, C)

@@ -14,7 +14,9 @@ group is non-abelian.
 Both backends intern their groups: one live object per Cayley table, one
 per ``(rank, torsion)``.  Group ``==`` and ``hash`` are therefore the
 identity ones, and run no Python code inside the hash of an element, a
-hom, a cone or an ``lru_cache`` key.
+hom, a cone or an ``lru_cache`` key.  On the finite backend one
+breadth-first closure, ``_words``, generates every subgroup, and one table
+builder, ``_finite_group_on``, builds every derived group.
 """
 
 from __future__ import annotations
@@ -154,11 +156,10 @@ class FiniteGroup(GroupObject):
 
     def elem(self, key):
         """Element by index or by name."""
-        if isinstance(key, str):
-            key = self.element_names.index(key)
-        if not 0 <= key < len(self.element_names):
-            raise ValueError(f"no element {key}")
-        return GroupElement(self, (key,))
+        i = self.element_names.index(key) if key in self.element_names else key
+        if not isinstance(i, int) or not 0 <= i < len(self.element_names):
+            raise ValueError(f"no element {key!r}")
+        return GroupElement(self, (i,))
 
     def add(self, a, b):
         return GroupElement(self, (self.table[a.coords[0]][b.coords[0]],))
@@ -173,20 +174,13 @@ class FiniteGroup(GroupObject):
         return [GroupElement(self, (i,)) for i in range(len(self.element_names))]
 
     def generators(self):
-        """A small generating set, greedily grown; deterministic."""
-        gens = []
-        reached = {self.identity_index}
-        while len(reached) < len(self.element_names):
-            nxt = min(i for i in range(len(self.element_names)) if i not in reached)
-            gens.append(nxt)
-            frontier = set(reached) | {nxt}
-            while True:
-                new = {self.table[a][b] for a in frontier for b in frontier} | frontier
-                if new == frontier:
-                    break
-                frontier = new
-            reached = frontier
-        return [GroupElement(self, (i,)) for i in gens]
+        """A small generating set, greedily grown: the lowest index not yet
+        generated is added next; deterministic."""
+        n, gens, reached = self.order(), [], _words(self, ())
+        while len(reached) < n:
+            gens.append(self.elem(min(set(range(n)) - reached.keys())))
+            reached = _words(self, gens)
+        return gens
 
     def is_abelian(self):
         return self._abelian
@@ -338,19 +332,27 @@ def make_finite_group(element_names, table):
     return FiniteGroup(element_names, table, identity, inverse)
 
 
-def _finite_group_unchecked(element_names, table):
-    """Finite group from a table known to satisfy the axioms by construction
-    (quotients, products, pullbacks of validated groups); locates identity
-    and inverses without the cubic associativity scan."""
-    n = len(element_names)
-    identity = next(e for e in range(n)
-                    if all(table[e][x] == x and table[x][e] == x
-                           for x in range(n)))
-    inverse = [None] * n
-    for a in range(n):
-        inverse[a] = next(b for b in range(n)
-                          if table[a][b] == identity and table[b][a] == identity)
-    return FiniteGroup(element_names, table, identity, inverse)
+def _finite_group_on(keys, add, name):
+    """The finite group on ``keys`` in their order under ``add``, element i
+    named ``name(keys[i])``, with the index of each key.  ``add`` is a group
+    law on the keys by construction (subgroups, quotients, products and
+    pullbacks of validated groups), so the table is not checked."""
+    index = {k: i for i, k in enumerate(keys)}
+    table = [[index[add(a, b)] for b in keys] for a in keys]
+    identity = table.index(list(range(len(keys))))  # the row fixing all
+    inverse = [row.index(identity) for row in table]
+    return FiniteGroup([name(k) for k in keys], table, identity,
+                       inverse), index
+
+
+def _pair_group(A, B, pairs):
+    """``_finite_group_on`` pairs (a, b) of A x B under componentwise
+    addition, with the projections onto A and B."""
+    P, index = _finite_group_on(
+        pairs, lambda p, q: (A.add(p[0], q[0]), B.add(p[1], q[1])),
+        lambda p: f"({A.describe_element(p[0])}|{B.describe_element(p[1])})")
+    return (P, index, GroupHom(P, A, tuple(p[0] for p in pairs)),
+            GroupHom(P, B, tuple(p[1] for p in pairs)))
 
 
 @dataclass(frozen=True)
@@ -756,19 +758,29 @@ def _subgroup_lattice(S):
 
 def subgroup(group, generators):
     """Subgroup generated by the listed elements."""
-    gens = tuple(g for g in generators if not g.is_zero())
+    gens = tuple([g for g in generators if not g.is_zero()])
     if group.backend == "finite":
-        closure = {group.zero}
-        frontier = set(gens) | {group.zero}
-        while True:
-            new = {a + b for a in frontier for b in frontier}
-            new |= {-a for a in frontier}
-            new |= frontier
-            if new == frontier:
-                break
-            frontier = new
-        return Subgroup(group, gens, frozenset(frontier))
+        return Subgroup(group, gens, frozenset(
+            [GroupElement(group, (i,)) for i in _words(group, gens)]))
     return Subgroup(group, gens)
+
+
+def _words(G, gens):
+    """Breadth-first words in ``gens`` over the finite group G: each element
+    index that x -> x + g, g in gens, reaches from zero, mapped to the first
+    word of generator positions reaching it.  The monoid a set generates in
+    a finite group is the subgroup it generates (-x = (ord x - 1)x), so the
+    keys are that subgroup."""
+    table, steps = G.table, [g.coords[0] for g in gens]
+    words = {G.identity_index: ()}
+    queue = [G.identity_index]
+    for x in queue:  # grows while it is read
+        for k, g in enumerate(steps):
+            y = table[x][g]
+            if y not in words:
+                words[y] = words[x] + (k,)
+                queue.append(y)
+    return words
 
 
 def subgroup_from_elements(group, elements):
@@ -829,21 +841,14 @@ def subgroup_equal(S1, S2):
 
 
 def normal_closure(group, elements):
-    """Smallest normal subgroup containing the elements (finite backend)."""
+    """Smallest normal subgroup containing the elements: on the finite
+    backend the subgroup their conjugates generate, which conjugation maps
+    onto itself."""
     if group.backend == "fgab":
         return subgroup(group, elements)
-    seed = set(elements)
-    while True:
-        new = set(seed)
-        for g in group.elements():
-            for x in seed:
-                new.add(group.conjugate(g, x))
-        S = subgroup(group, new)
-        if frozenset(new) <= S.elements and all(
-                group.conjugate(g, x) in S.elements
-                for g in group.elements() for x in S.elements):
-            return S
-        seed = set(S.elements)
+    conjugates = {group.conjugate(g, x)
+                  for g in group.elements() for x in elements}
+    return subgroup(group, sorted(conjugates, key=lambda e: e.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -875,9 +880,7 @@ def subgroup_to_group(S):
     G = S.group
     if G.backend == "finite":
         els = S.sorted_elements()
-        index = {e: i for i, e in enumerate(els)}
-        table = [[index[a + b] for b in els] for a in els]
-        K = _finite_group_unchecked([G.describe_element(e) for e in els], table)
+        K, _ = _finite_group_on(els, G.add, G.describe_element)
         return K, GroupHom(K, G, tuple(els))
     dim = G.ncoords
     basis = lattice_basis([list(c) for c in _subgroup_lattice(S)], dim)
@@ -919,9 +922,8 @@ def quotient(G, S):
             for s in S.elements:
                 cosets[x + s] = rep
             reps.append(x)
-        table = [[cosets[a + b] for b in reps] for a in reps]
-        names = [f"[{G.describe_element(r)}]" for r in reps]
-        Q = _finite_group_unchecked(names, table)
+        Q, _ = _finite_group_on(reps, lambda a, b: reps[cosets[a + b]],
+                                lambda r: f"[{G.describe_element(r)}]")
         proj = GroupHom(G, Q, tuple(
             GroupElement(Q, (cosets[x],)) for x in G.elements()))
         return Q, proj
@@ -954,18 +956,12 @@ def direct_product(A, B):
     if A.backend != B.backend:
         raise BackendMismatch("mixed-backend product; convert first")
     if A.backend == "finite":
-        pairs = [(a, b) for a in A.elements() for b in B.elements()]
-        index = {p: i for i, p in enumerate(pairs)}
-        table = [[index[(a1 + a2, b1 + b2)] for (a2, b2) in pairs]
-                 for (a1, b1) in pairs]
-        names = [f"({A.describe_element(a)}|{B.describe_element(b)})"
-                 for a, b in pairs]
-        P = _finite_group_unchecked(names, table)
-        els = [GroupElement(P, (i,)) for i in range(len(pairs))]
-        inj1 = GroupHom(A, P, tuple(els[index[(a, B.zero)]] for a in A.elements()))
-        inj2 = GroupHom(B, P, tuple(els[index[(A.zero, b)]] for b in B.elements()))
-        proj1 = GroupHom(P, A, tuple(p[0] for p in pairs))
-        proj2 = GroupHom(P, B, tuple(p[1] for p in pairs))
+        P, index, proj1, proj2 = _pair_group(
+            A, B, [(a, b) for a in A.elements() for b in B.elements()])
+        inj1 = GroupHom(A, P, tuple(GroupElement(P, (index[(a, B.zero)],))
+                                    for a in A.elements()))
+        inj2 = GroupHom(B, P, tuple(GroupElement(P, (index[(A.zero, b)],))
+                                    for b in B.elements()))
         return ProductResult(P, inj1, inj2, proj1, proj2)
     n = A.ncoords + B.ncoords
     rels = [c + [0] * B.ncoords for c in A.relation_columns()]
@@ -996,16 +992,9 @@ def group_pullback(f, g):
     A, C = f.dom, g.dom
     if A.backend == "finite" and C.backend == "finite" \
             and f.cod.backend == "finite":
-        pairs = [(a, c) for a in A.elements() for c in C.elements()
-                 if f(a) == g(c)]
-        index = {p: i for i, p in enumerate(pairs)}
-        table = [[index[(a1 + a2, c1 + c2)] for (a2, c2) in pairs]
-                 for (a1, c1) in pairs]
-        names = [f"({A.describe_element(a)}|{C.describe_element(c)})"
-                 for a, c in pairs]
-        P = _finite_group_unchecked(names, table)
-        proj1 = GroupHom(P, A, tuple(p[0] for p in pairs))
-        proj2 = GroupHom(P, C, tuple(p[1] for p in pairs))
+        P, _, proj1, proj2 = _pair_group(
+            A, C, [(a, c) for a in A.elements() for c in C.elements()
+                   if f(a) == g(c)])
         return P, proj1, proj2
     if A.backend != "fgab" or C.backend != "fgab" or f.cod.backend != "fgab":
         # the conversion cache hands both homs the same codomain copy
@@ -1103,37 +1092,21 @@ def cyclic_group(n, name_prefix=""):
 # hom enumeration
 # ---------------------------------------------------------------------------
 
-def _element_words(G):
-    """Express every element as a word in the canonical generating set."""
-    gens = G.generators()
-    words = {G.zero: ()}
-    frontier = [G.zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i, g in enumerate(gens):
-                y = x + g
-                if y not in words:
-                    words[y] = words[x] + (i,)
-                    nxt.append(y)
-        frontier = nxt
-    return gens, words
-
-
 def enumerate_group_homs(G, H):
     """All homomorphisms between two finite groups, deterministically ordered.
 
     Generator images range over H; each candidate extends along generator
     words and is kept iff the hom law holds along the Cayley graph.
     """
-    gens, words = _element_words(G)
+    gens = G.generators()
+    words = _words(G, gens)
     out = []
     for combo in itertools.product(H.elements(), repeat=len(gens)):
         images = []
-        for x in G.elements():
+        for x in range(G.order()):
             acc = H.zero
-            for gi in words[x]:
-                acc = acc + combo[gi]
+            for k in words[x]:
+                acc = acc + combo[k]
             images.append(acc)
         if _cayley_failure(G, images, gens) is None:
             out.append(GroupHom(G, H, tuple(images)))

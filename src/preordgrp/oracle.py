@@ -34,7 +34,7 @@ from .groups import (
     is_injective,
     is_surjective,
     kernel_subgroup,
-    subgroup,
+    normal_closure,
     subgroup_equal,
     subgroup_intersection,
     subgroup_preimage,
@@ -67,16 +67,13 @@ def enumerate_cones(G):
 
     A submonoid of a finite group is a subgroup, since -x = (ord x - 1)x,
     so the cones are exactly the normal subgroups: the joins of the normal
-    closures of conjugacy classes (each such closure is the subgroup a
-    class generates).
+    closures of single elements.
 
     >>> from .groups import cyclic_group
     >>> [len(c.members) for c in enumerate_cones(cyclic_group(4))]
     [1, 2, 4]
     """
-    els = G.elements()
-    atoms = {subgroup(G, {G.conjugate(g, x) for g in els}).elements
-             for x in els}
+    atoms = {normal_closure(G, [x]).elements for x in G.elements()}
     found, frontier = set(atoms), set(atoms)
     while frontier:
         frontier = {frozenset(a + c for a in A for c in C)

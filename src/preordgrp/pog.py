@@ -7,10 +7,10 @@ are computed componentwise at the group and cone level, and morphisms are
 classified against the characterizations of normal epi- and monomorphisms
 (surjective on both levels, respectively kernel-style cone restriction).
 
-Cone comparisons are decided on generators.  Cones without them (the
-cover cone and cones built over it) fall back to the fixed coordinate
-window ``cones.WINDOW`` and say so through their ``exact`` flag; a
-counterexample found inside the window is always definitive.
+Cone comparisons run over ``cones.deciding_members``: the generators,
+or, for cones without them (the cover cone and cones built over it), the
+members in a fixed coordinate window, which the verdict's ``exact`` flag
+reports.  A counterexample is definitive either way.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import (
-    WINDOW,
     Cone,
     ImageCone,
     cone_contains,
     cone_is_subgroup,
-    cone_window,
     check_cone_axioms,
+    deciding_members,
     extract_generators,
     generator_cone,
-    group_window,
     transport_image,
     transport_preimage,
     transport_product,
@@ -54,7 +52,6 @@ from .groups import (
     kernel_subgroup,
     normal_closure,
     quotient,
-    subgroup,
     subgroup_from_elements,
     subgroup_to_group,
     zero_hom,
@@ -172,20 +169,17 @@ class POGMorphism:
 
 
 def cone_preservation(hom, dom_cone, cod_cone):
-    """(ok, offending generator or None, certificate)."""
-    gens = extract_generators(dom_cone)
-    if gens is not None:
-        verdicts = []
-        for g in gens:
-            v = cone_contains(cod_cone, hom(g))
-            if not v:
-                return False, g, None
-            verdicts.append((g, v))
-        return True, None, ConeCertificate("generators", tuple(verdicts))
-    for x in cone_window(dom_cone, WINDOW):
-        if not cone_contains(cod_cone, hom(x)):
+    """(ok, offending member or None, certificate)."""
+    members, exact = deciding_members(dom_cone)
+    verdicts = []
+    for x in members:
+        v = cone_contains(cod_cone, hom(x))
+        if not v:
             return False, x, None
-    return True, None, ConeCertificate("window")
+        verdicts.append((x, v))
+    if not exact:
+        return True, None, ConeCertificate("window")
+    return True, None, ConeCertificate("generators", tuple(verdicts))
 
 
 def make_pog_morphism(hom, dom, cod):
@@ -317,16 +311,13 @@ def pog_equalizer(m1, m2):
 
 
 def pog_coequalizer(m1, m2):
-    """Quotient by the normal closure of the differences, with image cone."""
+    """Quotient by the normal closure of the differences of the images (of
+    the elements, or of the generators of an fgab domain), with image cone."""
     if m1.dom != m2.dom or m1.cod != m2.cod:
         raise ValueError("coequalizer needs a parallel pair")
     H = m1.cod.group
-    if H.backend == "finite":
-        diffs = [m1.hom(x) - m2.hom(x) for x in m1.dom.group.elements()]
-        S = normal_closure(H, diffs)
-    else:
-        S = subgroup(H, [a - b for a, b in zip(m1.hom.images, m2.hom.images)])
-    Q, proj = quotient(H, S)
+    diffs = [a - b for a, b in zip(m1.hom.images, m2.hom.images)]
+    Q, proj = quotient(H, normal_closure(H, diffs))
     cone = transport_image(proj, m1.cod.cone)
     Qpog = PreorderedGroup(Q, cone)
     return Qpog, structural_morphism(proj, m1.cod, Qpog,
@@ -351,48 +342,39 @@ class MorphismClassReport:
 def cone_map_surjective(m):
     """Does every positive element of the codomain lift into the domain cone?
 
-    Complete whenever the codomain cone is finitely generated: each
-    generator is tested for membership in the direct image of the domain
-    cone, an existential the feasibility solver decides.
+    Returns (holds, exact).  Each deciding member of the codomain cone is
+    tested for membership in the direct image of the domain cone, an
+    existential the feasibility solver decides; complete whenever the
+    codomain cone is finitely generated.
     """
-    cod_gens = extract_generators(m.cod.cone)
-    if cod_gens is not None:
-        img_cone = transport_image(m.hom, m.dom.cone)
-        return (all(cone_contains(img_cone, y) for y in cod_gens), True)
     if isinstance(m.cod.cone, ImageCone) and m.cod.cone.hom == m.hom \
             and m.cod.cone.inner == m.dom.cone:
         return (True, True)  # codomain cone is this map's direct image
     img_cone = transport_image(m.hom, m.dom.cone)
-    for y in cone_window(m.cod.cone, WINDOW):
-        if not cone_contains(img_cone, y):
-            return (False, True)
-    return (True, False)
+    members, exact = deciding_members(m.cod.cone)
+    if not all(cone_contains(img_cone, y) for y in members):
+        return (False, True)
+    return (True, exact)
 
 
 def cone_square_is_pullback(hom, dom_cone, cod_cone):
     """Is dom_cone exactly the preimage of cod_cone along hom?
 
-    Returns (holds, exact).  Both inclusions are checked on generators:
+    Returns (holds, exact).  Both inclusions run over deciding members:
     those of dom_cone must map into cod_cone, and those of the preimage of
-    cod_cone must lie in dom_cone.  Cones without generators (built over a
-    cover cone) fall back to a window.  Counterexamples are definitive.
+    cod_cone must lie in dom_cone.  Counterexamples are definitive.
     """
-    gens = extract_generators(dom_cone)
-    if gens is not None:
-        for g in gens:
-            if not cone_contains(cod_cone, hom(g)):
-                return (False, True)
-        # a total domain cone leaves nothing outside itself: the forward
-        # inclusion just checked is the whole condition
-        if units(dom_cone).is_whole():
-            return (True, True)
-        pre_gens = extract_generators(transport_preimage(hom, cod_cone))
-        if pre_gens is not None:
-            return (all(cone_contains(dom_cone, g) for g in pre_gens), True)
-    for x in group_window(hom.dom, WINDOW):
-        if bool(cone_contains(dom_cone, x)) != bool(cone_contains(cod_cone, hom(x))):
-            return (False, True)
-    return (True, False)
+    members, exact = deciding_members(dom_cone)
+    if not all(cone_contains(cod_cone, hom(x)) for x in members):
+        return (False, True)
+    # a total domain cone leaves nothing outside itself: the forward
+    # inclusion just checked is the whole condition
+    if exact and units(dom_cone).is_whole():
+        return (True, True)
+    pre, pre_exact = deciding_members(transport_preimage(hom, cod_cone))
+    if not all(cone_contains(dom_cone, x) for x in pre):
+        return (False, True)
+    return (True, exact and pre_exact)
 
 
 def is_normal_epi(m):
@@ -465,7 +447,7 @@ class SequenceCertificate:
         from .torsion import is_z_trivial
         zrep = is_z_trivial(compose_pog(self.f, self.k))
         return SequenceCertificate(
-            self.kind, self.k, self.f, bool(zrep), True,
+            self.kind, self.k, self.f, bool(zrep), zrep.exact,
             reasons=() if zrep else ("composite is not trivial",))
 
 

@@ -12,6 +12,8 @@ its cokernel the reduced (partial) order.  Replacing the kernel by
 (G, N) and "zero" by the class of discretely ordered objects turns the same
 quotient construction into a short preexact sequence for the pretorsion
 theory, whose torsion part is the subcategory of protomodular objects.
+Its triviality test runs over ``cones.deciding_members`` and reports a
+window verdict through ``exact``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import (
-    WINDOW,
-    cone_window,
+    deciding_members,
     explicit_cone,
-    extract_generators,
     generator_cone,
     total_cone,
     transport_image,
@@ -224,6 +224,7 @@ class ZTrivialReport:
     left: POGMorphism = None   # dom -> through
     right: POGMorphism = None  # through -> cod
     witness: object = None
+    exact: bool = True         # False when a window stood in for a proof
 
     def __bool__(self):
         return self.holds
@@ -231,13 +232,10 @@ class ZTrivialReport:
 
 def is_z_trivial(m):
     """A morphism is trivial for the pretorsion theory iff its cone map is
-    zero; it then factors through its image carrying the discrete order."""
-    gens = extract_generators(m.dom.cone)
-    if gens is not None:
-        bad = [g for g in gens if not m.hom(g).is_zero()]
-    else:
-        bad = [g for g in cone_window(m.dom.cone, WINDOW)
-               if not m.hom(g).is_zero()]
+    zero, decided on the deciding members of the domain cone; it then
+    factors through its image carrying the discrete order."""
+    members, exact = deciding_members(m.dom.cone)
+    bad = [x for x in members if not m.hom(x).is_zero()]
     if bad:
         return ZTrivialReport(False, witness=bad[0])
     from .groups import image_subgroup
@@ -246,7 +244,7 @@ def is_z_trivial(m):
     a_hom = factor_through_mono(inj, m.hom)
     left = structural_morphism(a_hom, m.dom, mid, "cone map is zero")
     right = make_pog_morphism(inj, mid, m.cod)
-    return ZTrivialReport(True, mid, left, right)
+    return ZTrivialReport(True, mid, left, right, exact=exact)
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +280,7 @@ def pretorsion_sequence(P):
     composite = compose_pog(dec.unit, counit)
     zrep = is_z_trivial(composite)
     cert = SequenceCertificate(
-        "ZPreexact", counit, dec.unit, bool(zrep), True,
+        "ZPreexact", counit, dec.unit, bool(zrep), zrep.exact,
         reasons=() if zrep else ("composite is not trivial",))
     return TorsionDecomposition(P, TP, dec.free_part, counit, dec.unit,
                                 cert, "pretorsion")

@@ -381,6 +381,18 @@ class TestMalformedWorkspace:
         "elements_nested": {"groups": {"G": {"kind": "finite",
                                              "elements": [["0"]],
                                              "table": [[0]]}}},
+        "torsion_bool": {"groups": {"T": {"kind": "fgab", "rank": 0,
+                                          "torsion": [True]}}},
+        "matrix_row_past_domain": {
+            "groups": {"Z": {"kind": "fgab", "rank": 1, "torsion": []}},
+            "cones": {"N": {"group": "Z", "generators": [[1]]}},
+            "objects": {"ZN": {"group": "Z", "cone": "N"}},
+            "morphisms": {"m": {"from": "ZN", "to": "ZN",
+                                "matrix": {"free": [[1, 2]]}}}},
+        "unknown_element_name": {
+            "groups": {"C2": {"kind": "finite", "elements": ["0", "1"],
+                              "table": [[0, 1], [1, 0]]}},
+            "cones": {"c": {"group": "C2", "elements": ["b"]}}},
     }
 
     @pytest.mark.parametrize("label", sorted(CASES))

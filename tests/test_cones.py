@@ -6,6 +6,7 @@ import pytest
 from conftest import deadline
 
 from preordgrp.cones import (
+    WINDOW,
     CoverCone,
     GeneratorCone,
     ImageCone,
@@ -14,6 +15,7 @@ from preordgrp.cones import (
     cone_contains,
     cone_is_subgroup,
     cone_window,
+    deciding_members,
     explicit_cone,
     extract_generators,
     generated_subgroup,
@@ -27,7 +29,7 @@ from preordgrp.cones import (
     trivial_cone,
     units,
 )
-from preordgrp.errors import UnitExtractionUnsupported
+from preordgrp.errors import ImageNotComputable, UnitExtractionUnsupported
 from preordgrp.groups import (
     cyclic_group,
     direct_product,
@@ -230,6 +232,30 @@ class TestTransport:
         img = transport_image(h, explicit_cone(G, [G.elem(0), G.elem(2)]))
         assert img.members == frozenset({H.elem(0)})
 
+    def test_image_of_a_generated_cone_in_a_finite_group(self):
+        # the subgroup the generator images generate: 1 -> 1 in Z/4 gives
+        # all of Z/4, not just {0, 1}
+        C4 = cyclic_group(4)
+        h = make_hom(Z, C4, [C4.elem(1)])
+        assert transport_image(h, N).members == frozenset(C4.elements())
+        h2 = make_hom(Z, C4, [C4.elem(2)])
+        assert transport_image(h2, N).members == {C4.elem(0), C4.elem(2)}
+
+    def test_morphism_class_from_fgab_into_a_finite_group(self):
+        # (Z, N) -> (Z/2, total), x -> x mod 2: the cone map is onto
+        from preordgrp.pog import make_pog, make_pog_morphism, morphism_class
+        C2 = cyclic_group(2)
+        m = make_pog_morphism(make_hom(Z, C2, [C2.elem(1)]), make_pog(Z, N),
+                              make_pog(C2, total_cone(C2)))
+        rep = morphism_class(m)
+        assert rep.epi and rep.normal_epi and rep.exact and not rep.mono
+
+    def test_image_without_generators_in_a_finite_group_is_refused(self):
+        C2 = cyclic_group(2)
+        h = make_hom(Z2, C2, [C2.elem(1), C2.elem(0)])
+        with pytest.raises(ImageNotComputable):
+            transport_image(h, CoverCone(Z2, N))
+
     def test_image_of_nonextractable_uses_units_rule(self):
         # {(x, n, y) : (n, y) in the cover cone of (Z, N)} modulo its unit
         # line Z x 0 x 0 becomes that cover cone
@@ -318,6 +344,31 @@ class TestLiftedGenerators:
         assert extract_generators(pre) is None
         assert cone_contains(pre, Z2.elem([40000, 1]))
         assert not cone_contains(pre, Z2.elem([40001, 1]))
+
+
+class TestDecidingMembers:
+    """Generators decide exactly; a cone without them is scanned on the
+    window and marked inexact."""
+
+    def test_explicit_cone_gives_its_members(self):
+        G = cyclic_group(4)
+        c = explicit_cone(G, [G.elem(2), G.elem(0)])
+        assert deciding_members(c) == ((G.elem(0), G.elem(2)), True)
+
+    def test_generated_cone_gives_its_generators(self):
+        assert deciding_members(halfplane_cone()) == \
+            (halfplane_cone().cone_generators, True)
+
+    def test_pullback_cone_gives_its_lifted_generators(self):
+        pre = PreimageCone(Z2, make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])]), N)
+        assert deciding_members(pre) == (extract_generators(pre), True)
+
+    def test_cover_cone_gives_its_window(self):
+        cover = CoverCone(Z2, N)
+        members, exact = deciding_members(cover)
+        assert not exact and members == cone_window(cover, WINDOW)
+        assert Z2.elem([1, 3]) in members
+        assert Z2.elem([0, 1]) not in members
 
 
 class TestSubgroupTest:

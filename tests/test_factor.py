@@ -235,8 +235,17 @@ class TestOrthogonality:
     def test_identity_e_gives_diagonal_a(self):
         rep = check_orthogonality(identity_morphism(ZN), mod2(),
                                   identity_morphism(ZN), mod2())
-        assert rep.holds
+        assert rep.holds and rep.exact
         assert rep.diagonal.hom.images == identity_hom(Z).images
+
+    def test_window_diagonal_is_marked(self):
+        # the diagonal out of the cover cone of (Z, N) is checked on the
+        # window, since that cone has no generators
+        from preordgrp.descent import canonical_cover
+        one = identity_morphism(canonical_cover(ZN).realized)
+        rep = check_orthogonality(one, one, one, one)
+        assert rep.holds and not rep.exact
+        assert rep.diagonal.certificate.kind == "window"
 
     def test_incompatible_kernels_fail(self):
         # e = mod-2 quotient of (Z, total), m with trivial kernel: a square

@@ -47,6 +47,7 @@ from preordgrp.groups import (
     make_fgab_group,
     make_finite_group,
     make_hom,
+    normal_closure,
     quotient,
     subgroup,
     subgroup_equal,
@@ -187,6 +188,60 @@ class TestElements:
         assert (G.elem(3) + G.elem(2)) == G.elem(1)
         assert -G.elem(1) == G.elem(3)
         assert G.scale(G.elem(3), 5) == G.elem(3)
+
+    def test_unknown_finite_element(self):
+        G = cyclic_group(2)
+        assert G.elem("1") == G.elem(1)
+        with pytest.raises(ValueError, match="no element 'b'"):
+            G.elem("b")
+        with pytest.raises(ValueError, match="no element 2"):
+            G.elem(2)
+
+
+def _closure(G, seed):
+    """Reference: close a set under + and negation until it stops growing."""
+    out = {G.zero} | set(seed)
+    while True:
+        new = out | {a + b for a in out for b in out} | {-a for a in out}
+        if new == out:
+            return frozenset(out)
+        out = new
+
+
+class TestFiniteClosure:
+    """Subgroups, normal closures and generating sets of every finite corpus
+    group of order <= 8 against the fixpoint definitions."""
+
+    GROUPS = [G for G in finite_corpus_groups().values() if G.order() <= 8]
+
+    def test_subgroups_of_pairs(self):
+        for G in self.GROUPS:
+            for x, y in itertools.product(G.elements(), repeat=2):
+                assert subgroup(G, [x, y]).elements == _closure(G, [x, y])
+
+    def test_normal_closures(self):
+        for G in self.GROUPS:
+            for x in G.elements():
+                S = _closure(G, [x])
+                while True:
+                    T = _closure(G, [G.conjugate(g, s)
+                                     for g in G.elements() for s in S])
+                    if T == S:
+                        break
+                    S = T
+                N = normal_closure(G, [x])
+                assert N.elements == S and N.is_normal()
+                assert list(N.generators) == sorted(
+                    N.generators, key=lambda e: e.coords)
+
+    def test_generators_take_the_lowest_unreached_index(self):
+        for G in self.GROUPS:
+            gens, reached = [], _closure(G, [])
+            for x in G.elements():
+                if x not in reached:
+                    gens.append(x)
+                    reached = _closure(G, gens)
+            assert G.generators() == gens
 
 
 class TestHoms:
@@ -361,6 +416,14 @@ class TestKernelQuotient:
         assert K.rank == 1 and K.torsion == ()
         img = inj(K.generators()[0])
         assert img.coords in ((2,), (-2,))
+
+    def test_image_of_fgab_into_finite(self):
+        # the generator images are closed up, not taken as the image
+        C4 = cyclic_group(4)
+        assert image_subgroup(make_hom(Z, C4, [C4.elem(1)])).elements == \
+            frozenset(C4.elements())
+        assert image_subgroup(make_hom(Z2, C4, [C4.elem(2), C4.elem(0)])
+                              ).elements == {C4.elem(0), C4.elem(2)}
 
     def test_kernel_of_fgab_into_finite(self):
         C2 = cyclic_group(2)

@@ -21,8 +21,10 @@ from preordgrp.groups import (
     make_hom,
 )
 from preordgrp.pog import (
+    SequenceCertificate,
     classify,
     compose_pog,
+    cone_map_surjective,
     cone_square_is_pullback,
     identity_morphism,
     induced_morphism,
@@ -247,6 +249,15 @@ class TestCoequalizer:
         Q, _ = pog_coequalizer(zero_morphism(ZN, ZN), zero_morphism(ZN, ZN))
         assert Q.group == Z
 
+    def test_coeq_from_fgab_into_a_finite_group(self):
+        # x -> x mod 2 and zero, (Z, N) -> (Z/2, total): the differences of
+        # the generator images already generate Z/2
+        C2 = cyclic_group(2)
+        C2tot = make_pog(C2, explicit_cone(C2, C2.elements()))
+        one = make_pog_morphism(make_hom(Z, C2, [C2.elem(1)]), ZN, C2tot)
+        Q, proj = pog_coequalizer(one, zero_morphism(ZN, C2tot))
+        assert Q.group.order() == 1 and proj.hom.cod == Q.group
+
 
 class TestMorphismClass:
     def test_mod2_normal_epi(self):
@@ -298,6 +309,37 @@ class TestMorphismClass:
             (False, True)
         rep = morphism_class(double)
         assert rep.mono and rep.normal_mono and rep.exact
+
+
+class TestWindowFallbacks:
+    """The cover cone of (Z, N) has no generators: a predicate over it runs
+    on the window, where a clean scan is inexact and a failure exact."""
+
+    cover = canonical_cover(ZN).realized
+
+    def test_cover_square_with_itself(self):
+        C = self.cover
+        assert cone_square_is_pullback(identity_hom(C.group), C.cone,
+                                       C.cone) == (True, False)
+
+    def test_cover_square_against_its_hull(self):
+        # N x N holds (0, 1), which the cover cone does not
+        H = self.cover.group
+        hull = generator_cone(H, [H.elem([1, 0]), H.elem([0, 1])])
+        assert cone_square_is_pullback(identity_hom(H), self.cover.cone,
+                                       hull) == (False, True)
+
+    def test_cover_cone_map_surjective(self):
+        assert cone_map_surjective(identity_morphism(self.cover)) == \
+            (True, False)
+
+    def test_reverified_preexact_certificate_is_marked(self):
+        C = self.cover
+        cert = SequenceCertificate("ZPreexact", identity_morphism(C),
+                                   zero_morphism(C, zero_object()), True,
+                                   True)
+        again = cert.reverify()
+        assert again.holds and not again.exact_checks
 
 
 class TestShortExact:

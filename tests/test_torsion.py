@@ -255,6 +255,14 @@ class TestZTrivial:
         rep = is_z_trivial(identity_morphism(ZN))
         assert not rep.holds and rep.witness is not None
 
+    def test_window_verdict_is_marked(self):
+        from preordgrp.descent import canonical_cover
+        cover = canonical_cover(ZN).realized
+        rep = is_z_trivial(zero_morphism(cover, zero_object()))
+        assert rep.holds and not rep.exact
+        assert is_z_trivial(zero_morphism(ZN, ZN)).exact
+        assert pretorsion_sequence(ZN).certificate.exact_checks
+
     def test_factorization_recomposes(self):
         m = zero_morphism(P42, P42)
         rep = is_z_trivial(m)

@@ -5,8 +5,10 @@ functions whose check is a window of the caller's width take a ``width``
 parameter.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 from preordgrp import cones
 
@@ -42,6 +44,33 @@ def test_only_the_window_checks_take_a_width():
             if "width" in inspect.signature(fn).parameters:
                 found.add(f"{short}.{name}")
     assert found == TAKES_WIDTH
+
+
+def _window_callers():
+    """(module, function) around every ``cone_window(`` call in ``src/``."""
+    found = set()
+    for path in sorted(Path(cones.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", None) == "cone_window":
+                    found.add((path.stem, fn.name))
+    return found
+
+
+def test_one_entry_point_to_the_window():
+    assert _window_callers() == {("cones", "deciding_members"),
+                                 ("descent", "scan_cover")}
+    for short in ("pog", "torsion"):
+        tree = ast.parse(Path(cones.__file__).with_name(
+            f"{short}.py").read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert not imported & {"WINDOW", "cone_window", "group_window"}, short
 
 
 def test_one_window_constant():
