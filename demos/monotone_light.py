@@ -46,7 +46,7 @@ def main():
     print("== projection (Z^2, Z x N) -> (Z, N): inverted by the reflector")
     pr = direct_product(Z, Z)
     cone = transport_product(total_cone(Z), generator_cone(Z, [Z.elem([1])]),
-                             pr.group, pr.proj1, pr.proj2, pr.inj1, pr.inj2)
+                             pr.group, pr.proj1, pr.proj2)
     dom = make_pog(pr.group, cone)
     proj = make_pog_morphism(
         make_hom(pr.group, Z, [Z.elem([0]), Z.elem([1])]), dom, ZN)

@@ -5,11 +5,13 @@ A cone is either explicit (finite carrier), generated (fgab carrier), or
 a recipe node on an fgab carrier remembering how it was built from other
 cones (product, pullback, preimage, direct image).  On a finite carrier
 every transport computes its members directly: a cone there is a normal
-subgroup.  Recipe cones keep their construction tree: membership is
-decided on it, compiled into one non-negative integer feasibility problem
-where needed, and unit groups are computed compositionally.  Generators
-are extracted on demand; a pullback or preimage of finitely generated
-cones is finitely generated, by a Hilbert basis lifted along its legs.
+subgroup, ``ExplicitCone.subgroup``, and its generators are that
+subgroup's greedy generating set, at most log2 of its order.  Recipe
+cones keep their construction tree: membership is decided on it,
+compiled into one non-negative integer feasibility problem where needed,
+and unit groups are computed compositionally.  Generators are extracted
+on demand; a product, pullback or preimage of finitely generated cones is
+finitely generated, by a Hilbert basis lifted along its legs.
 
 The ``CoverCone`` leaf is the positive cone of the canonical partially
 ordered cover Z x G; it is provably reduced and not finitely generated, so
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     ImageNotComputable,
@@ -77,8 +79,10 @@ class ExplicitCone(Cone):
     group: object
     members: frozenset
 
-    def sorted_members(self):
-        return sorted(self.members, key=lambda e: e.coords)
+    @cached_property
+    def subgroup(self):
+        """The members as a subgroup, with a greedy generating set."""
+        return subgroup_from_elements(self.group, self.members)
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,12 @@ class GeneratorCone(Cone):
 
 @dataclass(frozen=True)
 class ProductCone(Cone):
-    """Componentwise cone on a product or pullback carrier.
-
-    Membership is the conjunction of the two projected memberships; when
-    the carrier is a plain product the injections are kept, and carry the
-    parts' generators over directly.
-    """
+    """Componentwise cone on a product or pullback carrier: membership is
+    the conjunction of the two projected memberships."""
 
     group: object
     parts: tuple
     projections: tuple
-    injections: tuple = None  # present for products, absent for pullbacks
 
 
 @dataclass(frozen=True)
@@ -421,13 +420,14 @@ def check_cone_axioms(cone):
         G = cone.group
         if G.zero not in cone.members:
             failures.append(("identity", G.zero))
-        for a in cone.sorted_members():
-            for b in cone.sorted_members():
+        members = sorted(cone.members, key=lambda e: e.coords)
+        for a in members:
+            for b in members:
                 if a + b not in cone.members:
                     failures.append(("closure", (a, b)))
         if not G.is_abelian():
             for g in G.elements():
-                for x in cone.sorted_members():
+                for x in members:
                     if G.conjugate(g, x) not in cone.members:
                         failures.append(("conjugation", (g, x)))
         return ConeAxiomReport(not failures, tuple(failures))
@@ -441,13 +441,13 @@ def check_cone_axioms(cone):
 def units(cone):
     """Subgroup of elements x with both x and -x in the cone.
 
-    Every member of an explicit cone (a normal subgroup), from unit
+    The subgroup an explicit cone is (a normal subgroup), from unit
     generators on generated cones (a generator is a unit exactly when it
     takes part in a vanishing non-negative combination, read off the
     solver's Hilbert basis of those), and compositionally on recipe cones.
     """
     if isinstance(cone, ExplicitCone):
-        return subgroup_from_elements(cone.group, cone.members)
+        return cone.subgroup
     if isinstance(cone, GeneratorCone):
         unit_cols = _generator_solver(cone).unit_columns
         if unit_cols is None:
@@ -484,17 +484,9 @@ def extract_generators(cone):
     finitely generated, nor are cones built over it (an ``ImageCone`` among
     them), and a Hilbert basis past its cap is given up."""
     if isinstance(cone, ExplicitCone):
-        return tuple(cone.sorted_members())
+        return cone.subgroup.generators
     if isinstance(cone, GeneratorCone):
         return cone.cone_generators
-    if isinstance(cone, ProductCone) and cone.injections is not None:
-        parts = [extract_generators(p) for p in cone.parts]
-        if any(p is None for p in parts):
-            return None
-        out = []
-        for part_gens, inj in zip(parts, cone.injections):
-            out.extend(inj(g) for g in part_gens)
-        return tuple(out)
     if isinstance(cone, (ProductCone, PreimageCone)):
         return _lifted_generators(cone)
     return None
@@ -502,16 +494,16 @@ def extract_generators(cone):
 
 @lru_cache(maxsize=None)
 def _lifted_generators(cone):
-    """Generators of a pullback or preimage cone, or None.
+    """Generators of a product, pullback or preimage cone, or None.
 
     The cone is { x : legs[k](x) in parts[k] for every k }.  With S_k the
     generators of parts[k], the multiplicities n >= 0 for which (S_k n_k)_k
     is some (legs[k](x))_k form the non-negative part of a lattice, whose
     Hilbert basis is finite; its elements lift along the legs to
     generators, joined by +- a basis of the kernel of the legs (trivial for
-    the jointly injective projections of a pullback).  A finite abelian
-    part takes part in its fgab form.  None when a part has no generators
-    or the Hilbert basis passes its cap.
+    the jointly injective projections of a product or pullback).  A finite
+    abelian part takes part in its fgab form.  None when a part has no
+    generators or the Hilbert basis passes its cap.
     """
     if isinstance(cone, PreimageCone):
         legs, parts = (cone.hom,), (cone.inner,)
@@ -552,10 +544,10 @@ def _lifted_generators(cone):
 
 
 def generated_subgroup(cone):
-    """Subgroup generated by the cone together with its negatives; the
-    members of an explicit cone are that subgroup already."""
+    """Subgroup generated by the cone together with its negatives; an
+    explicit cone is that subgroup already."""
     if isinstance(cone, ExplicitCone):
-        return subgroup_from_elements(cone.group, cone.members)
+        return cone.subgroup
     gens = extract_generators(cone)
     if gens is None:
         raise UnitExtractionUnsupported(
@@ -593,7 +585,7 @@ def cone_is_subgroup(cone):
 # transport
 # ---------------------------------------------------------------------------
 
-def transport_product(c1, c2, carrier, proj1, proj2, inj1=None, inj2=None):
+def transport_product(c1, c2, carrier, proj1, proj2):
     """Cone of the elements whose projections lie in c1 and c2; on a finite
     carrier the parts are explicit and so is the result."""
     if carrier.backend == "finite":
@@ -601,8 +593,7 @@ def transport_product(c1, c2, carrier, proj1, proj2, inj1=None, inj2=None):
             x for x, a, b in zip(carrier.elements(), proj1.images,
                                  proj2.images)
             if a in c1.members and b in c2.members])
-    return ProductCone(carrier, (c1, c2), (proj1, proj2),
-                       (inj1, inj2) if inj1 is not None else None)
+    return ProductCone(carrier, (c1, c2), (proj1, proj2))
 
 
 def transport_preimage(hom, inner):
@@ -645,7 +636,5 @@ def group_window(group, width):
 
 def cone_window(cone, width):
     """Cone members in the coordinate window; exhaustive iff carrier finite."""
-    if isinstance(cone, ExplicitCone):
-        return cone.sorted_members()
     return [x for x in group_window(cone.group, width)
             if cone_contains(cone, x)]

@@ -15,8 +15,10 @@ Both backends intern their groups: one live object per Cayley table, one
 per ``(rank, torsion)``.  Group ``==`` and ``hash`` are therefore the
 identity ones, and run no Python code inside the hash of an element, a
 hom, a cone or an ``lru_cache`` key.  On the finite backend one
-breadth-first closure, ``_words``, generates every subgroup, and one table
-builder, ``_finite_group_on``, builds every derived group.
+breadth-first closure, ``_words``, generates every subgroup, one greedy
+loop, ``_generating_set``, picks the generators of a group and of a
+subgroup given by its elements, and one table builder,
+``_finite_group_on``, builds every derived group.
 """
 
 from __future__ import annotations
@@ -71,19 +73,10 @@ class GroupElement:
 
 
 class GroupObject:
-    """Shared interface of the two backends."""
+    """Shared code of the two backends; each supplies ``zero``, ``add``,
+    ``neg``, ``order``, ``elements``, ``generators`` and ``is_abelian``."""
 
     backend = None
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
 
     def scale(self, a, n):
         if n < 0:
@@ -100,20 +93,6 @@ class GroupObject:
     def conjugate(self, g, x):
         """g + x - g."""
         return self.add(self.add(g, x), self.neg(g))
-
-    def order(self):
-        """Number of elements, or None when infinite."""
-        raise NotImplementedError
-
-    def elements(self):
-        raise NotImplementedError
-
-    def generators(self):
-        """Canonical generating elements."""
-        raise NotImplementedError
-
-    def is_abelian(self):
-        raise NotImplementedError
 
 
 class FiniteGroup(GroupObject):
@@ -174,13 +153,7 @@ class FiniteGroup(GroupObject):
         return [GroupElement(self, (i,)) for i in range(len(self.element_names))]
 
     def generators(self):
-        """A small generating set, greedily grown: the lowest index not yet
-        generated is added next; deterministic."""
-        n, gens, reached = self.order(), [], _words(self, ())
-        while len(reached) < n:
-            gens.append(self.elem(min(set(range(n)) - reached.keys())))
-            reached = _words(self, gens)
-        return gens
+        return _generating_set(self, range(self.order()))
 
     def is_abelian(self):
         return self._abelian
@@ -466,9 +439,6 @@ class GroupHom:
         if self.dom.backend != "fgab" or self.cod.backend != "fgab":
             raise BackendMismatch("matrix form needs fgab on both sides")
         return [list(img.coords) for img in self.images]
-
-    def describe(self):
-        return f"hom {self.dom!r} -> {self.cod!r}"
 
 
 def make_hom(dom, cod, images):
@@ -783,10 +753,24 @@ def _words(G, gens):
     return words
 
 
+def _generating_set(G, indices):
+    """A small generating set of the subgroup of the finite group G whose
+    element indices are listed, greedily grown: the lowest index not yet
+    reached comes next.  Each new generator at least doubles the subgroup
+    reached, so there are at most log2 of its order."""
+    gens, reached = [], _words(G, ())
+    for i in sorted(indices):
+        if i not in reached:
+            gens.append(GroupElement(G, (i,)))
+            reached = _words(G, gens)
+    return gens
+
+
 def subgroup_from_elements(group, elements):
     """Finite-backend subgroup from an explicit element set (must be closed)."""
     els = frozenset(elements)
-    return Subgroup(group, tuple(sorted(els, key=lambda e: e.coords)), els)
+    return Subgroup(group, tuple(_generating_set(
+        group, [x.coords[0] for x in els])), els)
 
 
 def trivial_subgroup(group):

@@ -24,10 +24,6 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 
-def _floor_div(a, b):
-    return a // b
-
-
 def _ceil_div(a, b):
     return -((-a) // b)
 
@@ -106,10 +102,6 @@ class SNF:
     def diagonal(self):
         m, n = mat_shape(self.D)
         return [self.D[i][i] for i in range(min(m, n))]
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.diagonal if d != 0)
 
 
 def _pivot(A, t, m, n):
@@ -636,10 +628,10 @@ class NonnegSolver:
                 lo_av, hi_av = need - hi_r, need - lo_r
                 if a > 0:
                     vlo = max(vlo, _ceil_div(lo_av, a))
-                    vhi = min(vhi, _floor_div(hi_av, a))
+                    vhi = min(vhi, hi_av // a)
                 else:
                     vlo = max(vlo, _ceil_div(hi_av, a))
-                    vhi = min(vhi, _floor_div(lo_av, a))
+                    vhi = min(vhi, lo_av // a)
             return vlo, vhi
 
         def z_prune():

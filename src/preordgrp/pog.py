@@ -62,9 +62,6 @@ class PreorderedGroup:
     group: object
     cone: Cone
 
-    def classify(self):
-        return classify(self)
-
     def describe(self):
         if self.group.backend == "finite":
             return f"(finite group of order {self.group.order()}, " \
@@ -110,9 +107,6 @@ class Classification:
 
     def __contains__(self, flag):
         return flag in self.flags
-
-    def __iter__(self):
-        return iter(sorted(self.flags))
 
     def __eq__(self, other):
         if isinstance(other, (set, frozenset)):
@@ -160,9 +154,6 @@ class POGMorphism:
     cod: PreorderedGroup
     hom: GroupHom
     certificate: ConeCertificate
-
-    def __call__(self, x):
-        return self.hom(x)
 
     def is_zero(self):
         return self.hom.is_zero()
@@ -268,19 +259,16 @@ def pog_cokernel(m):
 class LimitResult:
     obj: PreorderedGroup
     legs: tuple
-    injections: tuple = None
 
 
 def pog_product(P1, P2):
     prod = direct_product(P1.group, P2.group)
     cone = transport_product(P1.cone, P2.cone, prod.group,
-                             prod.proj1, prod.proj2, prod.inj1, prod.inj2)
+                             prod.proj1, prod.proj2)
     P = PreorderedGroup(prod.group, cone)
     legs = (structural_morphism(prod.proj1, P, P1, "product projection"),
             structural_morphism(prod.proj2, P, P2, "product projection"))
-    injs = (structural_morphism(prod.inj1, P1, P, "product injection"),
-            structural_morphism(prod.inj2, P2, P, "product injection"))
-    return LimitResult(P, legs, injs)
+    return LimitResult(P, legs)
 
 
 def pog_pullback(m1, m2):

@@ -200,6 +200,18 @@ class TestCommands:
         report = json.loads(out)
         assert code == 0 and report["limit"]["group"]["rank"] == 2
 
+    def test_product_lists_a_repeated_generator_once(self, tmp_path):
+        # a product lifts its generators like a pullback: the part cone
+        # (Z, <1, 1, 2>) gives (1, 0) once, and keeps the redundant (2, 0)
+        doc = basic_document()
+        doc["cones"]["rep"] = {"group": "Z", "generators": [[1], [1], [2]]}
+        doc["objects"]["R"] = {"group": "Z", "cone": "rep"}
+        code, out = run_cli(tmp_path, doc,
+                            "limit", "--kind", "product", "R", "ZN")
+        cone = json.loads(out)["limit"]["cone"]
+        assert code == 0 and cone["node"] == "ProductCone"
+        assert cone["generators"] == [[1, 0], [2, 0], [0, 1]]
+
     def test_sequence_check(self, tmp_path):
         doc = basic_document()
         code, out = run_cli(tmp_path, doc, "sequence-check", "idZN", "mod2")

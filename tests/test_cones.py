@@ -11,6 +11,7 @@ from preordgrp.cones import (
     GeneratorCone,
     ImageCone,
     PreimageCone,
+    ProductCone,
     check_cone_axioms,
     cone_contains,
     cone_is_subgroup,
@@ -39,6 +40,7 @@ from preordgrp.groups import (
     make_hom,
     quotient,
     subgroup,
+    subgroup_equal,
     subgroup_from_elements,
 )
 
@@ -161,6 +163,28 @@ class TestUnits:
         expected = {x for x in c.members if -x in c.members}
         assert U.elements == expected
 
+    def test_units_past_the_hilbert_cap(self, monkeypatch):
+        # past the cap the solver has no unit columns, and the units are
+        # generated by the generators whose negatives are members
+        from preordgrp import cones, intlinalg
+        from preordgrp.corpus import fgab_corpus_objects
+        cases = [halfplane_cone()] + [
+            P.cone for _, P in sorted(fgab_corpus_objects().items())]
+        uncapped = [units(c) for c in cases]
+        caches = (cones._generator_solver, cones._cone_contains_cached)
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(intlinalg, "HILBERT_FRONTIER_CAP", 1)
+        try:
+            capped = 0
+            for c, U in zip(cases, uncapped):
+                capped += cones._generator_solver(c).unit_columns is None
+                assert subgroup_equal(units(c), U), c
+            assert capped >= 5
+        finally:
+            for cache in caches:  # no capped solver outlives the test
+                cache.cache_clear()
+
     def test_finite_units_match_brute_force_everywhere(self):
         from preordgrp.oracle import enumerate_cones
         from preordgrp.corpus import finite_corpus_groups
@@ -193,8 +217,7 @@ class TestGeneratedSubgroup:
 class TestTransport:
     def test_product_membership(self):
         pr = direct_product(Z, Z)
-        c = transport_product(N, N, pr.group, pr.proj1, pr.proj2,
-                              pr.inj1, pr.inj2)
+        c = transport_product(N, N, pr.group, pr.proj1, pr.proj2)
         assert cone_contains(c, pr.group.elem([2, 3]))
         assert not cone_contains(c, pr.group.elem([2, -3]))
         assert extract_generators(c) is not None
@@ -218,7 +241,7 @@ class TestTransport:
     def test_image_projection(self):
         pr = direct_product(Z, Z)
         ZxN = transport_product(total_cone(Z), N, pr.group,
-                                pr.proj1, pr.proj2, pr.inj1, pr.inj2)
+                                pr.proj1, pr.proj2)
         h = make_hom(pr.group, Z, [Z.elem([0]), Z.elem([1])])
         img = transport_image(h, ZxN)
         assert isinstance(img, GeneratorCone)
@@ -255,6 +278,21 @@ class TestTransport:
         h = make_hom(Z2, C2, [C2.elem(1), C2.elem(0)])
         with pytest.raises(ImageNotComputable):
             transport_image(h, CoverCone(Z2, N))
+
+    def test_image_of_a_kernel_pair_cone_is_the_cover_cone(self):
+        # membership in the image walks the ProductCone of the kernel pair
+        # of the canonical cover of (Z, N) along its first leg
+        from preordgrp.descent import canonical_cover, kernel_pair
+        from preordgrp.pog import make_pog
+        cover = canonical_cover(make_pog(Z, N))
+        R = kernel_pair(cover.projection)
+        img = transport_image(R.r1.hom, R.carrier.cone)
+        assert isinstance(img, ImageCone)
+        assert isinstance(img.inner, ProductCone)
+        base = cover.realized.cone
+        for x in group_window(base.group, 2):
+            assert cone_contains(img, x).value == \
+                cone_contains(base, x).value, x
 
     def test_image_of_nonextractable_uses_units_rule(self):
         # {(x, n, y) : (n, y) in the cover cone of (Z, N)} modulo its unit
@@ -350,10 +388,10 @@ class TestDecidingMembers:
     """Generators decide exactly; a cone without them is scanned on the
     window and marked inexact."""
 
-    def test_explicit_cone_gives_its_members(self):
+    def test_explicit_cone_gives_its_subgroup_generators(self):
         G = cyclic_group(4)
         c = explicit_cone(G, [G.elem(2), G.elem(0)])
-        assert deciding_members(c) == ((G.elem(0), G.elem(2)), True)
+        assert deciding_members(c) == ((G.elem(2),), True)
 
     def test_generated_cone_gives_its_generators(self):
         assert deciding_members(halfplane_cone()) == \
@@ -418,3 +456,55 @@ class TestDegeneracy:
             for c in cones:
                 S = subgroup_from_elements(G, c.members)
                 assert S.is_normal()
+
+
+class TestFiniteConesDecideOnGenerators:
+    """A finite cone is a subgroup, and decides a predicate on its greedy
+    generating set; products lift their generators like pullbacks."""
+
+    def test_preservation_witness_is_the_first_failing_member(self):
+        # the members that pass form a subgroup, and the greedy set takes
+        # the lowest index outside the subgroup generated so far
+        from preordgrp.corpus import finite_corpus_objects_up_to
+        from preordgrp.groups import enumerate_group_homs
+        from preordgrp.pog import cone_preservation
+        objs = list(finite_corpus_objects_up_to(8).values())
+        homs = {}
+        triples = failing = 0
+        for P in objs:
+            members = sorted(P.cone.members, key=lambda e: e.coords)
+            for Q in objs:
+                key = (P.group, Q.group)
+                if key not in homs:
+                    homs[key] = enumerate_group_homs(*key)
+                for h in homs[key]:
+                    ok, bad, _ = cone_preservation(h, P.cone, Q.cone)
+                    first = next((x for x in members
+                                  if h(x) not in Q.cone.members), None)
+                    assert ok == (first is None) and bad == first
+                    triples += 1
+                    failing += not ok
+        assert (triples, failing) == (8550, 2564)
+
+    def test_generators_reach_exactly_the_members(self):
+        from preordgrp.corpus import finite_corpus_objects
+        from preordgrp.groups import _words
+        for name, P in finite_corpus_objects().items():
+            c = P.cone
+            gens = extract_generators(c)
+            reached = _words(c.group, gens)
+            assert {c.group.elem(i) for i in reached} == c.members, name
+            assert len(gens) <= len(c.members).bit_length() - 1, name
+
+    def test_product_generators_are_the_injected_part_generators(self):
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.pog import pog_product
+        objs = sorted(fgab_corpus_objects().items())
+        for _, P1 in objs:
+            for _, P2 in objs:
+                pr = direct_product(P1.group, P2.group)
+                injected = tuple(
+                    [pr.inj1(g) for g in extract_generators(P1.cone)]
+                    + [pr.inj2(g) for g in extract_generators(P2.cone)])
+                assert extract_generators(pog_product(P1, P2).obj.cone) \
+                    == injected

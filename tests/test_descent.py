@@ -196,8 +196,7 @@ class TestCoverings:
         pr = direct_product(Z, Z)
         cone = transport_product(total_cone(Z),
                                  generator_cone(Z, [Z.elem([1])]),
-                                 pr.group, pr.proj1, pr.proj2,
-                                 pr.inj1, pr.inj2)
+                                 pr.group, pr.proj1, pr.proj2)
         dom = make_pog(pr.group, cone)
         m = make_pog_morphism(
             make_hom(pr.group, Z, [Z.elem([0]), Z.elem([1])]), dom, ZN)
@@ -229,8 +228,7 @@ class TestCoveringAlong:
         pr = direct_product(Z, Z)
         cone = transport_product(total_cone(Z),
                                  generator_cone(Z, [Z.elem([1])]),
-                                 pr.group, pr.proj1, pr.proj2,
-                                 pr.inj1, pr.inj2)
+                                 pr.group, pr.proj1, pr.proj2)
         dom = make_pog(pr.group, cone)
         m = make_pog_morphism(
             make_hom(pr.group, Z, [Z.elem([0]), Z.elem([1])]), dom, ZN)

@@ -362,3 +362,71 @@ def test_split_solver_against_brute_force():
         for x in group_window(G, 3):
             assert U.contains(x) == brute.contains(x), (gens, x)
     assert split >= 20
+
+
+def _small_system(seed):
+    """A n + B v = c with m <= 2 rows, t <= 4 non-negative and at most one
+    free column, entries in [-3, 3]."""
+    rng = random.Random(seed)
+    m, t, u = rng.randint(1, 2), rng.randint(1, 4), rng.randint(0, 1)
+    A = [[rng.randint(-3, 3) for _ in range(t)] for _ in range(m)]
+    B = [[rng.randint(-3, 3) for _ in range(u)] for _ in range(m)]
+    return A, B, [rng.randint(-3, 3) for _ in range(m)]
+
+
+def _search_lines_run(solver, c):
+    """Which of the two dead-end lines of ``NonnegSolver._search`` solving
+    c runs: ``empty`` (a variable's window is empty) and ``backtrack``
+    (every value of a variable failed)."""
+    import inspect
+    import sys
+    src, first = inspect.getsourcelines(NonnegSolver._search)
+    lines = {}
+    for k, text in enumerate(src):
+        if "if vhi < vlo:" in text:
+            lines[first + k + 1] = "empty"
+        if "assigned[j] = False" in text:
+            lines[first + k] = "backtrack"
+    assert len(lines) == 2
+    run = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_name != "dfs":
+            return None
+        if event == "line" and frame.f_lineno in lines:
+            run.add(lines[frame.f_lineno])
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        w = solver.solve(c)
+    finally:
+        sys.settrace(None)
+    return w, run
+
+
+def test_search_dead_ends_against_brute_force():
+    """The seeds below are the systems among seeds 0..3999 of
+    ``_small_system`` whose search reaches an empty window or backtracks.
+    Any (n, v) in [0, 6]^t x [-6, 6]^u solving one must make the solver
+    find a witness, and every witness must solve it."""
+    seeds = (264, 406, 476, 618, 693, 1048, 1106, 1611, 1682, 1703, 2053,
+             2445, 2525, 2775, 2873, 2942, 3068, 3191, 3679, 3738, 3961)
+    run = set()
+    for seed in seeds:
+        A, B, c = _small_system(seed)
+        t, u = len(A[0]), len(B[0])
+        w, lines = _search_lines_run(NonnegSolver(A, B), c)
+        run |= lines
+        in_box = any(
+            mat_vec(A, list(n)) == [ci - sum(b * x for b, x in zip(row, v))
+                                    for ci, row in zip(c, B)]
+            for n in itertools.product(range(7), repeat=t)
+            for v in itertools.product(range(-6, 7), repeat=u))
+        if in_box:
+            assert w is not None, seed
+        if w is not None:
+            assert all(x >= 0 for x in w)
+            resid = [ci - a for ci, a in zip(c, mat_vec(A, w))]
+            assert solve(B, resid) is not None if u else not any(resid), seed
+    assert run == {"empty", "backtrack"}

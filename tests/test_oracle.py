@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from preordgrp import cones, factor, groups, intlinalg, oracle, pog, torsion
 from preordgrp.cones import explicit_cone, trivial_cone
 from preordgrp.corpus import (
     finite_corpus_groups,
@@ -441,3 +442,85 @@ class TestSearch:
                   "torsion_sequence", "stable_units", "prekernel_clause",
                   "precokernel_clause"}
         assert needed <= set(LAW_REGISTRY)
+
+
+def _kernel_with_discrete_cone(m):
+    """The kernel that forgets to restrict the domain cone."""
+    K, inj = pog.pog_kernel(m)
+    K0 = pog.PreorderedGroup(K.group, trivial_cone(K.group))
+    return K0, pog.structural_morphism(inj.hom, K0, m.dom, "kernel")
+
+
+def _cokernel_with_total_cone(m):
+    """The cokernel whose cone is the whole quotient."""
+    Q, proj = pog.pog_cokernel(m)
+    Q1 = pog.PreorderedGroup(Q.group, cones.total_cone(Q.group))
+    return Q1, pog.structural_morphism(proj.hom, m.cod, Q1, "cokernel")
+
+
+# One plausible wrong version of an engine function per registered law:
+# (law, module, attribute, wrong version).
+_WRONG = [
+    # the preimage of the codomain units taken as the kernel
+    ("mono_pullback_square", oracle, "subgroup_preimage",
+     lambda h, S: groups.kernel_subgroup(h)),
+    # every kernel trivial
+    ("kernel_characterization", pog, "group_kernel",
+     lambda h: groups.subgroup_to_group(groups.trivial_subgroup(h.dom))),
+    ("cokernel_characterization", oracle, "pog_cokernel",
+     _cokernel_with_total_cone),
+    ("short_exact_characterization", oracle, "pog_kernel",
+     _kernel_with_discrete_cone),
+    # a normal epi tested on groups only, not on cones
+    ("eprime_subset_e", factor, "is_normal_epi",
+     lambda m: (groups.is_surjective(m.hom), True)),
+    # an isomorphism tested by surjectivity alone
+    ("m_subset_mstar", factor, "is_isomorphism", groups.is_surjective),
+    # a cone check that passes every hom
+    ("hom_total_to_reduced_zero", oracle, "cone_preservation",
+     lambda hom, dom_cone, cod_cone: (True, None, None)),
+    # every cone taken as reduced
+    ("torsion_sequence", torsion, "units",
+     lambda cone: groups.trivial_subgroup(cone.group)),
+    # a pullback that carries the trivial cone
+    ("stable_units", pog, "transport_product",
+     lambda c1, c2, carrier, p1, p2: trivial_cone(carrier)),
+    # a subgroup viewed as the trivial cone instead of the total one
+    ("prekernel_clause", torsion, "subgroup_as_cone",
+     lambda S: trivial_cone(S.group)),
+    # the quotient cone taken as the total cone, not the image
+    ("precokernel_clause", torsion, "transport_image",
+     lambda hom, inner: cones.total_cone(hom.cod)),
+]
+
+
+def _clear_engine_caches():
+    """A cached result of a wrong function must not outlive its test, and
+    a cached right one must not hide the patch."""
+    for mod in (cones, factor, groups, intlinalg, oracle, pog, torsion):
+        for fn in list(vars(mod).values()):
+            if callable(getattr(fn, "cache_clear", None)):
+                fn.cache_clear()
+
+
+class TestLawsCanFail:
+    """Each registered law, except the deliberately false one, finds a
+    witness once one engine function it rests on is wrong (ROADMAP item
+    2).  ``mono_iff_trivial_kernel`` is covered by
+    ``TestSearch::test_mono_law_can_fail``."""
+
+    def test_every_law_has_a_wrong_engine(self):
+        patched = {law for law, *_ in _WRONG} | {"mono_iff_trivial_kernel"}
+        assert patched == set(LAW_REGISTRY) - {"every_morphism_is_covering"}
+
+    @pytest.mark.parametrize("law, module, name, wrong", _WRONG,
+                             ids=[w[0] for w in _WRONG])
+    def test_law_can_fail(self, monkeypatch, law, module, name, wrong):
+        finite_corpus_objects()  # built right, before the patch
+        assert search_counterexample(law, 4) is None
+        _clear_engine_caches()
+        monkeypatch.setattr(module, name, wrong)
+        try:
+            assert search_counterexample(law, 4) is not None
+        finally:
+            _clear_engine_caches()

@@ -1,10 +1,11 @@
 """Golden CLI reports on the bundled corpus.
 
 The fixture ``data/corpus_reports.json`` holds the stdout and exit code of
-``classify``, ``torsion``, ``pretorsion``, ``reflect`` and ``proto-reflect``
-for every corpus object, and of ``enumerate --cones`` for every finite
-corpus group.  Any change to these reports must be deliberate: regenerate
-the fixture with
+``classify``, ``torsion``, ``pretorsion``, ``reflect``, ``proto-reflect``
+and ``cover`` for every corpus object, of ``enumerate --cones`` for every
+finite corpus group, and of ``limit --kind product`` for every ordered pair
+of f.g. abelian corpus objects.  Any change to these reports must be
+deliberate: regenerate the fixture with
 
     PYTHONPATH=src python tests/test_reports.py
 
@@ -20,11 +21,12 @@ import pathlib
 import pytest
 
 from preordgrp.cli import main
-from preordgrp.corpus import corpus_objects, finite_corpus_groups
+from preordgrp.corpus import (corpus_objects, fgab_corpus_objects,
+                              finite_corpus_groups)
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "corpus_reports.json"
 OBJECT_COMMANDS = ("classify", "torsion", "pretorsion", "reflect",
-                   "proto-reflect")
+                   "proto-reflect", "cover")
 
 
 def corpus_commands():
@@ -32,6 +34,9 @@ def corpus_commands():
             for c in OBJECT_COMMANDS]
     cmds += [("enumerate", "--cones", name)
              for name in sorted(finite_corpus_groups())]
+    cmds += [("limit", "--kind", "product", a, b)
+             for a in sorted(fgab_corpus_objects())
+             for b in sorted(fgab_corpus_objects())]
     return cmds
 
 
