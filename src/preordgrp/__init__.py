@@ -27,7 +27,6 @@ from .cones import (
 )
 from .descent import (
     InternalEquivRelation,
-    VirtualPOG,
     canonical_cover,
     is_covering,
     is_covering_along,

@@ -3,15 +3,18 @@ membership.
 
 A cone is either explicit (finite carrier), generated (fgab carrier), or
 a recipe node on an fgab carrier remembering how it was built from other
-cones (product, pullback, preimage, direct image).  On a finite carrier
-every transport computes its members directly: a cone there is a normal
-subgroup, ``ExplicitCone.subgroup``, and its generators are that
-subgroup's greedy generating set, at most log2 of its order.  Recipe
-cones keep their construction tree: membership is decided on it,
-compiled into one non-negative integer feasibility problem where needed,
-and unit groups are computed compositionally.  Generators are extracted
-on demand; a product, pullback or preimage of finitely generated cones is
-finitely generated, by a Hilbert basis lifted along its legs.
+cones: ``ProductCone``, the restriction along one leg (a preimage) or
+the two projections of a product or pullback, and ``ImageCone``, a direct
+image.  On a finite carrier every transport computes its members
+directly: a cone there is a normal subgroup, ``ExplicitCone.subgroup``,
+and its generators are that subgroup's greedy generating set, at most
+log2 of its order.  Recipe cones keep their construction tree:
+membership is decided on it, compiled into one non-negative integer
+feasibility problem where needed, and unit groups are computed
+compositionally.  Generators are extracted on demand; a restriction of
+finitely generated cones is finitely generated, by a Hilbert basis
+lifted along its legs.  The cone a subgroup carries, ``subgroup_cone``,
+gives the total and the trivial cone too.
 
 The ``CoverCone`` leaf is the positive cone of the canonical partially
 ordered cover Z x G; it is provably reduced and not finitely generated, so
@@ -32,6 +35,7 @@ from .errors import (
 )
 from .groups import (
     GroupHom,
+    _bounded_elements,
     _preimage_lookup,
     _stacked_legs,
     is_surjective,
@@ -52,9 +56,11 @@ WINDOW = 8
 class MembershipVerdict:
     """Definitive membership answer with its evidence.
 
-    An ``In`` verdict on a generated cone carries the non-negative
-    combination realizing the element.  An ``Out`` verdict carries nothing:
-    the solver behind it is complete, so its failure is the proof.
+    An ``In`` verdict on a generated or image cone carries the non-negative
+    combination realizing the element; on a restriction it carries none,
+    its parts' combinations being over other cones' generators.  An
+    ``Out`` verdict carries nothing: the solver behind it is complete, so
+    its failure is the proof.
     """
 
     value: str  # "In" | "Out"
@@ -93,19 +99,13 @@ class GeneratorCone(Cone):
 
 @dataclass(frozen=True)
 class ProductCone(Cone):
-    """Componentwise cone on a product or pullback carrier: membership is
-    the conjunction of the two projected memberships."""
+    """Restriction along legs: x is positive iff ``projections[k](x)`` lies
+    in ``parts[k]`` for every k.  One leg is a preimage; two are the
+    jointly injective projections of a product or pullback."""
 
     group: object
     parts: tuple
     projections: tuple
-
-
-@dataclass(frozen=True)
-class PreimageCone(Cone):
-    group: object
-    hom: GroupHom
-    inner: Cone
 
 
 @dataclass(frozen=True)
@@ -148,19 +148,24 @@ def generator_cone(group, generators):
     return GeneratorCone(group, gens)
 
 
+def subgroup_cone(S):
+    """The total cone a subgroup carries inside its ambient group: its
+    members, or its generators each followed by its negative."""
+    G = S.group
+    if G.backend == "finite":
+        return explicit_cone(G, S.elements)
+    gens = []
+    for g in S.generators:
+        gens.extend([g, -g])
+    return generator_cone(G, gens)
+
+
 def trivial_cone(group):
-    if group.backend == "finite":
-        return explicit_cone(group, [group.zero])
-    return GeneratorCone(group, ())
+    return subgroup_cone(trivial_subgroup(group))
 
 
 def total_cone(group):
-    if group.backend == "finite":
-        return explicit_cone(group, group.elements())
-    gens = []
-    for g in group.generators():
-        gens.extend([g, -g])
-    return generator_cone(group, gens)
+    return subgroup_cone(subgroup(group, group.generators()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +211,6 @@ def _cone_contains_cached(cone, x):
         if w is None:
             return MembershipVerdict("Out")
         return MembershipVerdict("In", witness=tuple(w))
-    if isinstance(cone, PreimageCone):
-        return cone_contains(cone.inner, cone.hom(x))
     if isinstance(cone, ProductCone):
         for part, proj in zip(cone.parts, cone.projections):
             v = cone_contains(part, proj(x))
@@ -283,11 +286,6 @@ class _Compiler:
         if isinstance(cone, GeneratorCone):
             gens = [list(g.coords) for g in cone.cone_generators]
             self.gen_atoms.append((gens, cone.group.relation_columns(), expr))
-            return
-        if isinstance(cone, PreimageCone):
-            self.walk(cone.inner,
-                      expr.apply(cone.hom.matrix_columns(),
-                                 cone.hom.cod.ncoords))
             return
         if isinstance(cone, ProductCone):
             for part, proj in zip(cone.parts, cone.projections):
@@ -457,8 +455,6 @@ def units(cone):
         return subgroup(cone.group, unit_gens)
     if isinstance(cone, CoverCone):
         return trivial_subgroup(cone.group)
-    if isinstance(cone, PreimageCone):
-        return subgroup_preimage(cone.hom, units(cone.inner))
     if isinstance(cone, ProductCone):
         out = None
         for part, proj in zip(cone.parts, cone.projections):
@@ -487,30 +483,26 @@ def extract_generators(cone):
         return cone.subgroup.generators
     if isinstance(cone, GeneratorCone):
         return cone.cone_generators
-    if isinstance(cone, (ProductCone, PreimageCone)):
+    if isinstance(cone, ProductCone):
         return _lifted_generators(cone)
     return None
 
 
 @lru_cache(maxsize=None)
 def _lifted_generators(cone):
-    """Generators of a product, pullback or preimage cone, or None.
+    """Generators of a restriction cone, or None.
 
     The cone is { x : legs[k](x) in parts[k] for every k }.  With S_k the
     generators of parts[k], the multiplicities n >= 0 for which (S_k n_k)_k
     is some (legs[k](x))_k form the non-negative part of a lattice, whose
     Hilbert basis is finite; its elements lift along the legs to
-    generators, joined by +- a basis of the kernel of the legs (trivial for
-    the jointly injective projections of a product or pullback).  A finite
-    abelian part takes part in its fgab form.  None when a part has no
-    generators or the Hilbert basis passes its cap.
+    generators, joined by +- a basis of the kernel of a single leg (two
+    legs are the jointly injective projections of a product or pullback).
+    A finite abelian part takes part in its fgab form.  None when a part
+    has no generators or the Hilbert basis passes its cap.
     """
-    if isinstance(cone, PreimageCone):
-        legs, parts = (cone.hom,), (cone.inner,)
-        kernel = kernel_subgroup(cone.hom).generators
-    else:
-        legs, parts = cone.projections, cone.parts
-        kernel = ()
+    legs, parts = cone.projections, cone.parts
+    kernel = kernel_subgroup(legs[0]).generators if len(legs) == 1 else ()
     part_gens = [extract_generators(p) for p in parts]
     if any(gens is None for gens in part_gens):
         return None
@@ -601,7 +593,7 @@ def transport_preimage(hom, inner):
         return explicit_cone(hom.dom, [
             x for x, y in zip(hom.dom.elements(), hom.images)
             if cone_contains(inner, y)])
-    return PreimageCone(hom.dom, hom, inner)
+    return ProductCone(hom.dom, (inner,), (hom,))
 
 
 def transport_image(hom, inner):
@@ -629,9 +621,7 @@ def group_window(group, width):
     """All elements with free coordinates in [-width, width]."""
     if group.backend == "finite":
         return group.elements()
-    ranges = [range(-width, width + 1)] * group.rank
-    ranges += [range(d) for d in group.torsion]
-    return [group.elem(c) for c in itertools.product(*ranges)]
+    return _bounded_elements(group, width)
 
 
 def cone_window(cone, width):

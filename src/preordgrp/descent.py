@@ -1,6 +1,6 @@
 """Effective descent data: the canonical partially ordered cover of any
 preordered group, kernel pairs as internal equivalence relations, discrete
-fibrations, and the covering predicates.
+fibrations, and coverings.
 
 Every (G, P) is covered by H = Z x G with positive cone
 
@@ -12,6 +12,10 @@ decomposes).  Cover-side predicates therefore fall back to the fixed window
 scan of the cover's axioms takes its width from the caller.  The
 projection (n, g) |-> g is a normal epimorphism: every g lifts to (0, g)
 and every positive p lifts to (1, p).
+
+A covering is a morphism in the class M* (its kernel is partially
+ordered); ``is_covering_along`` tests the definition instead, a morphism
+whose pullback along an effective descent morphism is a trivial covering.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .cones import (
     CoverCone,
     cone_contains,
     cone_window,
-    units,
 )
 from .errors import EnumerationUnbounded
 from .groups import (
@@ -33,8 +36,6 @@ from .groups import (
     compose,
     factor_through_legs,
     identity_hom,
-    kernel_subgroup,
-    subgroup_intersection,
 )
 from .pog import (
     POGMorphism,
@@ -52,22 +53,6 @@ from .factor import in_class
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VirtualPOG:
-    """Z x G with the cover order, independent of any coordinate realization.
-
-    Elements are pairs (n, g) of a Python integer and a group element of
-    the base; only the positivity predicate is offered.
-    """
-
-    base: PreorderedGroup
-
-    def positive(self, n, g):
-        if n >= 1:
-            return bool(cone_contains(self.base.cone, g))
-        return n == 0 and g.is_zero()
-
-
-@dataclass(frozen=True)
 class CoverScanReport:
     submonoid_violations: int
     conjugation_violations: int
@@ -78,32 +63,32 @@ class CoverScanReport:
     @property
     def clean(self):
         return (self.submonoid_violations == 0
-                and self.conjugation_violations == 0
-                and self.reducedness_violations == 0)
+                and self.conjugation_violations == 0)
 
 
 COVER_SCAN_CAP = 2_000_000
 
 
-def scan_cover(virtual, width=WINDOW):
-    """Window confirmation of the cover's cone axioms and reducedness.
+def scan_cover(base, width=WINDOW):
+    """Window confirmation of the cone axioms of the cover of base.
 
-    All three hold analytically (the first coordinate of a sum of two
+    Both hold analytically (the first coordinate of a sum of two
     positives is either >= 2 or both summands are zero), so any violation
     here is a bug, not a mathematical discovery.  Positivity of a sum or a
     conjugate only depends on its base part, so the quadratic scans run
-    over base-window pairs rather than cover-window pairs.  The checks are
+    over base-window pairs rather than cover-window pairs.  Reducedness
+    needs no scan: the negative of a positive other than (0, 0) has first
+    coordinate <= -1, so ``reducedness_violations`` is 0.  The checks are
     counted on the whole base window before anything is built: past
     ``COVER_SCAN_CAP`` of them the call raises ``EnumerationUnbounded``.
     """
-    base = virtual.base
     G = base.group
     if G.backend == "finite":
         points = G.order()
     else:
         points = (2 * width + 1) ** G.rank * math.prod(G.torsion)
-    # base pairs, reducedness levels and, off abelian bases, conjugates
-    checks = points * (points + width + (0 if G.is_abelian() else G.order()))
+    # base pairs and, off abelian bases, conjugates
+    checks = points * (points + (0 if G.is_abelian() else G.order()))
     if checks > COVER_SCAN_CAP:
         raise EnumerationUnbounded(
             f"the cover scan at window {width} needs up to {checks} checks, "
@@ -111,13 +96,7 @@ def scan_cover(virtual, width=WINDOW):
     base_pos = list(cone_window(base.cone, width))
     n_levels = width  # positives pair with first coordinates 1..width
     positives = n_levels * len(base_pos) + 1
-    sub = conj = red = 0
-    # reducedness: -(n, g) has first coordinate <= -1 for every positive
-    # except the zero pair, which the predicate itself accepts
-    for g in base_pos:
-        for n in range(1, width + 1):
-            if virtual.positive(-n, -g):
-                red += 1
+    sub = conj = 0
     # submonoid closure: (n1+n2, g1+g2) with n1+n2 >= 2 needs g1+g2 positive
     for g1 in base_pos:
         for g2 in base_pos:
@@ -129,12 +108,11 @@ def scan_cover(virtual, width=WINDOW):
             for g in base_pos:
                 if not cone_contains(base.cone, base.group.conjugate(k, g)):
                     conj += 1
-    return CoverScanReport(sub, conj, red, width, positives)
+    return CoverScanReport(sub, conj, 0, width, positives)
 
 
 @dataclass(frozen=True)
 class CoverResult:
-    virtual: VirtualPOG
     scan: CoverScanReport
     realized: PreorderedGroup = None      # fgab bases only
     projection: POGMorphism = None
@@ -156,19 +134,18 @@ def canonical_cover(P, width=WINDOW):
     >>> cover.realized.group.rank
     2
     """
-    virtual = VirtualPOG(P)
-    scan = scan_cover(virtual, width)
+    scan = scan_cover(P, width)
     note = ("group level splits by g |-> (0, g); "
             "every positive p lifts to (1, p)")
     if P.group.backend != "fgab":
-        return CoverResult(virtual, scan, surjectivity_note=note)
+        return CoverResult(scan, surjectivity_note=note)
     G = P.group
     H = FgAbGroup(G.rank + 1, G.torsion)  # new free coordinate first
     proj = GroupHom(H, G, (G.zero, *G.generators()))
     cover_pog = PreorderedGroup(H, CoverCone(H, P.cone))
     morphism = structural_morphism(
         proj, cover_pog, P, "cover projection: (n, g) |-> g")
-    return CoverResult(virtual, scan, cover_pog, morphism, note)
+    return CoverResult(scan, cover_pog, morphism, note)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +246,9 @@ def is_discrete_fibration(f1, f0, R, Rp):
 # ---------------------------------------------------------------------------
 
 def is_covering(m):
-    """A morphism is a covering iff its kernel is partially ordered,
-    i.e. the kernel meets the unit group trivially."""
-    ker = kernel_subgroup(m.hom)
-    N = units(m.dom.cone)
-    return subgroup_intersection(ker, N).is_trivial()
+    """A morphism is a covering iff it lies in M*: its kernel is partially
+    ordered, i.e. meets the unit group trivially."""
+    return in_class(m, "Mstar").holds
 
 
 def is_covering_along(m, p):

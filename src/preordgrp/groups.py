@@ -279,7 +279,8 @@ def make_finite_group(element_names, table):
         raise NotAGroup("table is not square")
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if (isinstance(v, bool) or not isinstance(v, int)
+                    or not 0 <= v < n):
                 raise NotAGroup(f"entry ({i},{j}) is not an element index",
                                 witness=(i, j))
     identity = None
@@ -1076,11 +1077,13 @@ def cyclic_group(n, name_prefix=""):
 # hom enumeration
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def enumerate_group_homs(G, H):
     """All homomorphisms between two finite groups, deterministically ordered.
 
     Generator images range over H; each candidate extends along generator
-    words and is kept iff the hom law holds along the Cayley graph.
+    words and is kept iff the hom law holds along the Cayley graph.  Groups
+    are interned, so one tuple serves every pair of cones on G and H.
     """
     gens = G.generators()
     words = _words(G, gens)
@@ -1094,7 +1097,7 @@ def enumerate_group_homs(G, H):
             images.append(acc)
         if _cayley_failure(G, images, gens) is None:
             out.append(GroupHom(G, H, tuple(images)))
-    return out
+    return tuple(out)
 
 
 def _bounded_elements(H, bound):

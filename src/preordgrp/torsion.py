@@ -23,8 +23,7 @@ from functools import lru_cache
 
 from .cones import (
     deciding_members,
-    explicit_cone,
-    generator_cone,
+    subgroup_cone,
     total_cone,
     transport_image,
     trivial_cone,
@@ -64,17 +63,6 @@ class TorsionDecomposition:
     unit: POGMorphism          # object -> torsion-free part
     certificate: SequenceCertificate
     kind: str                  # "torsion" | "pretorsion"
-
-
-def subgroup_as_cone(S):
-    """The total cone a subgroup carries when viewed inside its ambient group."""
-    G = S.group
-    if G.backend == "finite":
-        return explicit_cone(G, S.elements)
-    gens = []
-    for g in S.generators:
-        gens.extend([g, -g])
-    return generator_cone(G, gens)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +239,7 @@ def is_z_trivial(m):
 def proto_coreflect(P):
     """Pretorsion torsion part (G, N) with its counit into (G, P)."""
     N = units(P.cone)
-    TP = PreorderedGroup(P.group, subgroup_as_cone(N))
+    TP = PreorderedGroup(P.group, subgroup_cone(N))
     counit = make_pog_morphism(identity_hom(P.group), TP, P)
     return TP, counit
 
@@ -262,7 +250,7 @@ def proto_reflect(P):
     subgroup generated by the cone and its negatives."""
     from .cones import generated_subgroup
     M = generated_subgroup(P.cone)
-    EP = PreorderedGroup(P.group, subgroup_as_cone(M))
+    EP = PreorderedGroup(P.group, subgroup_cone(M))
     unit = make_pog_morphism(identity_hom(P.group), P, EP)
     return EP, unit
 

@@ -395,6 +395,10 @@ class TestMalformedWorkspace:
                                              "table": [[0]]}}},
         "torsion_bool": {"groups": {"T": {"kind": "fgab", "rank": 0,
                                           "torsion": [True]}}},
+        "table_bool": {"groups": {"C2": {"kind": "finite",
+                                         "elements": ["0", "1"],
+                                         "table": [[False, True],
+                                                   [True, False]]}}},
         "matrix_row_past_domain": {
             "groups": {"Z": {"kind": "fgab", "rank": 1, "torsion": []}},
             "cones": {"N": {"group": "Z", "generators": [[1]]}},

@@ -10,7 +10,6 @@ from preordgrp.cones import (
     CoverCone,
     GeneratorCone,
     ImageCone,
-    PreimageCone,
     ProductCone,
     check_cone_axioms,
     cone_contains,
@@ -209,7 +208,7 @@ class TestGeneratedSubgroup:
         # the cover cone of (Z, N) is not finitely generated, nor is its
         # preimage along the coordinate swap
         swap = make_hom(Z2, Z2, [Z2.elem([0, 1]), Z2.elem([1, 0])])
-        pre = PreimageCone(Z2, swap, CoverCone(Z2, N))
+        pre = transport_preimage(swap, CoverCone(Z2, N))
         with pytest.raises(UnitExtractionUnsupported):
             generated_subgroup(pre)
 
@@ -300,7 +299,7 @@ class TestTransport:
         Z3 = make_fgab_group(3, [])
         h = make_hom(Z3, Z2, [Z2.elem([0, 0]), Z2.elem([1, 0]),
                               Z2.elem([0, 1])])
-        pre = PreimageCone(Z3, h, CoverCone(Z2, N))
+        pre = transport_preimage(h, CoverCone(Z2, N))
         Q, q = quotient(Z3, subgroup(Z3, [Z3.elem([1, 0, 0])]))
         img = transport_image(q, pre)
         assert isinstance(img, ImageCone)
@@ -351,7 +350,7 @@ class TestLiftedGenerators:
 
     def test_preimage_generators(self):
         h = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
-        gens = self.assert_agrees(PreimageCone(Z2, h, N))
+        gens = self.assert_agrees(transport_preimage(h, N))
         assert {g.coords for g in gens} == {(0, 1), (1, 0), (-1, 0)}
         q = make_hom(Z2, Zmod4, [Zmod4.elem([1]), Zmod4.elem([2])])
         self.assert_agrees(
@@ -376,8 +375,8 @@ class TestLiftedGenerators:
         # (40000, 1) of the pullback lies past the cap
         h = make_hom(Z2, Z, [Z.elem([-1]), Z.elem([40000])])
         k = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
-        pre = transport_product(PreimageCone(Z2, h, N),
-                                PreimageCone(Z2, k, N), Z2,
+        pre = transport_product(transport_preimage(h, N),
+                                transport_preimage(k, N), Z2,
                                 identity_hom(Z2), identity_hom(Z2))
         assert extract_generators(pre) is None
         assert cone_contains(pre, Z2.elem([40000, 1]))
@@ -398,7 +397,8 @@ class TestDecidingMembers:
             (halfplane_cone().cone_generators, True)
 
     def test_pullback_cone_gives_its_lifted_generators(self):
-        pre = PreimageCone(Z2, make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])]), N)
+        h = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
+        pre = transport_preimage(h, N)
         assert deciding_members(pre) == (extract_generators(pre), True)
 
     def test_cover_cone_gives_its_window(self):
@@ -418,7 +418,7 @@ class TestSubgroupTest:
 
     def test_preimage_kernel_style(self):
         h = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
-        pre = PreimageCone(Z2, h, N)  # {(x, y) : y >= 0}, not a subgroup
+        pre = transport_preimage(h, N)  # {(x, y) : y >= 0}, not a subgroup
         ans, exact = cone_is_subgroup(pre)
         assert ans is False and exact is True
 

@@ -49,13 +49,12 @@ def mod2():
 
 class TestCanonicalCover:
     def test_predicate_on_z2_total(self):
-        cover = canonical_cover(Z2tot)
-        v = cover.virtual
-        one = Zmod2.elem([1])
-        assert v.positive(1, one)
-        assert not v.positive(0, one)
-        assert not v.positive(-1, Zmod2.zero)
-        assert v.positive(0, Zmod2.zero)
+        cone = canonical_cover(Z2tot).realized.cone
+        H = cone.group  # Z x Z/2, the new free coordinate first
+        assert cone_contains(cone, H.elem([1, 1]))
+        assert not cone_contains(cone, H.elem([0, 1]))
+        assert not cone_contains(cone, H.elem([-1, 0]))
+        assert cone_contains(cone, H.elem([0, 0]))
 
     def test_reducedness_window_scan(self):
         cover = canonical_cover(Z2tot)

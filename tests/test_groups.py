@@ -165,7 +165,8 @@ class TestInterning:
         with pytest.raises(NotAGroup):
             make_finite_group(["0", "1"], [[0, 1], [1, 1]])
         for names, table in [(["0"], 5), (["0"], [5]), (["0"], "0"),
-                             (5, [[0]]), ([["0"]], [[0]]), ([0], [[0]])]:
+                             (5, [[0]]), ([["0"]], [[0]]), ([0], [[0]]),
+                             (["0", "1"], [[False, True], [True, False]])]:
             with pytest.raises(NotAGroup):
                 make_finite_group(names, table)
 

@@ -391,6 +391,19 @@ class TestCandidatesOfTheRightForm:
                         "counit domain is not total")
 
 
+def test_one_hom_list_per_group_pair():
+    # groups carrying several cones share one hom list per group pair
+    objs = list(finite_corpus_objects_up_to(8).values())
+    enumerate_pog_morphisms.cache_clear()
+    groups.enumerate_group_homs.cache_clear()
+    for P in objs:
+        for Q in objs:
+            enumerate_pog_morphisms(P, Q)
+    pairs = {(P.group, Q.group) for P in objs for Q in objs}
+    assert (len(objs), len(pairs)) == (31, 64)
+    assert groups.enumerate_group_homs.cache_info().misses == 64
+
+
 def test_one_enumeration_per_finite_pair():
     objs = list(finite_corpus_objects_up_to(4).values())
     enumerate_pog_morphisms.cache_clear()
@@ -486,7 +499,7 @@ _WRONG = [
     ("stable_units", pog, "transport_product",
      lambda c1, c2, carrier, p1, p2: trivial_cone(carrier)),
     # a subgroup viewed as the trivial cone instead of the total one
-    ("prekernel_clause", torsion, "subgroup_as_cone",
+    ("prekernel_clause", torsion, "subgroup_cone",
      lambda S: trivial_cone(S.group)),
     # the quotient cone taken as the total cone, not the image
     ("precokernel_clause", torsion, "transport_image",
