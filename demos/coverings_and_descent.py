@@ -34,8 +34,8 @@ def main():
     cover = canonical_cover(ZN)
     print(f"  realized carrier: {cover.realized.group!r}")
     print(f"  cover flags:      {sorted(classify(cover.realized).flags)}")
-    print(f"  window scan:      {cover.scan.positives_checked} positives, "
-          f"{cover.scan.reducedness_violations} reducedness violations")
+    print(f"  cone axioms:      {cover.axioms.ok} (the base's decide the "
+          f"cover's; reduced by construction)")
     rep = morphism_class(cover.projection)
     print(f"  projection normal epi / effective descent: "
           f"{rep.normal_epi} / {rep.effective_descent}")

@@ -7,8 +7,8 @@ lists (finite) or integer generator vectors (fgab); morphisms are element
 maps (finite) or matrix blocks "free", "mixed", "torsion" (fgab).
 
 Reports are deterministic: keys sorted, no timestamps, bounds and window
-sizes echoed.  ``--window`` sets only the ``cover`` confirmation scan;
-other window checks run at the fixed ``cones.WINDOW``.  Exit codes:
+sizes echoed.  ``--window`` is validated and echoed, but no computation
+reads it: window checks run at the fixed ``cones.WINDOW``.  Exit codes:
 0 success, 1 input error, 2 property failure.
 """
 
@@ -402,15 +402,16 @@ def cmd_covering(ws, args, opts):
 def cmd_cover(ws, args, opts):
     from .descent import canonical_cover
     P = _need(ws, "objects", args.object, "object")
-    cover = canonical_cover(P, opts["window"])
+    cover = canonical_cover(P)
+    kinds = [kind for kind, _ in cover.axioms.failures]
     report = {
         "object": args.object,
-        "window": cover.scan.window,
         "scan": {
-            "positives_checked": cover.scan.positives_checked,
-            "submonoid_violations": cover.scan.submonoid_violations,
-            "conjugation_violations": cover.scan.conjugation_violations,
-            "reducedness_violations": cover.scan.reducedness_violations,
+            "submonoid_violations": kinds.count("identity")
+            + kinds.count("closure"),
+            "conjugation_violations": kinds.count("conjugation"),
+            # the negative of a non-zero cover positive has n <= -1
+            "reducedness_violations": 0,
         },
         "surjectivity": cover.surjectivity_note,
         "realized": cover.realized is not None,
@@ -420,7 +421,7 @@ def cmd_cover(ws, args, opts):
         normal_epi, _ = is_normal_epi(cover.projection)
         report["projection_normal_epi"] = normal_epi
         report["effective_descent"] = normal_epi
-    return report, 0 if cover.scan.clean else 2
+    return report, 0 if cover.axioms.ok else 2
 
 
 def cmd_kernel(ws, args, opts):
@@ -596,8 +597,8 @@ def build_parser():
     parser.add_argument("--corpus", action="store_true",
                         help="use the bundled corpus as the workspace")
     parser.add_argument("--window", type=int, default=WINDOW,
-                        help="coordinate window of the cover command's "
-                             "confirmation scan; echoed in every report")
+                        help="echoed in every report; no computation "
+                             "reads it")
     parser.add_argument("--hom-bound", type=int, default=10,
                         help="matrix-entry bound for fgab hom enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

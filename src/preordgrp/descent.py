@@ -6,12 +6,16 @@ Every (G, P) is covered by H = Z x G with positive cone
 
     { (n, g) : n >= 1 and g in P }  together with  (0, 0),
 
-a reduced cone that is provably not finitely generated (no element (1, p)
-decomposes).  Cover-side predicates therefore fall back to the fixed window
-``cones.WINDOW`` and mark those verdicts inexact; only the confirmation
-scan of the cover's axioms takes its width from the caller.  The
-projection (n, g) |-> g is a normal epimorphism: every g lifts to (0, g)
-and every positive p lifts to (1, p).
+which is provably not finitely generated (no element (1, p) decomposes),
+so cover-side predicates fall back to the fixed window ``cones.WINDOW``
+and mark those verdicts inexact.  The cover's cone axioms need no window:
+a sum of two non-zero positives has first coordinate >= 2 and base part
+g1 + g2, and conjugating (n, g) by (z, k) gives (n, k + g - k), so the
+cover cone is closed exactly where P is, and the base's
+``check_cone_axioms`` report is the cover's proof.  It is reduced by
+construction: the negative of a non-zero positive has first coordinate
+<= -1.  The projection (n, g) |-> g is a normal epimorphism: every g lifts
+to (0, g) and every positive p lifts to (1, p).
 
 A covering is a morphism in the class M* (its kernel is partially
 ordered); ``is_covering_along`` tests the definition instead, a morphism
@@ -20,16 +24,9 @@ whose pullback along an effective descent morphism is a trivial covering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .cones import (
-    WINDOW,
-    CoverCone,
-    cone_contains,
-    cone_window,
-)
-from .errors import EnumerationUnbounded
+from .cones import ConeAxiomReport, CoverCone, check_cone_axioms
 from .groups import (
     FgAbGroup,
     GroupHom,
@@ -53,73 +50,14 @@ from .factor import in_class
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CoverScanReport:
-    submonoid_violations: int
-    conjugation_violations: int
-    reducedness_violations: int
-    window: int
-    positives_checked: int
-
-    @property
-    def clean(self):
-        return (self.submonoid_violations == 0
-                and self.conjugation_violations == 0)
-
-
-COVER_SCAN_CAP = 2_000_000
-
-
-def scan_cover(base, width=WINDOW):
-    """Window confirmation of the cone axioms of the cover of base.
-
-    Both hold analytically (the first coordinate of a sum of two
-    positives is either >= 2 or both summands are zero), so any violation
-    here is a bug, not a mathematical discovery.  Positivity of a sum or a
-    conjugate only depends on its base part, so the quadratic scans run
-    over base-window pairs rather than cover-window pairs.  Reducedness
-    needs no scan: the negative of a positive other than (0, 0) has first
-    coordinate <= -1, so ``reducedness_violations`` is 0.  The checks are
-    counted on the whole base window before anything is built: past
-    ``COVER_SCAN_CAP`` of them the call raises ``EnumerationUnbounded``.
-    """
-    G = base.group
-    if G.backend == "finite":
-        points = G.order()
-    else:
-        points = (2 * width + 1) ** G.rank * math.prod(G.torsion)
-    # base pairs and, off abelian bases, conjugates
-    checks = points * (points + (0 if G.is_abelian() else G.order()))
-    if checks > COVER_SCAN_CAP:
-        raise EnumerationUnbounded(
-            f"the cover scan at window {width} needs up to {checks} checks, "
-            f"past the cap of {COVER_SCAN_CAP}")
-    base_pos = list(cone_window(base.cone, width))
-    n_levels = width  # positives pair with first coordinates 1..width
-    positives = n_levels * len(base_pos) + 1
-    sub = conj = 0
-    # submonoid closure: (n1+n2, g1+g2) with n1+n2 >= 2 needs g1+g2 positive
-    for g1 in base_pos:
-        for g2 in base_pos:
-            if not cone_contains(base.cone, g1 + g2):
-                sub += 1
-    # conjugation: (z, k) + (n, g) - (z, k) = (n, k + g - k)
-    if not base.group.is_abelian():
-        for k in base.group.elements():
-            for g in base_pos:
-                if not cone_contains(base.cone, base.group.conjugate(k, g)):
-                    conj += 1
-    return CoverScanReport(sub, conj, 0, width, positives)
-
-
-@dataclass(frozen=True)
 class CoverResult:
-    scan: CoverScanReport
+    axioms: ConeAxiomReport               # the base's, which decide the cover's
     realized: PreorderedGroup = None      # fgab bases only
     projection: POGMorphism = None
     surjectivity_note: str = ""
 
 
-def canonical_cover(P, width=WINDOW):
+def canonical_cover(P):
     """The effective descent morphism (Z x G, cover cone) -->> (G, P).
 
     For an fgab base the group level is realized exactly (new free
@@ -134,18 +72,18 @@ def canonical_cover(P, width=WINDOW):
     >>> cover.realized.group.rank
     2
     """
-    scan = scan_cover(P, width)
+    axioms = check_cone_axioms(P.cone)
     note = ("group level splits by g |-> (0, g); "
             "every positive p lifts to (1, p)")
     if P.group.backend != "fgab":
-        return CoverResult(scan, surjectivity_note=note)
+        return CoverResult(axioms, surjectivity_note=note)
     G = P.group
     H = FgAbGroup(G.rank + 1, G.torsion)  # new free coordinate first
     proj = GroupHom(H, G, (G.zero, *G.generators()))
     cover_pog = PreorderedGroup(H, CoverCone(H, P.cone))
     morphism = structural_morphism(
         proj, cover_pog, P, "cover projection: (n, g) |-> g")
-    return CoverResult(scan, cover_pog, morphism, note)
+    return CoverResult(axioms, cover_pog, morphism, note)
 
 
 # ---------------------------------------------------------------------------

@@ -220,13 +220,13 @@ def test_criterion_07_canonical_cover():
     from preordgrp.pog import morphism_class
     t0 = time.perf_counter()
     for name, P in corpus_objects().items():
-        cover = canonical_cover(P, width=8)
-        assert cover.scan.clean, name
-        assert cover.scan.window == 8
+        cover = canonical_cover(P)
+        assert cover.axioms.ok, name
         if cover.realized is not None:
             rep = morphism_class(cover.projection)
             assert rep.normal_epi and rep.effective_descent, name
-    _criterion(7, 5, t0, "covers scan clean at W=8, projections normal epi")
+    _criterion(7, 5, t0, "cover axioms hold by the base's, projections "
+               "normal epi")
 
 
 def test_criterion_08_covering_equivalence():
@@ -234,7 +234,7 @@ def test_criterion_08_covering_equivalence():
     # a finite cone is a subgroup, so M* asks for no nonzero positive
     # element in the kernel, and an fgab morphism is a covering iff its
     # pullback along the canonical cover of its codomain is a trivial
-    # covering (the width only sizes the cover's confirmation scan)
+    # covering
     from preordgrp.descent import canonical_cover, is_covering, \
         is_covering_along
     t0 = time.perf_counter()
@@ -248,7 +248,7 @@ def test_criterion_08_covering_equivalence():
     covers = {}
     for desc, m in fgab_morphism_corpus():
         if m.cod not in covers:
-            covers[m.cod] = canonical_cover(m.cod, width=1).projection
+            covers[m.cod] = canonical_cover(m.cod).projection
         assert is_covering(m) == is_covering_along(m, covers[m.cod]), desc
         checked += 1
     _criterion(8, 2, t0, f"covering = no positive kernel element (finite) "

@@ -1,12 +1,17 @@
 """Workspace parsing, command reports, determinism, exit codes."""
 
 import json
+from argparse import Namespace
 
 import pytest
 from conftest import deadline
 
-from preordgrp.cli import main, parse_workspace
+from preordgrp.cli import Workspace, main, parse_workspace, run_command
+from preordgrp.cones import explicit_cone
+from preordgrp.corpus import symmetric_group_3
 from preordgrp.errors import ParseError, ValidationError
+from preordgrp.groups import cyclic_group
+from preordgrp.pog import PreorderedGroup
 
 
 def basic_document():
@@ -140,17 +145,47 @@ class TestCommands:
         assert report["window"] == 4
         assert report["scan"]["reducedness_violations"] == 0
 
-    def test_cover_scan_past_the_cap_is_refused(self, capsys):
-        # 121^2 base points at window 60 pair into about 2 * 10^8 checks;
-        # the scan is refused before it builds anything
+    def test_cover_answers_at_any_window_and_torsion(self, tmp_path):
+        # the cover's axioms are its base's, so neither a wide window on a
+        # Z^2 base nor a base carrying Z/10^30 sizes any work
+        doc = {
+            "groups": {"G": {"kind": "fgab", "rank": 1,
+                             "torsion": [10 ** 30]}},
+            "cones": {"C": {"group": "G", "generators": [[1, 0]]}},
+            "objects": {"P": {"group": "G", "cone": "C"}},
+        }
         with deadline(5):
-            code, out = run_main("--corpus", "--window", "60", "cover",
-                                 "Z2_ZxN")
-        assert code == 1 and out == ""
-        assert capsys.readouterr().err.startswith(
-            "error: the cover scan at window 60 needs up to")
-        code, out = run_main("--corpus", "cover", "Z2_ZxN")
-        assert code == 0 and json.loads(out)["scan"]["positives_checked"] > 0
+            runs = [run_main("--corpus", "--window", "60", "cover",
+                             "Z2_ZxN"),
+                    run_cli(tmp_path, doc, "cover", "P")]
+        for code, out in runs:
+            assert code == 0
+            assert set(json.loads(out)["scan"].values()) == {0}
+
+    def test_cover_counts_the_base_axiom_failures(self):
+        # bases that are not cones, built past make_pog's validation
+        Z4, S3 = cyclic_group(4), symmetric_group_3()
+        objects = {
+            "unclosed": PreorderedGroup(
+                Z4, explicit_cone(Z4, [Z4.elem(0), Z4.elem(1)])),
+            "non_normal": PreorderedGroup(
+                S3, explicit_cone(S3, [S3.zero, S3.elem("102")])),
+        }
+        ws = Workspace({}, {}, {}, objects, {})
+        opts = {"window": 8, "hom_bound": 10}
+        scans = {}
+        for name in objects:
+            report, code = run_command(ws, "cover", Namespace(object=name),
+                                       opts)
+            assert code == 2
+            scans[name] = report["scan"]
+        assert scans["unclosed"] == {"submonoid_violations": 1,
+                                     "conjugation_violations": 0,
+                                     "reducedness_violations": 0}
+        # a transposition has four conjugates outside {e, flip}
+        assert scans["non_normal"] == {"submonoid_violations": 0,
+                                       "conjugation_violations": 4,
+                                       "reducedness_violations": 0}
 
     def test_window_reaches_classify_only_in_the_envelope(self):
         reports = {}

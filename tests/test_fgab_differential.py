@@ -6,8 +6,7 @@ import pytest
 from conftest import deadline
 
 from preordgrp.cones import generator_cone
-from preordgrp.descent import is_covering
-from preordgrp.factor import in_class
+from preordgrp.descent import canonical_cover, is_covering, is_covering_along
 from preordgrp.groups import make_fgab_group
 from preordgrp.pog import classify, identity_morphism, make_pog
 from preordgrp.schreier import is_special_schreier
@@ -38,4 +37,5 @@ def test_generated_objects(P):
         assert is_special_schreier(P.cone, dec.unit.hom).holds
         classify(P)
         for m in (identity_morphism(P), dec.unit):
-            assert in_class(m, "Mstar").holds == is_covering(m)
+            along = canonical_cover(m.cod).projection
+            assert is_covering(m) == is_covering_along(m, along)

@@ -1,8 +1,7 @@
 """The window width is one fixed fact, ``cones.WINDOW``.
 
 Predicates that fall back to a window scan read it themselves; only the
-functions whose check is a window of the caller's width take a ``width``
-parameter.
+two functions that list a window take a ``width`` parameter.
 """
 
 import ast
@@ -14,12 +13,7 @@ from preordgrp import cones
 
 MODULES = ("cones", "pog", "torsion", "factor", "descent", "oracle")
 
-TAKES_WIDTH = {
-    "cones.group_window",
-    "cones.cone_window",
-    "descent.scan_cover",
-    "descent.canonical_cover",
-}
+TAKES_WIDTH = {"cones.group_window", "cones.cone_window"}
 
 
 def _functions(module):
@@ -62,9 +56,8 @@ def _window_callers():
 
 
 def test_one_entry_point_to_the_window():
-    assert _window_callers() == {("cones", "deciding_members"),
-                                 ("descent", "scan_cover")}
-    for short in ("pog", "torsion"):
+    assert _window_callers() == {("cones", "deciding_members")}
+    for short in ("pog", "torsion", "descent"):
         tree = ast.parse(Path(cones.__file__).with_name(
             f"{short}.py").read_text())
         imported = {alias.name for node in ast.walk(tree)
@@ -77,8 +70,3 @@ def test_one_window_constant():
     pog = importlib.import_module("preordgrp.pog")
     assert cones.WINDOW == 8
     assert not hasattr(pog, "DEFAULT_WINDOW")
-    for name in TAKES_WIDTH - {"cones.group_window", "cones.cone_window"}:
-        short, fn = name.split(".")
-        module = importlib.import_module(f"preordgrp.{short}")
-        default = inspect.signature(getattr(module, fn)).parameters["width"]
-        assert default.default == cones.WINDOW, name
