@@ -194,11 +194,15 @@ class TestDiscreteFibrations:
         R = kernel_pair(cover.projection)
         assert "partially_ordered" in classify(R.carrier)
 
-    def test_cover_side_fibration_is_marked_inexact(self):
+    @pytest.mark.parametrize("torsion", [8, 3])
+    def test_cover_side_fibration_is_marked_inexact(self, torsion):
         # the comparison into the pullback over the cover cone has no
-        # generators, so its iso verdict is a window check at cones.WINDOW;
-        # the cover cone itself is classified in closed form
-        cover = canonical_cover(ZN)
+        # generators, so its iso verdict is a window check at cones.WINDOW
+        # whatever torsion the base carries; the cover cone itself is
+        # classified in closed form.  The base is ZN with a Z/torsion summand
+        # in its group of units.
+        G = make_fgab_group(1, [torsion])
+        cover = canonical_cover(make_pog(G, generator_cone(G, [G.elem([1, 0])])))
         R = kernel_pair(cover.projection)
         rep = is_discrete_fibration(identity_morphism(R.carrier),
                                     identity_morphism(cover.realized), R, R)
