@@ -9,18 +9,21 @@ image.  On a finite carrier every transport computes its members
 directly: a cone there is a normal subgroup, ``ExplicitCone.subgroup``,
 and its generators are that subgroup's greedy generating set, at most
 log2 of its order.  Recipe cones keep their construction tree:
-membership is decided on it, compiled into one non-negative integer
-feasibility problem where needed, and unit groups are computed
-compositionally.  Generators are extracted on demand; a restriction of
+membership is decided on it, and unit groups are computed
+compositionally.  Membership in an image is one preimage lookup when the
+map's kernel lies in the inner units, else one non-negative integer
+feasibility problem per choice of a linear piece of each leaf (a cover
+cone has two).  Generators are extracted on demand; a restriction of
 finitely generated cones is finitely generated, by a Hilbert basis
 lifted along its legs.  The cone a subgroup carries, ``subgroup_cone``,
 gives the total and the trivial cone too.
 
 The ``CoverCone`` leaf is the positive cone of the canonical partially
-ordered cover Z x G; it is provably reduced and not finitely generated, so
-it only supports predicate evaluation and window scans.  A predicate
-quantified over a cone runs over ``deciding_members``: the generators,
-or else the members in the fixed window ``WINDOW``, marked inexact.
+ordered cover Z x G; it is provably reduced and not finitely generated,
+but it is the union of two linear sets, which decide its images.  A
+predicate quantified over a cone runs over ``deciding_members``: the
+generators, or else the members in the fixed window ``WINDOW``, marked
+inexact.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .groups import (
     _bounded_elements,
     _preimage_lookup,
     _stacked_legs,
-    is_surjective,
+    compose,
+    identity_hom,
     kernel_subgroup,
     subgroup,
     subgroup_from_elements,
@@ -47,7 +51,7 @@ from .groups import (
     subgroup_preimage,
     trivial_subgroup,
 )
-from .intlinalg import NonnegSolver, from_columns, hilbert_basis, mat_vec
+from .intlinalg import NonnegSolver, from_columns, hilbert_basis
 
 WINDOW = 8
 
@@ -56,11 +60,11 @@ WINDOW = 8
 class MembershipVerdict:
     """Definitive membership answer with its evidence.
 
-    An ``In`` verdict on a generated or image cone carries the non-negative
-    combination realizing the element; on a restriction it carries none,
-    its parts' combinations being over other cones' generators.  An
-    ``Out`` verdict carries nothing: the solver behind it is complete, so
-    its failure is the proof.
+    An ``In`` verdict on a generated cone carries the non-negative
+    combination realizing the element; on a restriction or an image it
+    carries none, its parts' combinations being over other cones'
+    generators.  An ``Out`` verdict carries nothing: the solver behind it
+    is complete, so its failure is the proof.
     """
 
     value: str  # "In" | "Out"
@@ -110,15 +114,53 @@ class ProductCone(Cone):
 
 @dataclass(frozen=True)
 class ImageCone(Cone):
-    """Direct image q(P) along a surjection into an fgab carrier.
+    """Direct image h(R) along any hom into an fgab carrier.
 
     Only constructed when the inner cone has no generators, so it has none
     either; the image of a generated cone is generated by their images.
+    Membership of y is decided exactly by one of two rules.  When ker h
+    lies in the units of R, R + ker h = R, so y is in h(R) iff one preimage
+    of y is in R.  Otherwise R is a restriction of leaves along legs, each
+    leaf a union of linear sets (``_linear_pieces``), and y is in h(R) iff
+    one stacked system over some choice of pieces is feasible.
     """
 
     group: object
     hom: GroupHom
     inner: Cone
+
+    @cached_property
+    def kernel_in_units(self):
+        """Whether ker h lies in the units of the inner cone."""
+        inner_units = units(self.inner)
+        return all(inner_units.contains(k)
+                   for k in kernel_subgroup(self.hom).generators)
+
+    @cached_property
+    def pieces(self):
+        """One (offset, solver) pair per choice of a linear piece
+        o_k + <gens_k> of each leaf k, restricted along leg_k.  y is in
+        the image iff some x and n >= 0 have (h, leg_1, ...)(x) =
+        (y, o_1 + gens_1 n_1, ...), that is iff some pair's solver finds
+        n and a free v with M v - gens n = (y, offset), M the stacked
+        matrix of (h, leg_1, ...) and offset = (o_1, ...)."""
+        leaves = _leaves(self.inner, identity_hom(self.inner.group))
+        to_fgab, M = _stacked_legs([self.hom] + [leg for _, leg in leaves])
+        nrows = len(M)
+        out = []
+        for choice in itertools.product(
+                *[_linear_pieces(leaf) for leaf, _ in leaves]):
+            offset, cols = [], []
+            for (o, gens), to in zip(choice, to_fgab[1:]):
+                o, *gens = [list((g if to is None else to(g)).coords)
+                            for g in (o, *gens)]
+                top = self.group.ncoords + len(offset)
+                cols += [[0] * top + [-a for a in g]
+                         + [0] * (nrows - top - len(o)) for g in gens]
+                offset += o
+            A = from_columns(cols, nrows=nrows)
+            out.append((offset, NonnegSolver(A, M)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -218,179 +260,43 @@ def _cone_contains_cached(cone, x):
                 return v
         return MembershipVerdict("In")
     if isinstance(cone, ImageCone):
-        # existential lift: some preimage of x lies in the inner cone
-        compiler = _Compiler()
-        compiler.walk(cone, _AffineExpr.constant(x.coords))
-        w = compiler.solve()
-        if w is None:
-            return MembershipVerdict("Out")
-        return MembershipVerdict("In", witness=tuple(w))
+        if cone.kernel_in_units:
+            lift = _preimage_lookup([cone.hom])([[x]])
+            ok = lift is not None and cone_contains(cone.inner, lift[0])
+        else:
+            ok = any(solver.solve(list(x.coords) + offset) is not None
+                     for offset, solver in cone.pieces)
+        return MembershipVerdict("In" if ok else "Out")
     raise TypeError(f"unknown cone kind {type(cone)!r}")
 
 
-class _AffineExpr:
-    """Carrier-coordinate vector of the form const + sum v_j * col_j."""
-
-    def __init__(self, const, cols):
-        self.const = list(const)
-        self.cols = dict(cols)  # var index -> column
-
-    @staticmethod
-    def constant(vec):
-        return _AffineExpr(vec, {})
-
-    @staticmethod
-    def variables(dim, var_idx):
-        cols = {}
-        for k, j in enumerate(var_idx):
-            col = [0] * dim
-            col[k] = 1
-            cols[j] = col
-        return _AffineExpr([0] * dim, cols)
-
-    def apply(self, matrix_cols, out_dim):
-        """Image under the hom with the given matrix columns."""
-        if out_dim == 0:
-            return _AffineExpr([], {j: [] for j in self.cols})
-        M = from_columns(matrix_cols, nrows=out_dim) if matrix_cols \
-            else [[] for _ in range(out_dim)]
-        const = mat_vec(M, self.const) if self.const else [0] * out_dim
-        cols = {j: mat_vec(M, c) for j, c in self.cols.items()}
-        return _AffineExpr(const, cols)
+def _leaves(cone, leg):
+    """The cone restricted along ``leg`` as (leaf, leg) pairs: a restriction
+    of restrictions is one restriction along the composite legs."""
+    if isinstance(cone, ProductCone):
+        return [pair for part, proj in zip(cone.parts, cone.projections)
+                for pair in _leaves(part, compose(proj, leg))]
+    return [(cone, leg)]
 
 
-class _Compiler:
-    """Joins the atoms of a recipe tree into one feasibility system.
-
-    Cover cones are disjunctive (strictly positive first coordinate with a
-    positive base part, or the zero element), so each occurrence doubles
-    the number of systems tried; covers appear at most a couple of times
-    per query.
-    """
-
-    def __init__(self):
-        self.nfree = 0
-        self.gen_atoms = []   # (generator columns, relation columns, expr)
-        self.lin_atoms = []   # (expr, relation columns): expr == 0 mod lattice
-        self.cover_atoms = []  # (expr over the cover carrier, CoverCone)
-
-    def new_vars(self, k):
-        out = list(range(self.nfree, self.nfree + k))
-        self.nfree += k
-        return out
-
-    def add_linear(self, expr, relations):
-        self.lin_atoms.append((expr, relations))
-
-    def walk(self, cone, expr):
-        if isinstance(cone, GeneratorCone):
-            gens = [list(g.coords) for g in cone.cone_generators]
-            self.gen_atoms.append((gens, cone.group.relation_columns(), expr))
-            return
-        if isinstance(cone, ProductCone):
-            for part, proj in zip(cone.parts, cone.projections):
-                self.walk(part, expr.apply(proj.matrix_columns(),
-                                           proj.cod.ncoords))
-            return
-        if isinstance(cone, ImageCone):
-            u = self.new_vars(cone.hom.dom.ncoords)
-            expr_u = _AffineExpr.variables(cone.hom.dom.ncoords, u)
-            lhs = expr_u.apply(cone.hom.matrix_columns(), cone.hom.cod.ncoords)
-            self.add_linear(
-                _AffineExpr([a - b for a, b in zip(lhs.const, expr.const)],
-                            _merge_cols(lhs.cols, expr.cols, cone.hom.cod.ncoords)),
-                cone.hom.cod.relation_columns())
-            self.walk(cone.inner, expr_u)
-            return
-        if isinstance(cone, CoverCone):
-            self.cover_atoms.append((expr, cone))
-            return
-        raise ImageNotComputable(
-            f"membership under an image of {type(cone).__name__} is not supported")
-
-    def solve(self):
-        branches = list(itertools.product((1, 0), repeat=len(self.cover_atoms)))
-        for choice in branches:
-            gen_atoms = list(self.gen_atoms)
-            lin_atoms = list(self.lin_atoms)
-            for (expr, cover), positive_branch in zip(self.cover_atoms, choice):
-                scalar = _AffineExpr([expr.const[0] - 1],
-                                     {j: [c[0]] for j, c in expr.cols.items()})
-                base_dim = len(expr.const) - 1
-                base = _AffineExpr(expr.const[1:],
-                                   {j: c[1:] for j, c in expr.cols.items()})
-                if positive_branch:
-                    # first coordinate = 1 + s with s >= 0; base part positive
-                    gen_atoms.append(([[1]], [], scalar))
-                    sub = _Compiler()
-                    sub.nfree = self.nfree
-                    sub.walk(cover.base_cone, base)
-                    if sub.cover_atoms:
-                        raise ImageNotComputable("nested cover cones")
-                    self.nfree = sub.nfree
-                    gen_atoms.extend(sub.gen_atoms)
-                    lin_atoms.extend(sub.lin_atoms)
-                else:
-                    lin_atoms.append((expr, cover.group.relation_columns()))
-            w = self._assemble_and_solve(gen_atoms, lin_atoms)
-            if w is not None:
-                return w
-        return None
-
-    def _assemble_and_solve(self, gen_atoms, lin_atoms):
-        rows = 0
-        blocks = []
-        for gens, rels, expr in gen_atoms:
-            dim = len(expr.const)
-            blocks.append(("gen", gens, rels, expr, rows, dim))
-            rows += dim
-        for expr, rels in lin_atoms:
-            dim = len(expr.const)
-            blocks.append(("lin", None, rels, expr, rows, dim))
-            rows += dim
-        nneg = sum(len(b[1]) for b in blocks if b[0] == "gen")
-        free_cols = []
-        for j in range(self.nfree):
-            col = [0] * rows
-            for kind, gens, rels, expr, off, dim in blocks:
-                c = expr.cols.get(j)
-                if c:
-                    for i in range(dim):
-                        col[off + i] -= c[i]
-            free_cols.append(col)
-        for kind, gens, rels, expr, off, dim in blocks:
-            for rc in rels:
-                col = [0] * rows
-                for i in range(dim):
-                    col[off + i] = rc[i]
-                free_cols.append(col)
-        A = [[0] * nneg for _ in range(rows)]
-        c = [0] * rows
-        pos = 0
-        for kind, gens, rels, expr, off, dim in blocks:
-            for i in range(dim):
-                c[off + i] = expr.const[i]
-            if kind == "gen":
-                for g in gens:
-                    for i in range(dim):
-                        A[off + i][pos] = g[i]
-                    pos += 1
-        B = [[col[i] for col in free_cols] for i in range(rows)] \
-            if free_cols else [[] for _ in range(rows)]
-        return NonnegSolver(A, B).solve(c)
-
-
-def _merge_cols(cols_a, cols_b, dim):
-    """Columns of (a - b), indexed by variable."""
-    out = {}
-    for j, c in cols_a.items():
-        out[j] = list(c)
-    for j, c in cols_b.items():
-        if j in out:
-            out[j] = [x - y for x, y in zip(out[j], c)]
-        else:
-            out[j] = [-y for y in c]
-    return out
+def _linear_pieces(leaf):
+    """The leaf as a union of linear sets o + N g1 + ... + N gk, as
+    (o, (g1, ..., gk)) pairs: one for a leaf with generators, two for a
+    cover cone, {0} and e + <e, (0, p) for p generating the base cone>."""
+    if isinstance(leaf, CoverCone):
+        base = extract_generators(leaf.base_cone)
+        if base is None:
+            raise ImageNotComputable(
+                "image of a cover cone over a cone without generators")
+        H = leaf.group
+        e = H.elem([1] + [0] * (H.ncoords - 1))
+        lifts = tuple(H.elem((0, *p.coords)) for p in base)
+        return [(H.zero, ()), (e, (e, *lifts))]
+    gens = extract_generators(leaf)
+    if gens is None:
+        raise ImageNotComputable(f"membership under an image of "
+                                 f"{type(leaf).__name__} is not supported")
+    return [(leaf.group.zero, gens)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +368,8 @@ def units(cone):
             out = s if out is None else subgroup_intersection(out, s)
         return out
     if isinstance(cone, ImageCone):
-        inner_units = units(cone.inner)
-        ker = kernel_subgroup(cone.hom)
-        if all(inner_units.contains(k) for k in ker.generators):
-            return subgroup_image(cone.hom, inner_units)
+        if cone.kernel_in_units:
+            return subgroup_image(cone.hom, units(cone.inner))
         raise UnitExtractionUnsupported(
             "image cone whose map does not collapse into the inner units")
     raise TypeError(f"unknown cone kind {type(cone)!r}")
@@ -598,18 +502,19 @@ def transport_preimage(hom, inner):
 
 def transport_image(hom, inner):
     """Direct image cone: generated by the generator images (in a finite
-    codomain, the subgroup they generate), else an ``ImageCone`` along a
-    surjection into an fgab codomain."""
+    codomain, the subgroup they generate), else an ``ImageCone`` into an
+    fgab codomain; the image of an image is one image along the composite."""
     gens = extract_generators(inner)
     if gens is not None:
         images = [hom(g) for g in gens]
         if hom.cod.backend == "finite":
             return explicit_cone(hom.cod, subgroup(hom.cod, images).elements)
         return generator_cone(hom.cod, images)
-    if hom.cod.backend == "finite" or not is_surjective(hom):
+    if hom.cod.backend == "finite":
         raise ImageNotComputable(
-            "image of a non-finitely-generated cone into a finite group or "
-            "along a non-surjection")
+            "image of a non-finitely-generated cone into a finite group")
+    if isinstance(inner, ImageCone):
+        hom, inner = compose(hom, inner.hom), inner.inner
     return ImageCone(hom.cod, hom, inner)
 
 

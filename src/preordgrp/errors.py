@@ -56,8 +56,10 @@ class ImageNotNormal(PreordGrpError):
 
 
 class ImageNotComputable(PreordGrpError):
-    """Direct-image cone requested along a map where membership would be
-    undecidable (non-surjective carrier map with non-extractable cone)."""
+    """Direct image of a cone without generators that neither membership
+    rule decides: into a finite group, or, when the map's kernel is not
+    in the inner units, over a leaf that is an image or a cover cone
+    whose base has no generators."""
 
 
 class UnitExtractionUnsupported(PreordGrpError):

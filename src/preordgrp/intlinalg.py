@@ -390,7 +390,9 @@ class NonnegSolver:
     into congruences); repeated queries against the same (A, B) pair reuse
     the transform.  The search is a depth-first branch and bound over n with
     interval, gcd and congruence pruning, inside the box that equality rows
-    of one sign put around n.
+    of one sign put around n.  A variable that meets only congruences is
+    periodic; once only such variables are left, one integer solution
+    taken modulo their periods decides them.
 
     When those rows leave a variable unbounded, the columns are split once,
     on the first query.  The unit columns, the support of the relation
@@ -563,16 +565,16 @@ class NonnegSolver:
         if any(b < 0 for b in ub):
             return None
         # a variable touching no equality row only matters modulo the
-        # congruence moduli it appears in, so its search window is periodic
-        period_cap = [None] * t
+        # congruence moduli it appears in: adding their lcm, its period,
+        # keeps every row, so its search window is one period
+        period = [None] * t
         for j in range(t):
             if any(coeffs[j] for coeffs, _ in eqs):
                 continue
-            cap = 1
+            period[j] = 1
             for coeffs, _, d in congs:
                 if coeffs[j]:
-                    cap = cap * d // gcd(cap, d)
-            period_cap[j] = cap - 1
+                    period[j] = period[j] * d // gcd(period[j], d)
         n = [0] * t
         assigned = [False] * t
 
@@ -617,8 +619,8 @@ class NonnegSolver:
 
         def window_for(j):
             vlo, vhi = 0, ub[j]
-            if period_cap[j] is not None:
-                vhi = min(vhi, period_cap[j])
+            if period[j] is not None:
+                vhi = min(vhi, period[j] - 1)
             for coeffs, rhs in eqs:
                 a = coeffs[j]
                 if a == 0:
@@ -634,8 +636,9 @@ class NonnegSolver:
                     vhi = min(vhi, lo_av // a)
             return vlo, vhi
 
-        def z_prune():
-            """No integer solution of the remaining subsystem at all.
+        def integer_solution():
+            """One integer solution of the remaining subsystem, the
+            unassigned variables first, or None.
 
             Row combinations can be obstructed even when every row passes
             its own interval and gcd tests (an equality can force a fixed
@@ -650,15 +653,27 @@ class NonnegSolver:
                     for j in range(t) if not assigned[j]]
             cols += [[self.B[i][j] for i in range(self.m)]
                      for j in range(self.u)]
-            return solve(from_columns(cols, nrows=self.m), rhs) is None
+            return solve(from_columns(cols, nrows=self.m), rhs)
 
         def dfs(remaining):
             if prune():
                 return False
-            if 0 < remaining < t and z_prune():
-                return False
             if remaining == 0:
                 return True
+            free = [j for j in range(t) if not assigned[j]]
+            # only periodic variables left: one integer solution, each
+            # value taken modulo its period, instead of a crawl over the
+            # multiples of a finite-order column
+            periodic = all(period[j] is not None for j in free) and \
+                any(period[j] > 1 for j in free)
+            if remaining < t or periodic:
+                z = integer_solution()
+                if z is None:
+                    return False
+                if periodic:
+                    for j, v in zip(free, z):
+                        n[j] = v % period[j]
+                    return True
             best = None
             for j in range(t):
                 if assigned[j]:

@@ -221,6 +221,25 @@ class TestCommands:
             assert code == 0
             assert json.loads(out)["effective_descent"] is True
 
+    def test_cone_on_a_torsion_generator_of_huge_order(self, tmp_path):
+        # (Z + Z/10^30, <(0, 1)>): the solver once searched the multiples
+        # of (0, 1) one by one
+        doc = {
+            "groups": {"G": {"kind": "fgab", "rank": 1,
+                             "torsion": [10 ** 30]}},
+            "cones": {"C": {"group": "G", "generators": [[0, 1]]}},
+            "objects": {"X": {"group": "G", "cone": "C"}},
+        }
+        with deadline(5):
+            reports = {cmd: run_cli(tmp_path, doc, cmd, "X")
+                       for cmd in ("classify", "torsion", "pretorsion")}
+        assert {code for code, _ in reports.values()} == {0}
+        report = {cmd: json.loads(out) for cmd, (_, out) in reports.items()}
+        assert report["classify"]["classification"]["flags"] == \
+            ["protomodular"]
+        assert report["torsion"]["short_exact"] is True
+        assert report["pretorsion"]["preexact"] is True
+
     def test_kernel_cokernel(self, tmp_path):
         code, out = run_cli(tmp_path, basic_document(), "kernel", "mod2")
         report = json.loads(out)

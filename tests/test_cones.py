@@ -308,6 +308,123 @@ class TestTransport:
         assert not cone_contains(img, Q.elem([-2, 0]))
         assert units(img).is_trivial()
 
+    def test_image_along_a_non_surjection(self):
+        # along (n, g) -> (n, 0) the cover cone of (Z, N) becomes
+        # {0} u {(n, 0) : n >= 1}
+        C = CoverCone(Z2, N)
+        h = make_hom(Z2, Z2, [Z2.elem([1, 0]), Z2.elem([0, 0])])
+        img = transport_image(h, C)
+        for y in group_window(Z2, 3):
+            a, b = y.coords
+            assert bool(cone_contains(img, y)) == (a >= 0 and b == 0), y
+
+    def test_image_over_an_image_leaf_is_a_package_error(self):
+        # a restriction of an image cone has an image leaf, which neither
+        # rule decides
+        C = CoverCone(Z2, N)
+        inner = transport_image(
+            make_hom(Z2, Z2, [Z2.elem([1, 0]), Z2.elem([0, 0])]), C)
+        swap = make_hom(Z2, Z2, [Z2.elem([0, 1]), Z2.elem([1, 0])])
+        img = transport_image(make_hom(Z2, Z, [Z.elem([1]), Z.elem([0])]),
+                              transport_preimage(swap, inner))
+        with pytest.raises((ImageNotComputable, UnitExtractionUnsupported)):
+            cone_contains(img, Z.elem([1]))
+
+
+class TestImageMembership:
+    """Membership in the image of each fgab corpus cover, against the
+    images of the cover's members in a coordinate window: every image
+    found there is In, and every In query has a preimage there."""
+
+    BRUTE_WIDTH = 4
+
+    @staticmethod
+    def assert_agrees(img, hom, members):
+        reached = {hom(x) for x in members}
+        for y in group_window(img.group, 1):
+            assert bool(cone_contains(img, y)) == (y in reached), (hom, y)
+
+    def test_corpus_covers_along_bounded_homs_and_kernel_pair_legs(self):
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.descent import canonical_cover, kernel_pair
+        from preordgrp.groups import enumerate_homs_bounded, is_surjective
+        surjective = set()
+        with deadline(15):
+            for _, P in sorted(fgab_corpus_objects().items()):
+                cover = canonical_cover(P)
+                C = cover.realized.cone
+                members = [x for x in group_window(C.group, self.BRUTE_WIDTH)
+                           if cone_contains(C, x)]
+                for cod in (Z, Z2):
+                    for h in enumerate_homs_bounded(C.group, cod, 1)[::13]:
+                        surjective.add(is_surjective(h))
+                        self.assert_agrees(transport_image(h, C), h, members)
+                pair = kernel_pair(cover.projection)
+                R = pair.carrier
+                members = [x for x in group_window(R.group, 2)
+                           if cone_contains(R.cone, x)]
+                for leg in pair.r1.hom, pair.r2.hom:
+                    self.assert_agrees(transport_image(leg, R.cone), leg,
+                                       members)
+        assert surjective == {True, False}
+
+    def test_restriction_of_a_restriction(self):
+        # the cover cone of (Z, N) pulled back twice along the shear
+        # (n, g) -> (n, g + n): one leaf along the composite shear
+        C = CoverCone(Z2, N)
+        shear = make_hom(Z2, Z2, [Z2.elem([1, 1]), Z2.elem([0, 1])])
+        inner = transport_preimage(shear, transport_preimage(shear, C))
+        members = [x for x in group_window(Z2, self.BRUTE_WIDTH)
+                   if cone_contains(inner, x)]
+        for images in ([1], [0]), ([0], [1]), ([1], [1]):
+            h = make_hom(Z2, Z, [Z.elem(v) for v in images])
+            self.assert_agrees(transport_image(h, inner), h, members)
+
+
+class TestImageRulesCanFail:
+    """A wrong version of either image rule gives a wrong verdict."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_verdicts(self):
+        # no verdict of the right rules may hide the patch, and no wrong
+        # verdict may outlive the test
+        from preordgrp import cones
+        cones._cone_contains_cached.cache_clear()
+        yield
+        cones._cone_contains_cached.cache_clear()
+
+    def test_kernel_outside_the_units_taken_as_inside(self, monkeypatch):
+        # the units rule then reads (0, g), the one lift of g with n = 0,
+        # which is no cover positive: the cover projection stops being a
+        # normal epi wherever the base has a non-zero positive
+        from preordgrp import cones
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.descent import canonical_cover
+        from preordgrp.pog import is_normal_epi
+        objs = sorted(fgab_corpus_objects().items())
+        assert all(is_normal_epi(canonical_cover(P).projection)[0]
+                   for _, P in objs)
+        cones._cone_contains_cached.cache_clear()
+        monkeypatch.setattr(cones.ImageCone, "kernel_in_units",
+                            property(lambda self: True))
+        still = {name for name, P in objs
+                 if is_normal_epi(canonical_cover(P).projection)[0]}
+        assert still == {"Z_discrete"}
+
+    def test_cover_without_its_zero_piece(self, monkeypatch):
+        # q(n, g) = n on the cover of (Z, N) reaches 0 only from (0, 0)
+        from preordgrp import cones
+        C = CoverCone(Z2, N)
+        q = make_hom(Z2, Z, [Z.elem([1]), Z.elem([0])])
+        assert cone_contains(transport_image(q, C), Z.zero)
+        cones._cone_contains_cached.cache_clear()
+        right = cones._linear_pieces
+        monkeypatch.setattr(cones, "_linear_pieces", lambda leaf: [
+            (o, gens) for o, gens in right(leaf)
+            if not (isinstance(leaf, CoverCone) and o.is_zero())])
+        assert not cone_contains(transport_image(q, C), Z.zero)
+        assert cone_contains(transport_image(q, C), Z.elem([1]))
+
 
 class TestLiftedGenerators:
     """Pullback and preimage cones get generators from a Hilbert basis;
