@@ -8,8 +8,8 @@ maps (finite) or matrix blocks "free", "mixed", "torsion" (fgab).
 
 Reports are deterministic: keys sorted, no timestamps, bounds and window
 sizes echoed.  ``--window`` is validated and echoed, but no computation
-reads it: window checks run at the fixed ``cones.WINDOW``.  Exit codes:
-0 success, 1 input error, 2 property failure.
+reads it: every verdict is exact.  Exit codes: 0 success, 1 input error,
+2 property failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from . import errors
 from .cones import (
-    WINDOW,
     ExplicitCone,
     GeneratorCone,
     explicit_cone,
@@ -274,14 +273,8 @@ def object_json(P):
     return {"group": group_json(P.group), "cone": cone_json(P.cone)}
 
 
-def window_json(exact):
-    """The window an inexact verdict was checked on; None for a proof."""
-    return None if exact else WINDOW
-
-
 def classification_json(cls):
-    return {"flags": sorted(cls.flags), "exact": cls.exact,
-            "window": window_json(cls.exact)}
+    return {"flags": sorted(cls.flags), "exact": cls.exact, "window": None}
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +313,7 @@ def cmd_torsion(ws, args, opts):
         "torsion_free": {"group": group_json(dec.free_part.group),
                          "reduced": is_reduced(dec.free_part.cone)},
         "short_exact": dec.certificate.holds,
-        "exact_checks": dec.certificate.exact_checks,
-        "window": window_json(dec.certificate.exact_checks),
+        "exact_checks": True, "window": None,
     }
     if dec.free_part.group.backend == "finite":
         report["torsion_free"]["cone_size"] = len(dec.free_part.cone.members)
@@ -349,16 +341,15 @@ def cmd_reflect(ws, args, opts):
     if name in ws.morphisms:
         Fm = reflect_F(ws.morphisms[name])
         from .pog import pog_is_iso
-        iso, exact = pog_is_iso(Fm)
         return {"morphism": name,
                 "reflected": {"from": object_json(Fm.dom),
                               "to": object_json(Fm.cod)},
-                "iso": iso, "exact": exact}, 0
+                "iso": pog_is_iso(Fm), "exact": True}, 0
     P = _need(ws, "objects", name, "object or morphism")
     dec = torsion_sequence(P)
     return {"object": name,
             "torsion_free": object_json(dec.free_part),
-            "unit_normal_epi": is_normal_epi(dec.unit)[0]}, 0
+            "unit_normal_epi": is_normal_epi(dec.unit)}, 0
 
 
 def cmd_proto_reflect(ws, args, opts):
@@ -418,7 +409,7 @@ def cmd_cover(ws, args, opts):
     }
     if cover.projection is not None:
         # effective descent morphisms are exactly the normal epis here
-        normal_epi, _ = is_normal_epi(cover.projection)
+        normal_epi = is_normal_epi(cover.projection)
         report["projection_normal_epi"] = normal_epi
         report["effective_descent"] = normal_epi
     return report, 0 if cover.axioms.ok else 2
@@ -437,7 +428,7 @@ def cmd_cokernel(ws, args, opts):
     Q, proj = pog_cokernel(m)
     return {"morphism": args.morphism,
             "cokernel": object_json(Q),
-            "projection_normal_epi": is_normal_epi(proj)[0]}, 0
+            "projection_normal_epi": is_normal_epi(proj)}, 0
 
 
 def _inputs(ws, kind, names):
@@ -479,8 +470,7 @@ def cmd_sequence_check(ws, args, opts):
         raise errors.ValidationError("arrows do not compose")
     cert = is_short_exact(k, f)
     return {"k": args.k, "f": args.f, "short_exact": cert.holds,
-            "exact_checks": cert.exact_checks,
-            "window": window_json(cert.exact_checks),
+            "exact_checks": True, "window": None,
             "reasons": list(cert.reasons)}, 0 if cert.holds else 2
 
 
@@ -494,8 +484,8 @@ def cmd_stable_units(ws, args, opts):
             "g must land in the torsion-free part of B")
     rep = check_stable_units_instance(B, g)
     return {"object": args.object, "morphism": args.morphism,
-            "preserved": rep.holds, "exact": rep.exact,
-            "window": window_json(rep.exact)}, 0 if rep.holds else 2
+            "preserved": rep.holds, "exact": True,
+            "window": None}, 0 if rep.holds else 2
 
 
 def cmd_orthogonal(ws, args, opts):
@@ -596,7 +586,7 @@ def build_parser():
     parser.add_argument("--workspace", help="path to a JSON workspace document")
     parser.add_argument("--corpus", action="store_true",
                         help="use the bundled corpus as the workspace")
-    parser.add_argument("--window", type=int, default=WINDOW,
+    parser.add_argument("--window", type=int, default=8,
                         help="echoed in every report; no computation "
                              "reads it")
     parser.add_argument("--hom-bound", type=int, default=10,

@@ -1,5 +1,5 @@
 """Positive cones: submonoids closed under conjugation, with decidable
-membership.
+membership and inclusion.
 
 A cone is either explicit (finite carrier), generated (fgab carrier), or
 a recipe node on an fgab carrier remembering how it was built from other
@@ -8,27 +8,26 @@ the two projections of a product or pullback, and ``ImageCone``, a direct
 image.  On a finite carrier every transport computes its members
 directly: a cone there is a normal subgroup, ``ExplicitCone.subgroup``,
 and its generators are that subgroup's greedy generating set, at most
-log2 of its order.  Recipe cones keep their construction tree:
-membership is decided on it, and unit groups are computed
-compositionally.  Membership in an image is one preimage lookup when the
-map's kernel lies in the inner units, else one non-negative integer
-feasibility problem per choice of a linear piece of each leaf (a cover
-cone has two).  Generators are extracted on demand; a restriction of
-finitely generated cones is finitely generated, by a Hilbert basis
-lifted along its legs.  The cone a subgroup carries, ``subgroup_cone``,
-gives the total and the trivial cone too.
+log2 of its order.  The ``CoverCone`` leaf is the positive cone of the
+canonical partially ordered cover Z x G; it is provably reduced and not
+finitely generated.
 
-The ``CoverCone`` leaf is the positive cone of the canonical partially
-ordered cover Z x G; it is provably reduced and not finitely generated,
-but it is the union of two linear sets, which decide its images.  A
-predicate quantified over a cone runs over ``deciding_members``: the
-generators, or else the members in the fixed window ``WINDOW``, marked
-inexact.
+Every cone is a finite union of linear sets o + N q1 + ... + N qk
+(Ginsburg and Spanier, Pacific J. Math. 16, 1966), its ``linear_pieces``,
+and a predicate quantified over a cone is an inclusion of its pieces,
+``cone_outside``; no predicate scans a window.  Membership in an image is
+one preimage lookup when the map's kernel lies in the inner units, else
+membership in one of its pieces.  A restriction of finitely generated
+cones is one piece at 0, so it has generators; an image has them when
+its pieces lie in the cone its offsets and periods generate.  The cone a
+subgroup carries, ``subgroup_cone``, gives the total and the trivial cone
+too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,11 +37,9 @@ from .errors import (
 )
 from .groups import (
     GroupHom,
-    _bounded_elements,
     _preimage_lookup,
     _stacked_legs,
     compose,
-    identity_hom,
     kernel_subgroup,
     subgroup,
     subgroup_from_elements,
@@ -51,9 +48,12 @@ from .groups import (
     subgroup_preimage,
     trivial_subgroup,
 )
-from .intlinalg import NonnegSolver, from_columns, hilbert_basis
-
-WINDOW = 8
+from .intlinalg import (
+    HILBERT_FRONTIER_CAP,
+    NonnegSolver,
+    from_columns,
+    hilbert_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,11 @@ class ProductCone(Cone):
 class ImageCone(Cone):
     """Direct image h(R) along any hom into an fgab carrier.
 
-    Only constructed when the inner cone has no generators, so it has none
-    either; the image of a generated cone is generated by their images.
-    Membership of y is decided exactly by one of two rules.  When ker h
-    lies in the units of R, R + ker h = R, so y is in h(R) iff one preimage
-    of y is in R.  Otherwise R is a restriction of leaves along legs, each
-    leaf a union of linear sets (``_linear_pieces``), and y is in h(R) iff
-    one stacked system over some choice of pieces is feasible.
+    Only constructed when the inner cone has no generators.  Membership of
+    y is decided exactly by one of two rules.  When ker h lies in the
+    units of R, R + ker h = R, so y is in h(R) iff one preimage of y is in
+    R.  Otherwise y is in h(R) iff y - h(o) is in <h(q)> for some linear
+    piece o + <q> of R.
     """
 
     group: object
@@ -135,32 +133,6 @@ class ImageCone(Cone):
         inner_units = units(self.inner)
         return all(inner_units.contains(k)
                    for k in kernel_subgroup(self.hom).generators)
-
-    @cached_property
-    def pieces(self):
-        """One (offset, solver) pair per choice of a linear piece
-        o_k + <gens_k> of each leaf k, restricted along leg_k.  y is in
-        the image iff some x and n >= 0 have (h, leg_1, ...)(x) =
-        (y, o_1 + gens_1 n_1, ...), that is iff some pair's solver finds
-        n and a free v with M v - gens n = (y, offset), M the stacked
-        matrix of (h, leg_1, ...) and offset = (o_1, ...)."""
-        leaves = _leaves(self.inner, identity_hom(self.inner.group))
-        to_fgab, M = _stacked_legs([self.hom] + [leg for _, leg in leaves])
-        nrows = len(M)
-        out = []
-        for choice in itertools.product(
-                *[_linear_pieces(leaf) for leaf, _ in leaves]):
-            offset, cols = [], []
-            for (o, gens), to in zip(choice, to_fgab[1:]):
-                o, *gens = [list((g if to is None else to(g)).coords)
-                            for g in (o, *gens)]
-                top = self.group.ncoords + len(offset)
-                cols += [[0] * top + [-a for a in g]
-                         + [0] * (nrows - top - len(o)) for g in gens]
-                offset += o
-            A = from_columns(cols, nrows=nrows)
-            out.append((offset, NonnegSolver(A, M)))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -264,39 +236,185 @@ def _cone_contains_cached(cone, x):
             lift = _preimage_lookup([cone.hom])([[x]])
             ok = lift is not None and cone_contains(cone.inner, lift[0])
         else:
-            ok = any(solver.solve(list(x.coords) + offset) is not None
-                     for offset, solver in cone.pieces)
+            ok = any(cone_contains(generator_cone(cone.group, qs), x - o)
+                     for o, qs in linear_pieces(cone))
         return MembershipVerdict("In" if ok else "Out")
     raise TypeError(f"unknown cone kind {type(cone)!r}")
 
 
-def _leaves(cone, leg):
-    """The cone restricted along ``leg`` as (leaf, leg) pairs: a restriction
-    of restrictions is one restriction along the composite legs."""
+# ---------------------------------------------------------------------------
+# linear pieces
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def linear_pieces(cone):
+    """The cone as a union of linear sets o + N q1 + ... + N qk, as
+    (o, (q1, ..., qk)) pairs: one at 0 for a generated or explicit cone;
+    {0} and e + (0, o) + <e, (0, q)> for each piece o + <q> of a cover
+    cone's base, e the new coordinate; the images of the inner pieces for
+    an image; and for a restriction the ``_restricted_pieces`` of each
+    choice of a piece per part, past their cap ``ImageNotComputable``."""
+    if isinstance(cone, (ExplicitCone, GeneratorCone)):
+        return ((cone.group.zero, extract_generators(cone)),)
+    if isinstance(cone, CoverCone):
+        e, *rest = cone.group.generators()
+        lift = GroupHom(cone.base_cone.group, cone.group, tuple(rest))
+        return ((cone.group.zero, ()),) + tuple(
+            (e + lift(o), (e, *map(lift, qs)))
+            for o, qs in linear_pieces(cone.base_cone))
+    if isinstance(cone, ImageCone):
+        h = cone.hom
+        return tuple((h(o), tuple(map(h, qs)))
+                     for o, qs in linear_pieces(cone.inner))
     if isinstance(cone, ProductCone):
-        return [pair for part, proj in zip(cone.parts, cone.projections)
-                for pair in _leaves(part, compose(proj, leg))]
-    return [(cone, leg)]
+        return tuple(piece for choice in itertools.product(
+            *map(linear_pieces, cone.parts))
+            for piece in _restricted_pieces(cone, choice))
+    raise TypeError(f"unknown cone kind {type(cone)!r}")
 
 
-def _linear_pieces(leaf):
-    """The leaf as a union of linear sets o + N g1 + ... + N gk, as
-    (o, (g1, ..., gk)) pairs: one for a leaf with generators, two for a
-    cover cone, {0} and e + <e, (0, p) for p generating the base cone>."""
-    if isinstance(leaf, CoverCone):
-        base = extract_generators(leaf.base_cone)
-        if base is None:
-            raise ImageNotComputable(
-                "image of a cover cone over a cone without generators")
-        H = leaf.group
-        e = H.elem([1] + [0] * (H.ncoords - 1))
-        lifts = tuple(H.elem((0, *p.coords)) for p in base)
-        return [(H.zero, ()), (e, (e, *lifts))]
-    gens = extract_generators(leaf)
+def _restricted_pieces(cone, choice):
+    """The pieces of { x : legs[k](x) in o_k + <S_k> for every k }, for one
+    piece (o_k, S_k) per part.  The n, t >= 0 with (o_k t + S_k n_k)_k some
+    (legs[k](x))_k have a finite Hilbert basis; a solution with t = 1 is one
+    basis element with t = 1 plus some with t = 0, which lift along the legs
+    to the offsets and the periods, with +- the kernel of a single leg (two
+    legs are jointly injective).  Without offsets t is left out: one piece
+    at 0.  A finite abelian part takes its fgab form."""
+    legs = cone.projections
+    kernel = kernel_subgroup(legs[0]).generators if len(legs) == 1 else ()
+    to_fgab, M = _stacked_legs(legs)
+    nrows = len(M)
+    cols, owners, offset = [], [], []
+    for k, ((o, gens), to) in enumerate(zip(choice, to_fgab)):
+        at, *coords = [list((g if to is None else to(g)).coords)
+                       for g in (o, *gens)]
+        top = len(offset)
+        for g, c in zip(gens, coords):
+            col = [0] * top + c + [0] * (nrows - top - len(at))
+            if any(c) and col not in cols:
+                cols.append(col)
+                owners.append([(k, g)])
+        offset += at
+    affine = any(offset)
+    if affine:
+        cols.append(offset)
+        owners.append([(k, o) for k, (o, _) in enumerate(choice)])
+    basis = hilbert_basis(from_columns(cols, nrows=nrows), M)
+    if basis is None:
+        raise ImageNotComputable("restriction past its Hilbert-basis cap")
+    targets = [[leg.cod.zero for _ in basis] for leg in legs]
+    for i, n in enumerate(basis):
+        for owned, mult in zip(owners, n):
+            if mult:
+                for k, g in owned:
+                    targets[k][i] = targets[k][i] + legs[k].cod.scale(g, mult)
+    lifts = _preimage_lookup(legs)(targets)
+    kernel = [x for g in kernel for x in (g, -g)]
+    if not affine:
+        return ((cone.group.zero, _distinct(lifts + kernel)),)
+    periods = _distinct([x for x, n in zip(lifts, basis) if n[-1] == 0]
+                        + kernel)
+    return tuple((x, periods) for x, n in zip(lifts, basis) if n[-1] == 1)
+
+
+def _distinct(xs):
+    return tuple(x for x in dict.fromkeys(xs) if not x.is_zero())
+
+
+# ---------------------------------------------------------------------------
+# inclusion
+# ---------------------------------------------------------------------------
+
+def cone_outside(f, C, D):
+    """A member of C that f sends outside D, or None when f(C) lies in D;
+    f None is the identity.  f maps a piece o + <q> of C onto
+    f(o) + <f(q)>, whose inclusion ``_piece_outside`` decides."""
+    for o, qs in linear_pieces(C):
+        r = _piece_outside(*((f(o), tuple(map(f, qs))) if f else (o, qs)), D)
+        if r is not None:
+            return _combine(o, qs, r)
+    return None
+
+
+def _combine(o, qs, r):
+    """o + sum r_i q_i, for multiplicities r = {i: r_i}."""
+    for i, n in r.items():
+        o = o + o.group.scale(qs[i], n)
+    return o
+
+
+def _piece_outside(o, qs, D):
+    """Multiplicities {i: r_i} that put o + sum r_i q_i outside the cone
+    D, or None when the piece o + <q> lies in D.
+
+    Testing o and each o + q_i decides a piece at 0, as D is a monoid, and
+    one in an explicit D, a group.  Else o is a non-zero member, and the
+    piece lies in a restriction iff in every part; in a cover cone iff
+    every q_i has first coordinate >= 0 and its base part lies in the base;
+    in an image whose map's kernel lies in the inner units iff a lift does;
+    in any image if it lies in one of the image's pieces; and in a cone with
+    generators by the box lemma.  Anything else raises
+    ``ImageNotComputable``, as does the box past its cap.
+    """
+    if not (o.is_zero() or cone_contains(D, o)):
+        return {}
+    for i, q in enumerate(qs):
+        if not cone_contains(D, q if o.is_zero() else o + q):
+            return {i: 1}
+    if o.is_zero() or isinstance(D, ExplicitCone):
+        return None
+    if isinstance(D, ProductCone):
+        for part, proj in zip(D.parts, D.projections):
+            r = _piece_outside(proj(o), tuple(map(proj, qs)), part)
+            if r is not None:
+                return r
+        return None
+    if isinstance(D, CoverCone):
+        for i, q in enumerate(qs):
+            if q.coords[0] < 0:
+                return {i: o.coords[0] // -q.coords[0] + 1}
+        return _piece_outside(D.split(o)[1],
+                              tuple(D.split(q)[1] for q in qs), D.base_cone)
+    if isinstance(D, ImageCone) and D.kernel_in_units:
+        lift = _preimage_lookup([D.hom])([[o, *qs]])
+        return _piece_outside(lift[0], tuple(lift[1:]), D.inner)
+    if isinstance(D, ImageCone) and any(
+            all(generator_cone(D.group, qs2).contains(x) for x in (o - o2, *qs))
+            for o2, qs2 in linear_pieces(D)):
+        return None  # inside one piece of the image
+    gens = extract_generators(D)
     if gens is None:
-        raise ImageNotComputable(f"membership under an image of "
-                                 f"{type(leaf).__name__} is not supported")
-    return [(leaf.group.zero, gens)]
+        raise ImageNotComputable(
+            f"inclusion in a {type(D).__name__} without generators")
+    return _box_outside(o, qs, D, gens)
+
+
+def _box_outside(o, qs, D, gens):
+    """The box lemma in D generated by ``gens``: with c_i q_i in D, o + <q>
+    lies in D iff o + sum r_i q_i does for every 0 <= r_i < c_i (write
+    m_i = r_i + c_i t_i; D is a monoid).  The least c_i is the least
+    positive first entry of a Hilbert basis of [q_i | -gens].  With none, a
+    Farkas functional >= 0 on D and < 0 at q_i puts o + m q_i outside D for
+    all large m, which doubling m finds."""
+    c = []
+    for i, q in enumerate(qs):
+        basis = _generator_solver(
+            GeneratorCone(D.group, (q, *(-g for g in gens)))).relations
+        if basis is None:
+            raise ImageNotComputable("box lemma past its Hilbert-basis cap")
+        c.append(min((v[0] for v in basis if v[0] > 0), default=0))
+        if not c[-1]:
+            m = 2
+            while cone_contains(D, o + D.group.scale(q, m)):
+                m *= 2
+            return {i: m}
+    if math.prod(c) > HILBERT_FRONTIER_CAP:
+        raise ImageNotComputable(f"box of {math.prod(c)} points past its cap")
+    for r in itertools.product(*map(range, c)):
+        if not cone_contains(D, _combine(o, qs, dict(enumerate(r)))):
+            return dict(enumerate(r))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +488,12 @@ def units(cone):
     if isinstance(cone, ImageCone):
         if cone.kernel_in_units:
             return subgroup_image(cone.hom, units(cone.inner))
-        raise UnitExtractionUnsupported(
-            "image cone whose map does not collapse into the inner units")
+        gens = extract_generators(cone)
+        if gens is None:
+            raise UnitExtractionUnsupported(
+                "image cone without generators whose map does not collapse "
+                "into the inner units")
+        return units(GeneratorCone(cone.group, gens))
     raise TypeError(f"unknown cone kind {type(cone)!r}")
 
 
@@ -381,62 +503,35 @@ def is_reduced(cone):
 
 def extract_generators(cone):
     """Monoid generators of the cone, or None: the cover cone is not
-    finitely generated, nor are cones built over it (an ``ImageCone`` among
-    them), and a Hilbert basis past its cap is given up."""
+    finitely generated, nor are most cones built over it, and a Hilbert
+    basis past its cap is given up."""
     if isinstance(cone, ExplicitCone):
         return cone.subgroup.generators
     if isinstance(cone, GeneratorCone):
         return cone.cone_generators
-    if isinstance(cone, ProductCone):
-        return _lifted_generators(cone)
+    if isinstance(cone, (ProductCone, ImageCone)):
+        return _recipe_generators(cone)
     return None
 
 
 @lru_cache(maxsize=None)
-def _lifted_generators(cone):
-    """Generators of a restriction cone, or None.
-
-    The cone is { x : legs[k](x) in parts[k] for every k }.  With S_k the
-    generators of parts[k], the multiplicities n >= 0 for which (S_k n_k)_k
-    is some (legs[k](x))_k form the non-negative part of a lattice, whose
-    Hilbert basis is finite; its elements lift along the legs to
-    generators, joined by +- a basis of the kernel of a single leg (two
-    legs are the jointly injective projections of a product or pullback).
-    A finite abelian part takes part in its fgab form.  None when a part
-    has no generators or the Hilbert basis passes its cap.
-    """
-    legs, parts = cone.projections, cone.parts
-    kernel = kernel_subgroup(legs[0]).generators if len(legs) == 1 else ()
-    part_gens = [extract_generators(p) for p in parts]
-    if any(gens is None for gens in part_gens):
-        return None
-    to_fgab, M = _stacked_legs(legs)
-    nrows = len(M)
-    cols, owners = [], []
-    top = 0
-    for k, (gens, to) in enumerate(zip(part_gens, to_fgab)):
-        dim = (legs[k].cod if to is None else to.cod).ncoords
-        for g in gens:
-            coords = list((g if to is None else to(g)).coords)
-            col = [0] * top + coords + [0] * (nrows - top - dim)
-            if any(coords) and col not in cols:
-                cols.append(col)
-                owners.append((k, g))
-        top += dim
-    basis = hilbert_basis(from_columns(cols, nrows=nrows), M)
-    if basis is None:
-        return None
-    targets = [[leg.cod.zero for _ in basis] for leg in legs]
-    for i, n in enumerate(basis):
-        for (k, g), mult in zip(owners, n):
-            if mult:
-                targets[k][i] = targets[k][i] + legs[k].cod.scale(g, mult)
-    out = []
-    for x in _preimage_lookup(legs)(targets) + [
-            x for g in kernel for x in (g, -g)]:
-        if not x.is_zero() and x not in out:
-            out.append(x)
-    return tuple(out)
+def _recipe_generators(cone):
+    """The periods of a restriction or image that is one piece at 0, else
+    the members among an image's offsets and periods, if every piece lies
+    in the cone they generate; None past a cap."""
+    try:
+        pieces = linear_pieces(cone)
+        if len(pieces) == 1 and pieces[0][0].is_zero():
+            return pieces[0][1]
+        if isinstance(cone, ImageCone):
+            gens = tuple(x for x in _distinct(
+                x for o, qs in pieces for x in (o, *qs)) if cone.contains(x))
+            span = GeneratorCone(cone.group, gens)
+            if all(_piece_outside(o, qs, span) is None for o, qs in pieces):
+                return gens
+    except ImageNotComputable:
+        pass
+    return None
 
 
 def generated_subgroup(cone):
@@ -451,30 +546,17 @@ def generated_subgroup(cone):
     return subgroup(cone.group, gens)
 
 
-def deciding_members(cone):
-    """The members that decide a predicate quantified over the cone, as
-    ``(members, exact)``: its generators with ``exact=True`` when it has
-    them, else its members in the window ``WINDOW`` with ``exact=False``.
-    A member that fails the predicate refutes it either way."""
-    gens = extract_generators(cone)
-    if gens is not None:
-        return gens, True
-    return cone_window(cone, WINDOW), False
-
-
 def cone_is_subgroup(cone):
     """Whether the cone equals its own unit group (protomodularity).
 
-    Returns (answer, exact): every deciding member must be a unit, and
-    one that is not refutes definitively.  The cover cone is decided
-    exactly.
+    An explicit cone is a subgroup.  Any other is one iff it holds -o and
+    every -q for each piece o + <q>, since then q = (o + q) + (-o) is in it
+    too: every offset and period is a unit.
     """
-    if isinstance(cone, CoverCone):
-        return False, True  # contains (1, 0) but never its inverse
-    members, exact = deciding_members(cone)
-    if not all(cone.contains(-x) for x in members):
-        return False, True
-    return True, exact
+    if isinstance(cone, ExplicitCone):
+        return True
+    return all(cone.contains(-x) for o, qs in linear_pieces(cone)
+               for x in (o, *qs))
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +598,3 @@ def transport_image(hom, inner):
     if isinstance(inner, ImageCone):
         hom, inner = compose(hom, inner.hom), inner.inner
     return ImageCone(hom.cod, hom, inner)
-
-
-# ---------------------------------------------------------------------------
-# windows
-# ---------------------------------------------------------------------------
-
-def group_window(group, width):
-    """All elements with free coordinates in [-width, width]."""
-    if group.backend == "finite":
-        return group.elements()
-    return _bounded_elements(group, width)
-
-
-def cone_window(cone, width):
-    """Cone members in the coordinate window; exhaustive iff carrier finite."""
-    return [x for x in group_window(cone.group, width)
-            if cone_contains(cone, x)]

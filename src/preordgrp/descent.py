@@ -7,15 +7,15 @@ Every (G, P) is covered by H = Z x G with positive cone
     { (n, g) : n >= 1 and g in P }  together with  (0, 0),
 
 which is provably not finitely generated (no element (1, p) decomposes),
-so cover-side predicates fall back to the fixed window ``cones.WINDOW``
-and mark those verdicts inexact.  The cover's cone axioms need no window:
-a sum of two non-zero positives has first coordinate >= 2 and base part
-g1 + g2, and conjugating (n, g) by (z, k) gives (n, k + g - k), so the
-cover cone is closed exactly where P is, and the base's
-``check_cone_axioms`` report is the cover's proof.  It is reduced by
-construction: the negative of a non-zero positive has first coordinate
-<= -1.  The projection (n, g) |-> g is a normal epimorphism: every g lifts
-to (0, g) and every positive p lifts to (1, p).
+but is the union of the linear sets {0} and (1, 0) + N x P, on which
+cover-side predicates are decided exactly.  The cover's cone axioms need
+no scan either: a sum of two non-zero positives has first coordinate
+>= 2 and base part g1 + g2, and conjugating (n, g) by (z, k) gives
+(n, k + g - k), so the cover cone is closed exactly where P is, and the
+base's ``check_cone_axioms`` report is the cover's proof.  It is reduced
+by construction: the negative of a non-zero positive has first
+coordinate <= -1.  The projection (n, g) |-> g is a normal epimorphism:
+every g lifts to (0, g) and every positive p lifts to (1, p).
 
 A covering is a morphism in the class M* (its kernel is partially
 ordered); ``is_covering_along`` tests the definition instead, a morphism
@@ -152,7 +152,6 @@ def kernel_pair(f):
 @dataclass(frozen=True)
 class FibrationReport:
     holds: bool
-    exact: bool
     detail: str = ""
 
     def __bool__(self):
@@ -167,15 +166,15 @@ def is_discrete_fibration(f1, f0, R, Rp):
     induced comparison map being an isomorphism.
     """
     if compose(Rp.r1.hom, f1.hom).images != compose(f0.hom, R.r1.hom).images:
-        return FibrationReport(False, True, detail="first square does not commute")
+        return FibrationReport(False, "first square does not commute")
     if compose(Rp.r2.hom, f1.hom).images != compose(f0.hom, R.r2.hom).images:
-        return FibrationReport(False, True, detail="second square does not commute")
+        return FibrationReport(False, "second square does not commute")
     lim = pog_pullback(Rp.r2, f0)
     cmp_hom = factor_through_legs([leg.hom for leg in lim.legs],
                                   [f1.hom, R.r2.hom])
     cmp = structural_morphism(cmp_hom, R.carrier, lim.obj, "fibration comparison")
-    iso, exact = pog_is_iso(cmp)
-    return FibrationReport(iso, exact, "comparison iso" if iso
+    iso = pog_is_iso(cmp)
+    return FibrationReport(iso, "comparison iso" if iso
                            else "square is not a pullback")
 
 
@@ -192,7 +191,7 @@ def is_covering(m):
 def is_covering_along(m, p):
     """Pull m back along the normal epimorphism p and test for a trivial
     covering there (unit-group restriction an isomorphism)."""
-    if not is_normal_epi(p)[0]:
+    if not is_normal_epi(p):
         raise ValueError("p must be a normal epimorphism")
     if m.cod != p.cod:
         raise ValueError("codomains must match")

@@ -56,10 +56,10 @@ class ImageNotNormal(PreordGrpError):
 
 
 class ImageNotComputable(PreordGrpError):
-    """Direct image of a cone without generators that neither membership
-    rule decides: into a finite group, or, when the map's kernel is not
-    in the inner units, over a leaf that is an image or a cover cone
-    whose base has no generators."""
+    """A cone image or inclusion no exact rule decides: an image without
+    generators into a finite group, a piece against an image without
+    generators whose map's kernel is not in the inner units, or a box or
+    Hilbert basis past ``HILBERT_FRONTIER_CAP``."""
 
 
 class UnitExtractionUnsupported(PreordGrpError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import (
-    cone_contains,
+    cone_outside,
     extract_generators,
     generated_subgroup,
     transport_image,
@@ -74,30 +74,28 @@ def in_class(m, cls):
     kernel.  Mstar: the kernel is partially ordered.
     """
     if cls == "E":
-        Fm = reflect_F(m)
-        iso, exact = pog_is_iso(Fm)
-        return ClassReport("E", iso, exact, "reflected morphism iso" if iso
+        iso = pog_is_iso(reflect_F(m))
+        return ClassReport("E", iso, detail="reflected morphism iso" if iso
                            else "reflected morphism is not an isomorphism")
     if cls == "M":
         Tm = coreflect_T(m)
         iso = is_isomorphism(Tm.hom)
-        return ClassReport("M", iso, True, "unit restriction iso" if iso
+        return ClassReport("M", iso, detail="unit restriction iso" if iso
                            else "unit restriction is not an isomorphism")
     ker = kernel_subgroup(m.hom)
     N = units(m.dom.cone)
     if cls == "Eprime":
-        normal_epi, exact = is_normal_epi(m)
-        if not normal_epi:
-            return ClassReport("Eprime", False, exact,
-                               "not a normal epimorphism")
+        if not is_normal_epi(m):
+            return ClassReport("Eprime", False,
+                               detail="not a normal epimorphism")
         total = all(N.contains(k) for k in ker.generators)
-        return ClassReport("Eprime", total, exact,
-                           "kernel totally ordered" if total
+        return ClassReport("Eprime", total,
+                           detail="kernel totally ordered" if total
                            else "kernel has a non-unit positive element")
     if cls == "Mstar":
         reduced = subgroup_intersection(ker, N).is_trivial()
-        return ClassReport("Mstar", reduced, True,
-                           "kernel partially ordered" if reduced
+        return ClassReport("Mstar", reduced,
+                           detail="kernel partially ordered" if reduced
                            else "kernel has nontrivial units")
     raise ValueError(f"unknown class {cls!r}")
 
@@ -209,7 +207,6 @@ class OrthogonalityReport:
     diagonal: POGMorphism = None
     unique: bool = True
     detail: str = ""
-    exact: bool = True         # False when a window stood in for a proof
 
     def __bool__(self):
         return self.holds
@@ -239,8 +236,7 @@ def check_orthogonality(e, m, a, b):
         if compose(m.hom, phi_hom).images != b.hom.images:
             return OrthogonalityReport(False, detail="m.phi differs from b")
         phi = POGMorphism(B, C, phi_hom, cert)
-        return OrthogonalityReport(True, phi, unique=True,
-                                   exact=cert.kind != "window")
+        return OrthogonalityReport(True, phi, unique=True)
     if B.group.backend == "finite" and C.group.backend == "finite":
         from .oracle import enumerate_pog_morphisms
         found = [phi for phi in enumerate_pog_morphisms(B, C)
@@ -261,7 +257,6 @@ def check_orthogonality(e, m, a, b):
 @dataclass(frozen=True)
 class StableUnitsReport:
     holds: bool
-    exact: bool
     detail: str = ""
 
     def __bool__(self):
@@ -288,9 +283,8 @@ def check_stable_units_instance(B, g):
                                 [Fp1.hom, Fp2.hom])
     u = structural_morphism(u_hom, FP, ref_lim.obj, "comparison into the "
                             "reflected pullback")
-    iso, exact = pog_is_iso(u)
-    return StableUnitsReport(iso, exact,
-                             "comparison map iso" if iso else
+    iso = pog_is_iso(u)
+    return StableUnitsReport(iso, "comparison map iso" if iso else
                              "reflected square is not a pullback")
 
 
@@ -313,10 +307,10 @@ def lemma_M_instance(row1, row2, a_hom, b_hom, c_hom):
     an isomorphism of the kernel monoids iff it maps the first group onto
     the second with trivial kernel.  The right-hand square is a pullback
     iff the comparison x |-> (b(x), f1(x)) maps cone1 bijectively onto the
-    pullback cone, decided on generators: the comparison sends cone1's
-    generators into the pullback cone, its kernel meets <cone1> trivially
-    (x - y lies in <cone1> for x, y in cone1), and every generator of the
-    pullback cone is the image of a member of cone1.
+    pullback cone, decided by two cone inclusions: the comparison sends
+    cone1 into the pullback cone, its kernel meets <cone1> trivially
+    (x - y lies in <cone1> for x, y in cone1), and the pullback cone lies
+    in the image of cone1.
     """
     cone1, f1 = row1
     cone2, f2 = row2
@@ -333,19 +327,14 @@ def lemma_M_instance(row1, row2, a_hom, b_hom, c_hom):
     comparison = factor_through_legs([p1, p2], [b_hom, f1])
     pullback_cone = transport_product(cone2, transport_image(f1, cone1),
                                       P, p1, p2)
-    for x in extract_generators(cone1):
-        if not cone_contains(pullback_cone, comparison(x)):
-            return LemmaMReport(False, f"b is not order preserving at {x}")
+    x = cone_outside(comparison, cone1, pullback_cone)
+    if x is not None:
+        return LemmaMReport(False, f"b is not order preserving at {x}")
     meet = subgroup_intersection(kernel_subgroup(comparison),
                                  generated_subgroup(cone1))
     if not meet.is_trivial():
         return LemmaMReport(False, "comparison is not injective")
-    targets = extract_generators(pullback_cone)
-    if targets is None:
-        raise EnumerationUnbounded("pullback cone past its Hilbert-basis cap")
-    image = transport_image(comparison, cone1)
-    for y in targets:
-        if not cone_contains(image, y):
-            return LemmaMReport(False,
-                                f"pair ({p1(y)}, {p2(y)}) has no preimage")
+    y = cone_outside(None, pullback_cone, transport_image(comparison, cone1))
+    if y is not None:
+        return LemmaMReport(False, f"pair ({p1(y)}, {p2(y)}) has no preimage")
     return LemmaMReport(True)

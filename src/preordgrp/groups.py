@@ -435,12 +435,6 @@ class GroupHom:
     def is_zero(self):
         return all(y.is_zero() for y in self.images)
 
-    def matrix_columns(self):
-        """Image coordinates per domain generator (fgab -> fgab only)."""
-        if self.dom.backend != "fgab" or self.cod.backend != "fgab":
-            raise BackendMismatch("matrix form needs fgab on both sides")
-        return [list(img.coords) for img in self.images]
-
 
 def make_hom(dom, cod, images):
     """Validated hom from outside input: the hom law is checked along the

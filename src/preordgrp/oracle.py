@@ -21,7 +21,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .cones import explicit_cone, units
-from .descent import is_covering
+from .descent import canonical_cover, is_covering, kernel_pair
 from .errors import BackendMismatch, ImageNotNormal, UnknownLaw
 from .factor import check_stable_units_instance, in_class
 from .groups import (
@@ -30,6 +30,7 @@ from .groups import (
     compose,
     enumerate_group_homs,
     enumerate_homs_bounded,
+    factor_through_epi,
     image_subgroup,
     is_injective,
     is_surjective,
@@ -48,8 +49,11 @@ from .pog import (
     compose_pog,
     is_normal_epi,
     is_short_exact,
+    pog_coequalizer,
     pog_cokernel,
+    pog_is_iso,
     pog_kernel,
+    structural_morphism,
 )
 from .torsion import (
     is_z_trivial,
@@ -303,7 +307,7 @@ def _cokernel_preconditions(epic, m, Q, proj):
         return "candidate not epic"
     if not _composite(proj, m).is_zero():
         return "candidate does not kill the image"
-    if not cone_map_surjective(proj)[0]:
+    if not cone_map_surjective(proj):
         return "candidate cone map is not surjective"
     return None
 
@@ -460,8 +464,7 @@ def _kernel_characterization(desc, m):
     K, inj = pog_kernel(m)
     if not subgroup_equal(image_subgroup(inj.hom), kernel_subgroup(m.hom)):
         return f"{desc}: kernel image mismatch"
-    pb, _ = cone_square_is_pullback(inj.hom, K.cone, m.dom.cone)
-    if not pb:
+    if not cone_square_is_pullback(inj.hom, K.cone, m.dom.cone):
         return f"{desc}: kernel cone square is not a pullback"
     return None
 
@@ -471,7 +474,7 @@ def _cokernel_characterization(desc, m):
         Q, proj = pog_cokernel(m)
     except ImageNotNormal:
         return None
-    if not is_normal_epi(proj)[0]:
+    if not is_normal_epi(proj):
         return f"{desc}: cokernel projection is not a normal epi"
     return None
 
@@ -557,6 +560,20 @@ def _law_pretorsion_clause(clause, order_bound):
     return None
 
 
+def _law_coequalizer_of_kernel_pair(order_bound):
+    """On the fgab corpus, whatever the bound: the cover projection of each
+    object, a normal epi, is the coequalizer of its kernel pair."""
+    from .corpus import fgab_corpus_objects
+    for name, P in sorted(fgab_corpus_objects().items()):
+        p = canonical_cover(P).projection
+        R = kernel_pair(p)
+        Q, q = pog_coequalizer(R.r1, R.r2)
+        cmp = factor_through_epi(q.hom, p.hom)
+        if not pog_is_iso(structural_morphism(cmp, Q, P, "comparison")):
+            return f"{name}: the cover projection does not coequalize its kernel pair"
+    return None
+
+
 _MORPHISM_LAWS = {
     "mono_iff_trivial_kernel": _mono_iff_trivial_kernel,
     "mono_pullback_square": _mono_pullback_square,
@@ -574,6 +591,7 @@ LAW_REGISTRY = {
        for law, check in _MORPHISM_LAWS.items()},
     "torsion_sequence": _law_torsion_sequence,
     "stable_units": _law_stable_units,
+    "normal_epi_coequalizes_kernel_pair": _law_coequalizer_of_kernel_pair,
     "prekernel_clause": partial(_law_pretorsion_clause, "prekernel"),
     "precokernel_clause": partial(_law_pretorsion_clause, "precokernel"),
 }

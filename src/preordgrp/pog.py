@@ -7,10 +7,9 @@ are computed componentwise at the group and cone level, and morphisms are
 classified against the characterizations of normal epi- and monomorphisms
 (surjective on both levels, respectively kernel-style cone restriction).
 
-Cone comparisons run over ``cones.deciding_members``: the generators,
-or, for cones without them (the cover cone and cones built over it), the
-members in a fixed coordinate window, which the verdict's ``exact`` flag
-reports.  A counterexample is definitive either way.
+Cone comparisons are inclusions, decided exactly: on the generators of a
+finitely generated cone, and on the linear pieces of one without them
+(the cover cone and cones built over it) by ``cones.cone_outside``.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from .cones import (
     ImageCone,
     cone_contains,
     cone_is_subgroup,
+    cone_outside,
     check_cone_axioms,
-    deciding_members,
     extract_generators,
     generator_cone,
     transport_image,
@@ -100,7 +99,7 @@ def zero_object():
 
 @dataclass(frozen=True)
 class Classification:
-    """Non-exclusive flags with the exactness of their derivation."""
+    """Non-exclusive flags; every derivation is exact."""
 
     flags: frozenset
     exact: bool = True
@@ -127,12 +126,11 @@ def classify(P):
         flags.add("total")
     if N.is_trivial():
         flags.add("partially_ordered")
-    proto, exact = cone_is_subgroup(P.cone)
-    if proto:
+    if cone_is_subgroup(P.cone):
         flags.add("protomodular")
         if N.is_trivial():
             flags.add("discrete")
-    return Classification(frozenset(flags), exact)
+    return Classification(frozenset(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def classify(P):
 class ConeCertificate:
     """How cone preservation was established."""
 
-    kind: str                 # "generators" | "structural" | "window"
+    kind: str                 # "generators" | "structural" | "pieces"
     verdicts: tuple = ()
     note: str = ""
 
@@ -160,16 +158,20 @@ class POGMorphism:
 
 
 def cone_preservation(hom, dom_cone, cod_cone):
-    """(ok, offending member or None, certificate)."""
-    members, exact = deciding_members(dom_cone)
+    """(ok, offending member or None, certificate): one In-verdict per
+    generator of the domain cone, or, for a cone without generators, the
+    inclusion of its linear pieces."""
+    gens = extract_generators(dom_cone)
+    if gens is None:
+        bad = cone_outside(hom, dom_cone, cod_cone)
+        cert = ConeCertificate("pieces") if bad is None else None
+        return bad is None, bad, cert
     verdicts = []
-    for x in members:
+    for x in gens:
         v = cone_contains(cod_cone, hom(x))
         if not v:
             return False, x, None
         verdicts.append((x, v))
-    if not exact:
-        return True, None, ConeCertificate("window")
     return True, None, ConeCertificate("generators", tuple(verdicts))
 
 
@@ -323,53 +325,41 @@ class MorphismClassReport:
     normal_mono: bool
     normal_epi: bool
     effective_descent: bool
-    exact: bool = True        # False when a window stood in for a proof
+    exact: bool = True        # every verdict is a proof
     details: tuple = ()
 
 
 def cone_map_surjective(m):
     """Does every positive element of the codomain lift into the domain cone?
 
-    Returns (holds, exact).  Each deciding member of the codomain cone is
-    tested for membership in the direct image of the domain cone, an
-    existential the feasibility solver decides; complete whenever the
-    codomain cone is finitely generated.
+    The codomain cone must lie in the direct image of the domain cone.
     """
     if isinstance(m.cod.cone, ImageCone) and m.cod.cone.hom == m.hom \
             and m.cod.cone.inner == m.dom.cone:
-        return (True, True)  # codomain cone is this map's direct image
+        return True  # codomain cone is this map's direct image
     img_cone = transport_image(m.hom, m.dom.cone)
-    members, exact = deciding_members(m.cod.cone)
-    if not all(cone_contains(img_cone, y) for y in members):
-        return (False, True)
-    return (True, exact)
+    return cone_outside(None, m.cod.cone, img_cone) is None
 
 
 def cone_square_is_pullback(hom, dom_cone, cod_cone):
     """Is dom_cone exactly the preimage of cod_cone along hom?
 
-    Returns (holds, exact).  Both inclusions run over deciding members:
-    those of dom_cone must map into cod_cone, and those of the preimage of
-    cod_cone must lie in dom_cone.  Counterexamples are definitive.
+    Two inclusions: dom_cone maps into cod_cone, and the preimage of
+    cod_cone lies in dom_cone.
     """
-    members, exact = deciding_members(dom_cone)
-    if not all(cone_contains(cod_cone, hom(x)) for x in members):
-        return (False, True)
+    if cone_outside(hom, dom_cone, cod_cone) is not None:
+        return False
     # a total domain cone leaves nothing outside itself: the forward
     # inclusion just checked is the whole condition
-    if exact and units(dom_cone).is_whole():
-        return (True, True)
-    pre, pre_exact = deciding_members(transport_preimage(hom, cod_cone))
-    if not all(cone_contains(dom_cone, x) for x in pre):
-        return (False, True)
-    return (True, exact and pre_exact)
+    if units(dom_cone).is_whole():
+        return True
+    return cone_outside(None, transport_preimage(hom, cod_cone),
+                        dom_cone) is None
 
 
 def is_normal_epi(m):
-    """Surjective on groups and on cones.  Returns (holds, exact)."""
-    if not is_surjective(m.hom):
-        return False, True
-    return cone_map_surjective(m)
+    """Surjective on groups and on cones."""
+    return is_surjective(m.hom) and cone_map_surjective(m)
 
 
 def morphism_class(m):
@@ -381,35 +371,28 @@ def morphism_class(m):
     mono = is_injective(m.hom)
     epi = is_surjective(m.hom)
     details = []
-    normal_epi, exact = is_normal_epi(m) if epi else (False, True)
+    normal_epi = epi and is_normal_epi(m)
     if epi:
         details.append(("cone_surjective", normal_epi))
     normal_mono = False
     if mono and image_subgroup(m.hom).is_normal():
-        pb, pb_exact = cone_square_is_pullback(m.hom, m.dom.cone, m.cod.cone)
-        normal_mono = pb
-        exact = exact and pb_exact
-        details.append(("cone_square_pullback", pb))
+        normal_mono = cone_square_is_pullback(m.hom, m.dom.cone, m.cod.cone)
+        details.append(("cone_square_pullback", normal_mono))
     return MorphismClassReport(
         mono=mono, epi=epi, normal_mono=normal_mono, normal_epi=normal_epi,
-        effective_descent=normal_epi, exact=exact, details=tuple(details))
+        effective_descent=normal_epi, details=tuple(details))
 
 
 def pog_is_iso(m):
     """Isomorphism test: group-level iso plus order-reflecting inverse.
 
-    Returns (answer, exact).  The inverse's cone preservation is checked on
-    generators when the codomain cone is finitely generated, otherwise on a
-    window.
+    The inverse's cone preservation is checked on the generators of the
+    codomain cone, or on its linear pieces when it has none.
     """
     from .groups import inverse_hom, is_isomorphism
     if not is_isomorphism(m.hom):
-        return False, True
-    inv = inverse_hom(m.hom)
-    ok, _, cert = cone_preservation(inv, m.cod.cone, m.dom.cone)
-    if not ok:
-        return False, True
-    return True, cert.kind != "window"
+        return False
+    return cone_preservation(inverse_hom(m.hom), m.cod.cone, m.dom.cone)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +405,6 @@ class SequenceCertificate:
     k: POGMorphism
     f: POGMorphism
     holds: bool
-    exact_checks: bool         # all checks were exact (no window fallback)
     reasons: tuple = ()
 
     def __bool__(self):
@@ -435,8 +417,8 @@ class SequenceCertificate:
         from .torsion import is_z_trivial
         zrep = is_z_trivial(compose_pog(self.f, self.k))
         return SequenceCertificate(
-            self.kind, self.k, self.f, bool(zrep), zrep.exact,
-            reasons=() if zrep else ("composite is not trivial",))
+            self.kind, self.k, self.f, bool(zrep),
+            () if zrep else ("composite is not trivial",))
 
 
 def is_short_exact(k, f):
@@ -452,7 +434,6 @@ def is_short_exact(k, f):
     if k.cod != f.dom:
         raise ValueError("arrows do not compose")
     reasons = []
-    exact = True
     holds = True
     if not compose(f.hom, k.hom).is_zero():
         holds = False
@@ -469,17 +450,10 @@ def is_short_exact(k, f):
     if holds and not is_surjective(f.hom):
         holds = False
         reasons.append("f is not surjective")
-    if holds:
-        pb, pb_exact = cone_square_is_pullback(k.hom, k.dom.cone, k.cod.cone)
-        exact = exact and pb_exact
-        if not pb:
-            holds = False
-            reasons.append("kernel cone square is not a pullback")
-    if holds:
-        surj, surj_exact = cone_map_surjective(f)
-        exact = exact and surj_exact
-        if not surj:
-            holds = False
-            reasons.append("cone map of f is not surjective")
-    return SequenceCertificate("ShortExact", k, f, holds, exact,
-                               tuple(reasons))
+    if holds and not cone_square_is_pullback(k.hom, k.dom.cone, k.cod.cone):
+        holds = False
+        reasons.append("kernel cone square is not a pullback")
+    if holds and not cone_map_surjective(f):
+        holds = False
+        reasons.append("cone map of f is not surjective")
+    return SequenceCertificate("ShortExact", k, f, holds, tuple(reasons))

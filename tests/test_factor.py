@@ -178,7 +178,7 @@ class TestEMFactorization:
 
     def test_m_morphism_gives_iso_e_part(self):
         fr = em_factor(identity_morphism(ZN))
-        assert pog_is_iso(fr.e)[0]
+        assert pog_is_iso(fr.e)
 
     def test_identity_of_objects_with_total_units(self):
         # the middle object is a pullback over the zero group F(B) = 0
@@ -191,7 +191,7 @@ class TestEMFactorization:
 
     def test_e_morphism_gives_iso_m_part(self):
         fr = em_factor(plane_projection())
-        assert pog_is_iso(fr.m)[0]
+        assert pog_is_iso(fr.m)
         assert fr.recomposes(plane_projection())
 
 
@@ -199,17 +199,17 @@ class TestMLFactorization:
     def test_mod2_is_already_covering(self):
         fr = ml_factor(mod2())
         assert fr.e_class.holds and fr.m_class.holds
-        assert pog_is_iso(fr.e)[0]
+        assert pog_is_iso(fr.e)
 
     def test_projection_quotients_fully(self):
         m = plane_projection()
         fr = ml_factor(m)
-        assert pog_is_iso(fr.m)[0]
+        assert pog_is_iso(fr.m)
         assert fr.e_class.holds
 
     def test_identity(self):
         fr = ml_factor(identity_morphism(ZN))
-        assert pog_is_iso(fr.e)[0] and pog_is_iso(fr.m)[0]
+        assert pog_is_iso(fr.e) and pog_is_iso(fr.m)
 
     def test_finite_corpus_factorizations(self):
         from preordgrp.corpus import finite_corpus_objects_up_to
@@ -235,17 +235,17 @@ class TestOrthogonality:
     def test_identity_e_gives_diagonal_a(self):
         rep = check_orthogonality(identity_morphism(ZN), mod2(),
                                   identity_morphism(ZN), mod2())
-        assert rep.holds and rep.exact
+        assert rep.holds
         assert rep.diagonal.hom.images == identity_hom(Z).images
 
-    def test_window_diagonal_is_marked(self):
-        # the diagonal out of the cover cone of (Z, N) is checked on the
-        # window, since that cone has no generators
+    def test_cover_diagonal_is_certified_on_pieces(self):
+        # the diagonal out of the cover cone of (Z, N) is checked on its
+        # linear pieces, since that cone has no generators
         from preordgrp.descent import canonical_cover
         one = identity_morphism(canonical_cover(ZN).realized)
         rep = check_orthogonality(one, one, one, one)
-        assert rep.holds and not rep.exact
-        assert rep.diagonal.certificate.kind == "window"
+        assert rep.holds
+        assert rep.diagonal.certificate.kind == "pieces"
 
     def test_incompatible_kernels_fail(self):
         # e = mod-2 quotient of (Z, total), m with trivial kernel: a square

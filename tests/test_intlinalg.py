@@ -331,7 +331,9 @@ def test_split_solver_against_brute_force():
     vanishing combination in the box uses it; on a width-3 window the
     subgroup of those must be the units of the generated cone.
     """
-    from preordgrp.cones import generator_cone, group_window, units
+    from conftest import group_window
+
+    from preordgrp.cones import generator_cone, units
     from preordgrp.groups import subgroup
     from preordgrp.intlinalg import from_columns
     rng = random.Random(4242)

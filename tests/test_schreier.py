@@ -1,8 +1,9 @@
 """Special Schreier morphisms."""
 
 import pytest
+from conftest import cone_window
 
-from preordgrp.cones import CoverCone, cone_window, explicit_cone, generator_cone
+from preordgrp.cones import CoverCone, explicit_cone, generator_cone
 from preordgrp.corpus import corpus_objects, fgab_corpus_objects
 from preordgrp.errors import UnitExtractionUnsupported
 from preordgrp.groups import cyclic_group, make_fgab_group, make_hom

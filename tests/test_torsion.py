@@ -152,8 +152,7 @@ class TestReflectorFunctor:
         for name, P in corpus_objects().items():
             dec = torsion_sequence(P)
             dec2 = torsion_sequence(dec.free_part)
-            iso, exact = pog_is_iso(dec2.unit)
-            assert iso, name
+            assert pog_is_iso(dec2.unit), name
 
 
 class TestCoreflector:
@@ -201,7 +200,7 @@ class TestUniqueness:
     def test_canonical_vs_canonical(self):
         dec = torsion_sequence(P42)
         t, f = uniqueness_check(P42, dec.counit, dec.unit)
-        assert pog_is_iso(t)[0] and pog_is_iso(f)[0]
+        assert pog_is_iso(t) and pog_is_iso(f)
 
     def test_relabeled_copy_finite(self):
         # relabel the canonical sequence of (Z/4, {0,2}) through a coset
@@ -222,7 +221,7 @@ class TestUniqueness:
             make_hom(P.group, H, [iso(dec.unit.hom(x)) for x in
                                   P.group.elements()]), P, relabeled_cod)
         t, f = uniqueness_check(P, dec.counit, alt_f)
-        assert pog_is_iso(f)[0]
+        assert pog_is_iso(f)
 
     def test_gate_rejects_non_total_kernel(self):
         # the discrete inclusion is not a torsion part
@@ -255,13 +254,14 @@ class TestZTrivial:
         rep = is_z_trivial(identity_morphism(ZN))
         assert not rep.holds and rep.witness is not None
 
-    def test_window_verdict_is_marked(self):
+    def test_cover_verdict_kills_offsets_and_periods(self):
         from preordgrp.descent import canonical_cover
-        cover = canonical_cover(ZN).realized
-        rep = is_z_trivial(zero_morphism(cover, zero_object()))
-        assert rep.holds and not rep.exact
-        assert is_z_trivial(zero_morphism(ZN, ZN)).exact
-        assert pretorsion_sequence(ZN).certificate.exact_checks
+        cover = canonical_cover(ZN)
+        assert is_z_trivial(zero_morphism(cover.realized, zero_object()))
+        # the projection kills the offset (1, 0) but not the period (0, 1)
+        rep = is_z_trivial(cover.projection)
+        assert not rep.holds and rep.witness.coords == (0, 1)
+        assert pretorsion_sequence(ZN).certificate.holds
 
     def test_factorization_recomposes(self):
         m = zero_morphism(P42, P42)

@@ -1,7 +1,8 @@
-"""The window width is one fixed fact, ``cones.WINDOW``.
+"""No verdict of the package rests on a window scan.
 
-Predicates that fall back to a window scan read it themselves; only the
-two functions that list a window take a ``width`` parameter.
+Every cone predicate is decided exactly on linear pieces, so no module of
+``src/`` defines or calls a window.  The window lives on in
+``tests/conftest.py`` only, as the brute-force reference of the tests.
 """
 
 import ast
@@ -9,11 +10,12 @@ import importlib
 import inspect
 from pathlib import Path
 
-from preordgrp import cones
+import conftest
+from preordgrp import cli, cones
 
 MODULES = ("cones", "pog", "torsion", "factor", "descent", "oracle")
 
-TAKES_WIDTH = {"cones.group_window", "cones.cone_window"}
+WINDOW_NAMES = {"WINDOW", "cone_window", "group_window", "deciding_members"}
 
 
 def _functions(module):
@@ -32,41 +34,42 @@ def _functions(module):
 
 def test_only_the_window_checks_take_a_width():
     found = set()
-    for short in MODULES:
-        module = importlib.import_module(f"preordgrp.{short}")
+    for module in [importlib.import_module(f"preordgrp.{short}")
+                   for short in MODULES] + [conftest]:
+        short = module.__name__.rsplit(".", 1)[-1]
         for name, fn in _functions(module):
             if "width" in inspect.signature(fn).parameters:
                 found.add(f"{short}.{name}")
-    assert found == TAKES_WIDTH
+    assert found == {"conftest.group_window", "conftest.cone_window"}
 
 
-def _window_callers():
-    """(module, function) around every ``cone_window(`` call in ``src/``."""
+def _window_names(path):
+    """Window names the module at ``path`` defines, assigns, imports or
+    reads."""
     found = set()
-    for path in sorted(Path(cones.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and getattr(
-                        node.func, "id", None) == "cone_window":
-                    found.add((path.stem, fn.name))
-    return found
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found & WINDOW_NAMES
 
 
 def test_one_entry_point_to_the_window():
-    assert _window_callers() == {("cones", "deciding_members")}
-    for short in ("pog", "torsion", "descent"):
-        tree = ast.parse(Path(cones.__file__).with_name(
-            f"{short}.py").read_text())
-        imported = {alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom)
-                    for alias in node.names}
-        assert not imported & {"WINDOW", "cone_window", "group_window"}, short
+    # the test-side reference is the only one
+    paths = sorted(Path(cones.__file__).parent.glob("*.py"))
+    assert len(paths) > len(MODULES)
+    assert {path.stem: _window_names(path) for path in paths
+            if _window_names(path)} == {}
+    assert _window_names(Path(conftest.__file__)) == {"cone_window",
+                                                       "group_window"}
 
 
 def test_one_window_constant():
-    pog = importlib.import_module("preordgrp.pog")
-    assert cones.WINDOW == 8
-    assert not hasattr(pog, "DEFAULT_WINDOW")
+    # ``--window`` is echoed in every report; no computation reads it
+    assert cli.build_parser().parse_args(["validate"]).window == 8
+    assert not WINDOW_NAMES & set(vars(cones))
