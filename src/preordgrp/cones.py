@@ -535,15 +535,13 @@ def _recipe_generators(cone):
 
 
 def generated_subgroup(cone):
-    """Subgroup generated by the cone together with its negatives; an
+    """Subgroup generated by the cone together with its negatives: by the
+    members o and o + q of each piece o + <q>, as q = (o + q) - o; an
     explicit cone is that subgroup already."""
     if isinstance(cone, ExplicitCone):
         return cone.subgroup
-    gens = extract_generators(cone)
-    if gens is None:
-        raise UnitExtractionUnsupported(
-            "generated subgroup of a non-finitely-generated cone")
-    return subgroup(cone.group, gens)
+    return subgroup(cone.group, [x for o, qs in linear_pieces(cone)
+                                 for x in (o, *(o + q for q in qs))])
 
 
 def cone_is_subgroup(cone):

@@ -119,6 +119,7 @@ class FiniteGroup(GroupObject):
             self.table = table
             self.identity_index = identity_index
             self.inverse = tuple(inverse)
+            self._generators = None
             self._abelian = all(table[i][j] == table[j][i]
                                 for i in range(len(table)) for j in range(i))
             cls._interned[key] = self
@@ -153,7 +154,10 @@ class FiniteGroup(GroupObject):
         return [GroupElement(self, (i,)) for i in range(len(self.element_names))]
 
     def generators(self):
-        return _generating_set(self, range(self.order()))
+        # computed once per interned group, so it lives as long as the group
+        if self._generators is None:
+            self._generators = tuple(_generating_set(self, range(self.order())))
+        return list(self._generators)
 
     def is_abelian(self):
         return self._abelian

@@ -1,10 +1,11 @@
-"""Brute-force ground truth: exhaustive enumeration on the finite backend,
-bounded enumeration on the fgab backend, and universal-property
-verification for every construction the other modules produce.
+"""Brute-force ground truth: morphism enumeration, exhaustive on the finite
+backend and bounded on the fgab one, and universal-property verification
+for every construction the other modules produce.
 
-The verifier quantifies over test morphisms drawn from a fixed list of
-source objects; on finite groups the quantification is complete, on fgab
-groups it runs up to a matrix-entry bound that every report records.
+The verifier quantifies over test morphisms from a fixed list of source
+objects: completely on finite groups, up to a matrix-entry bound that every
+report records on fgab groups.  A hom is fixed by its images on generators,
+so each test arrow is decided there, with no composite hom built.
 
 Finite cones are enumerated as the normal subgroups, since a submonoid of
 a finite group is a subgroup.  Every finite object is thus protomodular,
@@ -20,14 +21,14 @@ from functools import lru_cache, partial, reduce
 from itertools import product
 from typing import NamedTuple
 
-from .cones import explicit_cone, units
+from .cones import (cone_contains, cone_outside, explicit_cone,
+                    extract_generators, units)
 from .descent import canonical_cover, is_covering, kernel_pair
 from .errors import BackendMismatch, ImageNotNormal, UnknownLaw
 from .factor import check_stable_units_instance, in_class
 from .groups import (
-    _factoring_through_epi,
-    _factoring_through_legs,
-    compose,
+    GroupHom,
+    _preimage_lookup,
     enumerate_group_homs,
     enumerate_homs_bounded,
     factor_through_epi,
@@ -108,8 +109,8 @@ def _pog_morphisms(P, Q, bound):
         homs = enumerate_homs_bounded(P.group, Q.group, bound)
     else:
         raise BackendMismatch("morphism enumeration needs matching backends")
-    found = (_certified(h, P, Q) for h in homs)
-    return tuple(m for m in found if m is not None)
+    found = ((h, cone_preservation(h, P.cone, Q.cone)) for h in homs)
+    return tuple(POGMorphism(P, Q, h, cert) for h, (ok, _, cert) in found if ok)
 
 
 enumerate_pog_morphisms.cache_info = _pog_morphisms.cache_info
@@ -167,16 +168,17 @@ def verify_universal_property(query):
     why = kind.preconditions(sound, *data) or (None if sound else shape.unsound)
     if why:
         return VerificationReport(False, query.kind, 0, query.bound, why)
-    mediate = shape.mediator(legs)
+    mediates = shape.mediator(legs)
+    admits = kind.admits(*data)
     tested = 0
     for X in query.test_objects:
         if not kind.admits_object(X, *data):
             continue
         for test in shape.tests(legs, X, query.bound):
-            if not kind.admits(test, *data):
+            if not admits(test):
                 continue
             tested += 1
-            if mediate(test, X) is None:
+            if not mediates(test, X):
                 return VerificationReport(False, query.kind, tested, query.bound,
                                           kind.failure.format(X.describe()))
     return VerificationReport(True, query.kind, tested, query.bound)
@@ -189,31 +191,30 @@ def _arrows(X, A, bound):
     return enumerate_pog_morphisms(X, A, bound)
 
 
+def _on_generators(h):
+    """h at the generators of its domain, which fix it: the greedy ones of
+    a finite domain, the canonical ones (h's own images) of an fgab one."""
+    if h.dom.backend == "finite":
+        return tuple([h.images[g.coords[0]] for g in h.dom.generators()])
+    return h.images
+
+
 def _composite(g, f):
-    """The group hom of g after f.  The kinds that only test a composite
-    (zero, or equal to another) skip the cone certificate ``compose_pog``
-    would derive for it."""
+    """g after f at the generators of f's domain, all a test reads."""
     if f.cod != g.dom:
         raise ValueError("morphisms do not compose")
-    return compose(g.hom, f.hom)
-
-
-def _certified(w_hom, dom, cod):
-    """The group hom w_hom as a morphism dom -> cod, or None when there is
-    no hom or it does not preserve the order."""
-    if w_hom is None:
-        return None
-    ok, _, cert = cone_preservation(w_hom, dom.cone, cod.cone)
-    return POGMorphism(dom, cod, w_hom, cert) if ok else None
+    return tuple(map(g.hom, _on_generators(f.hom)))
 
 
 # The shapes.  A candidate is a tuple of legs: the one arrow of a mono or
 # an epi, the two arrows of a pair.  A test into it is one arrow X -> cod
-# per leg, a test out of it one arrow dom -> X.
+# per leg, a test out of it one arrow dom -> X.  A mediator decides on
+# generators; it builds a hom only for a cone without any, on an fgab
+# carrier, where the canonical generators' images are the whole hom.
 
 def _jointly_monic(legs):
-    """Legs with trivially intersecting kernels, along which
-    ``factor_through_legs`` finds a hom; one such leg is a mono."""
+    """Legs with trivially intersecting kernels, along which exact
+    preimages give a hom; one such leg is a mono."""
     kernels = [kernel_subgroup(leg.hom) for leg in legs]
     return reduce(subgroup_intersection, kernels).is_trivial()
 
@@ -223,13 +224,27 @@ def _tests_into(legs, X, bound):
 
 
 def _mediator_into(legs):
-    factor = _factoring_through_legs([leg.hom for leg in legs])
-    return lambda test, X: _certified(factor([t.hom for t in test]),
-                                      X, legs[0].dom)
+    """The legs' joint image is a subgroup, the preimage map on it a hom:
+    w with legs[k] . w = test[k] exists iff X's generators have preimages,
+    and is monotone iff those of X's cone generators lie in C's cone."""
+    find = _preimage_lookup([leg.hom for leg in legs])
+    C = legs[0].dom
+
+    def mediates(test, X):
+        positives = extract_generators(X.cone)
+        if positives is None:
+            xs = find([_on_generators(t.hom) for t in test])
+            return xs is not None and cone_outside(GroupHom(
+                X.group, C.group, tuple(xs)), X.cone, C.cone) is None
+        xs = find([(*_on_generators(t.hom), *map(t.hom, positives))
+                   for t in test])
+        return xs is not None and all(cone_contains(C.cone, x)
+                                      for x in xs[len(xs) - len(positives):])
+    return mediates
 
 
 def _epic(legs):
-    """An onto leg; ``factor_through_epi`` finds a hom along it."""
+    """An onto leg; a mediating map out of it is unique."""
     return is_surjective(legs[0].hom)
 
 
@@ -238,16 +253,31 @@ def _tests_out_of(legs, X, bound):
 
 
 def _mediator_out_of(legs):
-    factor = _factoring_through_epi(legs[0].hom)
-    return lambda alpha, X: _certified(factor(alpha.hom), legs[0].cod, X)
+    """p is onto, so w with w . p = alpha exists iff alpha kills the
+    generators of ker p, and preserves the order iff alpha sends one
+    preimage of each generator of Q's cone into X's cone."""
+    p, Q = legs[0].hom, legs[0].cod
+    killed = kernel_subgroup(p).generators
+    positives = extract_generators(Q.cone)
+    lifts = _preimage_lookup([p])(
+        [Q.group.generators() if positives is None else positives])
+
+    def mediates(alpha, X):
+        if not all(alpha.hom(k).is_zero() for k in killed):
+            return False
+        images = tuple(map(alpha.hom, lifts))
+        if positives is None:
+            return cone_outside(GroupHom(Q.group, X.group, images),
+                                Q.cone, X.cone) is None
+        return all(cone_contains(X.cone, y) for y in images)
+    return mediates
 
 
 class _Shape(NamedTuple):
     sound: object      # legs -> whether a found mediating map is a unique hom
     unsound: str       # the refusal when it is not
     tests: object      # (legs, X, bound) -> test arrows between X and legs
-    mediator: object   # legs -> ((test, X) -> mediating morphism, or None),
-                       # the legs' preimage lookup built once per query
+    mediator: object   # legs -> ((test, X) -> whether a mediator exists)
 
 
 _INTO_MONO = _Shape(_jointly_monic, "candidate not monic",
@@ -260,34 +290,32 @@ _OUT_OF_EPI = _Shape(_epic, "candidate not epic",
 
 # The kinds.  A kind's preconditions see the shape's verdict, so that a
 # kind that checked the candidate's mono or epi before keeps its order and
-# its words; the shape refuses an unsound candidate the kind let pass.
+# its words; the shape refuses an unsound candidate the kind let pass.  A
+# kind's test-arrow filter is built once per query from the fixed arrows.
 
-def _every(_, *data):
+def _every(*args):
     return True
 
 
 def _kernel_preconditions(monic, m, K, inj):
     if not monic:
         return "candidate is not monic"
-    if not _composite(m, inj).is_zero():
+    if not all(y.is_zero() for y in _composite(m, inj)):
         return "candidate does not compose to zero"
     return None
 
 
-def _kernel_admits(test, m, K, inj):
-    return _composite(m, test[0]).is_zero()
+def _kernel_admits(m, K, inj):
+    zeros = kernel_subgroup(m.hom)
+    return lambda test: all(map(zeros.contains, _on_generators(test[0].hom)))
 
 
 def _equalizer_preconditions(monic, m1, m2, E, inj):
-    if _composite(m1, inj).images != _composite(m2, inj).images:
+    if _composite(m1, inj) != _composite(m2, inj):
         return "candidate does not equalize"
     if not monic:
         return "candidate not monic"
     return None
-
-
-def _equalizer_admits(test, m1, m2, E, inj):
-    return _composite(m1, test[0]).images == _composite(m2, test[0]).images
 
 
 def _z_prekernel_preconditions(monic, f, K, k):
@@ -298,34 +326,37 @@ def _z_prekernel_preconditions(monic, f, K, k):
     return None
 
 
-def _z_prekernel_admits(test, f, K, k):
-    return is_z_trivial(compose_pog(f, test[0]))
+def _z_prekernel_admits(f, K, k):
+    return lambda test: is_z_trivial(compose_pog(f, test[0]))
 
 
 def _cokernel_preconditions(epic, m, Q, proj):
     if not epic:
         return "candidate not epic"
-    if not _composite(proj, m).is_zero():
+    if not all(y.is_zero() for y in _composite(proj, m)):
         return "candidate does not kill the image"
     if not cone_map_surjective(proj):
         return "candidate cone map is not surjective"
     return None
 
 
-def _cokernel_admits(alpha, m, Q, proj):
-    return _composite(alpha, m).is_zero()
+def _cokernel_admits(m, Q, proj):
+    images = _on_generators(m.hom)
+    return lambda alpha: all(alpha.hom(y).is_zero() for y in images)
 
 
 def _coequalizer_preconditions(epic, m1, m2, Q, proj):
     if not epic:
         return "candidate not epic"
-    if _composite(proj, m1).images != _composite(proj, m2).images:
+    if _composite(proj, m1) != _composite(proj, m2):
         return "candidate does not coequalize"
     return None
 
 
-def _coequalizer_admits(alpha, m1, m2, Q, proj):
-    return _composite(alpha, m1).images == _composite(alpha, m2).images
+def _coequalizer_admits(m1, m2, Q, proj):
+    images1, images2 = _on_generators(m1.hom), _on_generators(m2.hom)
+    return lambda alpha: (tuple(map(alpha.hom, images1))
+                          == tuple(map(alpha.hom, images2)))
 
 
 def _z_precokernel_preconditions(epic, f, C, c):
@@ -336,8 +367,8 @@ def _z_precokernel_preconditions(epic, f, C, c):
     return None
 
 
-def _z_precokernel_admits(alpha, f, C, c):
-    return is_z_trivial(compose_pog(alpha, f))
+def _z_precokernel_admits(f, C, c):
+    return lambda alpha: is_z_trivial(compose_pog(alpha, f))
 
 
 def _product_preconditions(jointly_monic, A, B, P, p1, p2):
@@ -347,13 +378,15 @@ def _product_preconditions(jointly_monic, A, B, P, p1, p2):
 
 
 def _pullback_preconditions(jointly_monic, f, g, P, p1, p2):
-    if _composite(f, p1).images != _composite(g, p2).images:
+    if _composite(f, p1) != _composite(g, p2):
         return "candidate square does not commute"
     return None
 
 
-def _pullback_admits(test, f, g, P, p1, p2):
-    return _composite(f, test[0]).images == _composite(g, test[1]).images
+def _commutes(f, g, *candidate):
+    """Tests on which f and g agree: f . t = g . t for an equalizer, f . t1
+    = g . t2 for a pullback."""
+    return lambda test: _composite(f, test[0]) == _composite(g, test[-1])
 
 
 def _reflection_preconditions(epic, unit, flag):
@@ -377,7 +410,7 @@ class _Kind(NamedTuple):
     legs: slice               # where the candidate's legs sit in query.data
     preconditions: object     # (sound, *data) -> reason, or None
     failure: str              # for a test arrow without mediating map; {} is X
-    admits: object = _every   # (test, *data) -> whether the test arrow counts
+    admits: object = lambda *data: _every  # (*data) -> test filter
     admits_object: object = _every  # (X, *data) -> whether X gives test arrows
 
 
@@ -388,7 +421,7 @@ _KINDS = {
                     "no mediating map for a test arrow from {}",
                     _kernel_admits),
     "Equalizer": _Kind(_INTO_MONO, _LAST, _equalizer_preconditions,
-                       "no mediating map", _equalizer_admits),
+                       "no mediating map", _commutes),
     "ZPrekernel": _Kind(_INTO_MONO, _LAST, _z_prekernel_preconditions,
                         "no mediating map", _z_prekernel_admits),
     "CoreflectionCounit": _Kind(_INTO_MONO, _FIRST, _coreflection_preconditions,
@@ -406,7 +439,7 @@ _KINDS = {
     "Product": _Kind(_INTO_LEGS, _LAST_TWO, _product_preconditions,
                      "no mediating map into the product"),
     "Pullback": _Kind(_INTO_LEGS, _LAST_TWO, _pullback_preconditions,
-                      "no mediating map into the pullback", _pullback_admits),
+                      "no mediating map into the pullback", _commutes),
 }
 
 
@@ -419,21 +452,16 @@ def _finite_objects(order_bound):
     return list(finite_corpus_objects_up_to(order_bound).items())
 
 
-def _all_corpus_morphisms(order_bound):
+def _first_failing_morphism(check, order_bound):
+    """The search of a per-morphism law: the witness ``check(desc, m)``
+    gives for the first corpus morphism m that breaks it, or None."""
     objs = _finite_objects(order_bound)
     for pname, P in objs:
         for qname, Q in objs:
             for m in enumerate_pog_morphisms(P, Q):
-                yield f"{pname} -> {qname}", m
-
-
-def _first_failing_morphism(check, order_bound):
-    """The search of a per-morphism law: the witness ``check(desc, m)``
-    gives for the first corpus morphism m that breaks it, or None."""
-    for desc, m in _all_corpus_morphisms(order_bound):
-        witness = check(desc, m)
-        if witness:
-            return witness
+                witness = check(f"{pname} -> {qname}", m)
+                if witness:
+                    return witness
     return None
 
 
@@ -491,15 +519,9 @@ def _short_exact_characterization(desc, m):
     return None
 
 
-def _eprime_subset_e(desc, m):
-    if in_class(m, "Eprime").holds and not in_class(m, "E").holds:
-        return f"{desc}: in Eprime but not in E"
-    return None
-
-
-def _m_subset_mstar(desc, m):
-    if in_class(m, "M").holds and not in_class(m, "Mstar").holds:
-        return f"{desc}: in M but not in Mstar"
+def _class_inclusion(small, big, desc, m):
+    if in_class(m, small).holds and not in_class(m, big).holds:
+        return f"{desc}: in {small} but not in {big}"
     return None
 
 
@@ -548,13 +570,10 @@ def _law_pretorsion_clause(clause, order_bound):
     test = tuple(P for _, P in objs)
     for pname, P in objs:
         dec = pretorsion_sequence(P)
-        if clause == "prekernel":
-            q = UniversalPropertyQuery("ZPrekernel", (dec.unit, dec.torsion_part,
-                                                      dec.counit), test)
-        else:
-            q = UniversalPropertyQuery("ZPrecokernel", (dec.counit, dec.free_part,
-                                                        dec.unit), test)
-        rep = verify_universal_property(q)
+        kind, data = (("ZPrekernel", (dec.unit, dec.torsion_part, dec.counit))
+                      if clause == "prekernel" else
+                      ("ZPrecokernel", (dec.counit, dec.free_part, dec.unit)))
+        rep = verify_universal_property(UniversalPropertyQuery(kind, data, test))
         if not rep.holds:
             return f"{pname}: {clause} clause fails: {rep.counterexample}"
     return None
@@ -580,8 +599,8 @@ _MORPHISM_LAWS = {
     "kernel_characterization": _kernel_characterization,
     "cokernel_characterization": _cokernel_characterization,
     "short_exact_characterization": _short_exact_characterization,
-    "eprime_subset_e": _eprime_subset_e,
-    "m_subset_mstar": _m_subset_mstar,
+    "eprime_subset_e": partial(_class_inclusion, "Eprime", "E"),
+    "m_subset_mstar": partial(_class_inclusion, "M", "Mstar"),
     "hom_total_to_reduced_zero": _hom_total_to_reduced_zero,
     "every_morphism_is_covering": _every_morphism_is_covering,
 }

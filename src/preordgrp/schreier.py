@@ -38,10 +38,9 @@ class SchreierReport:
 def is_special_schreier(cone, hom):
     """Special Schreier test for the restriction of ``hom`` to ``cone``.
 
-    Exact on every cone with generators; a cone built over a cover cone has
-    none and raises :class:`UnitExtractionUnsupported`.  A False verdict
-    carries a pair (a, b) of the kernel pair whose difference b - a leaves
-    the cone.
+    Exact on every cone, with or without generators, as far as its units
+    and linear pieces are computable.  A False verdict carries a pair
+    (a, b) of the kernel pair whose difference b - a leaves the cone.
 
     >>> from .groups import make_fgab_group, make_hom
     >>> from .cones import generator_cone

@@ -202,13 +202,19 @@ class TestGeneratedSubgroup:
     def test_trivial(self):
         assert generated_subgroup(trivial_cone(Z2)).is_trivial()
 
-    def test_nonextractable_raises(self):
+    def test_cones_without_generators_generate_through_their_pieces(self):
         # the cover cone of (Z, N) is not finitely generated, nor is its
-        # preimage along the coordinate swap
+        # preimage along the coordinate swap, yet both generate Z^2
         swap = make_hom(Z2, Z2, [Z2.elem([0, 1]), Z2.elem([1, 0])])
         pre = transport_preimage(swap, CoverCone(Z2, N))
-        with pytest.raises(UnitExtractionUnsupported):
-            generated_subgroup(pre)
+        assert extract_generators(pre) is None
+        for cone in (CoverCone(Z2, N), pre):
+            S = generated_subgroup(cone)
+            assert S.is_whole()
+            assert all(cone.contains(g) for g in S.generators)
+        # over the trivial base the cover cone is {0} and e + N e
+        S = generated_subgroup(CoverCone(Z2, trivial_cone(Z)))
+        assert S.contains(Z2.elem([1, 0])) and not S.contains(Z2.elem([0, 1]))
 
 
 class TestTransport:

@@ -293,7 +293,8 @@ class TestCompositeTests:
         m = _mod2()
         with pytest.raises(ValueError):
             _composite(m, m)
-        assert _composite(m, identity_morphism(m.dom)).images == m.hom.images
+        # the composite at the generators of Z/4, here the one element 1
+        assert _composite(m, identity_morphism(m.dom)) == (m.hom.images[1],)
         # same group, other cone: the groups compose, the objects do not
         G = m.dom.group
         total = make_pog(G, explicit_cone(G, G.elements()))
@@ -389,6 +390,76 @@ class TestCandidatesOfTheRightForm:
         one = identity_morphism(_mod2().dom)
         _assert_refused("CoreflectionCounit", (one, "total"),
                         "counit domain is not total")
+
+
+class TestGeneratorRulesCanFail:
+    """A wrong version of a generator rule of the oracle gives a wrong
+    verdict on a named query."""
+
+    def test_on_generators_without_its_last_generator(self, monkeypatch):
+        # the identity of Z/4 passes for the kernel of x -> x mod 2 once the
+        # one generator of Z/4 is dropped: its composite is then empty
+        m = _mod2()
+        data = (m, m.dom, identity_morphism(m.dom))
+        _assert_refused("Kernel", data, "candidate does not compose to zero")
+        right = oracle._on_generators
+        monkeypatch.setattr(oracle, "_on_generators", lambda h: right(h)[:-1])
+        rep = verify_universal_property(
+            UniversalPropertyQuery("Kernel", data, _test_objects()))
+        assert rep.holds and rep.tested > 0
+
+    def test_epi_mediator_without_the_kernel_check(self, monkeypatch):
+        # the zero map onto the trivial object is no reflection of the
+        # discrete Z/2: its identity does not factor through it
+        objs = finite_corpus_objects_up_to(4)
+        P = objs["Z2/cone0"]
+        T = cyclic_group(1)
+        O = make_pog(T, explicit_cone(T, [T.zero]))
+        data = (zero_morphism(P, O), "partially_ordered")
+        rep = verify_universal_property(
+            UniversalPropertyQuery("ReflectionUnit", data, _test_objects()))
+        assert not rep.holds and rep.counterexample.startswith(
+            "no factorization through the unit")
+        monkeypatch.setattr(oracle, "kernel_subgroup",
+                            lambda h: groups.trivial_subgroup(h.dom))
+        assert verify_universal_property(
+            UniversalPropertyQuery("ReflectionUnit", data, _test_objects()))
+
+    def test_mono_mediator_without_the_cone_check(self, monkeypatch):
+        # the kernel {0, 2} of Z/4 -> Z/2, all total, offered with the
+        # discrete cone: Z/2 -> {0, 2}, 1 -> 2 does not preserve the order
+        m = _z4_mod2(range(4), [0, 1])
+        data = (m, *_kernel_with_discrete_cone(m))
+        rep = verify_universal_property(
+            UniversalPropertyQuery("Kernel", data, _test_objects()))
+        assert not rep.holds and rep.tested > 0
+        monkeypatch.setattr(oracle, "extract_generators", lambda cone: ())
+        assert verify_universal_property(
+            UniversalPropertyQuery("Kernel", data, _test_objects()))
+
+
+def test_finite_queries_build_no_hom(monkeypatch):
+    # a kernel and a cokernel query decide every test arrow on generators:
+    # once the test arrows are listed, no GroupHom is built
+    m = _mod2()
+    K, inj = pog_kernel(m)
+    Q, proj = pog_cokernel(inj)
+    queries = [UniversalPropertyQuery("Kernel", (m, K, inj), _test_objects()),
+               UniversalPropertyQuery("Cokernel", (inj, Q, proj),
+                                      _test_objects())]
+    for X in _test_objects():
+        enumerate_pog_morphisms(X, m.dom)
+        enumerate_pog_morphisms(inj.cod, X)
+    built = []
+    init = groups.GroupHom.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(groups.GroupHom, "__init__", counting)
+    reports = [verify_universal_property(q) for q in queries]
+    assert all(rep.holds and rep.tested > 0 for rep in reports)
+    assert built == []
 
 
 def test_one_hom_list_per_group_pair():

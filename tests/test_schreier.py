@@ -5,7 +5,6 @@ from conftest import cone_window
 
 from preordgrp.cones import CoverCone, explicit_cone, generator_cone
 from preordgrp.corpus import corpus_objects, fgab_corpus_objects
-from preordgrp.errors import UnitExtractionUnsupported
 from preordgrp.groups import cyclic_group, make_fgab_group, make_hom
 from preordgrp.oracle import enumerate_pog_morphisms
 from preordgrp.schreier import is_special_schreier
@@ -47,11 +46,22 @@ def test_total_cone_quotient_is_special_schreier():
     assert is_special_schreier(explicit_cone(G, G.elements()), h).holds
 
 
-def test_cover_cone_has_no_closed_form():
+@pytest.mark.parametrize("images, witness", [
+    ((0, 1), ((1, 0), (0, 0))),     # (n, g) -> g: (-1, 0) leaves the cone
+    ((1, 0), ((1, 0), (1, 1))),     # (n, g) -> n: (0, 1) leaves the cone
+])
+def test_cover_cone_has_a_closed_form(images, witness):
+    # the cover of (Z, N) generates Z^2 through the members o and o + q of
+    # its pieces, so the closed form decides it as the kernel-pair scan does
     H = make_fgab_group(2, [])
     cover = CoverCone(H, N)
-    with pytest.raises(UnitExtractionUnsupported):
-        is_special_schreier(cover, make_hom(H, Z, [Z.zero, Z.elem([1])]))
+    f = make_hom(H, Z, [Z.elem([v]) for v in images])
+    rep = is_special_schreier(cover, f)
+    assert not rep.holds and not _kernel_pair_scan(cover, f, 2)
+    a, b = rep.witness
+    assert (a.coords, b.coords) == witness
+    assert cover.contains(a) and cover.contains(b) and f(a) == f(b)
+    assert not cover.contains(b - a)
 
 
 def test_torsion_sequence_cone_rows_over_corpus():
