@@ -18,7 +18,10 @@ hom, a cone or an ``lru_cache`` key.  On the finite backend one
 breadth-first closure, ``_words``, generates every subgroup, one greedy
 loop, ``_generating_set``, picks the generators of a group and of a
 subgroup given by its elements, and one table builder,
-``_finite_group_on``, builds every derived group.
+``_finite_group_on``, builds every derived group.  Each derived group --
+quotient, subgroup, image, product -- is built once per (group, subgroup)
+or group pair while it stays among the 256 most recent, and so is the
+preimage lookup that factors maps through an epi.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .intlinalg import (
     lattice_member,
     lattice_preimage,
     mat_vec,
-    solve,
 )
 
 
@@ -567,12 +569,13 @@ def _preimage_lookup(legs):
                 return None
         return find
     to_fgab, M = _stacked_legs(legs)
+    snf = factored(M)
 
     def find(columns):
         out = []
         for ys in zip(*columns):
-            z = solve(M, [c for y, to in zip(ys, to_fgab)
-                          for c in (y if to is None else to(y)).coords])
+            z = snf.solve([c for y, to in zip(ys, to_fgab)
+                           for c in (y if to is None else to(y)).coords])
             if z is None:
                 return None
             # a system without rows (zero codomains) solves to []
@@ -618,9 +621,10 @@ def factor_through_epi(p, t):
     return _factoring_through_epi(p)(t)
 
 
+@lru_cache(maxsize=256)
 def _factoring_through_epi(p):
     """``factor_through_epi`` along p as a function of t: the preimages of
-    p's codomain are looked up once, for every t."""
+    p's codomain are looked up once per p, for every t."""
     Q = p.cod
     if Q.backend == "finite" and p.dom.backend != "finite":
         raise BackendMismatch("factoring through an fgab -> finite epi")
@@ -845,6 +849,7 @@ def kernel_subgroup(h):
     return subgroup_preimage(h, trivial_subgroup(h.cod))
 
 
+@lru_cache(maxsize=256)
 def image_subgroup(h):
     if h.dom.backend == "finite":
         return subgroup(h.cod, sorted({h(x) for x in h.dom.elements()},
@@ -852,6 +857,7 @@ def image_subgroup(h):
     return subgroup(h.cod, list(h.images))
 
 
+@lru_cache(maxsize=256)
 def subgroup_to_group(S):
     """Present a subgroup as a group in its own right, with the injection.
 
@@ -871,11 +877,9 @@ def subgroup_to_group(S):
         K = FgAbGroup(0, ())
         return K, GroupHom(K, G, ())
     B = from_columns(basis, nrows=dim)
-    rel_in_basis = []
-    for r in G.relation_columns():
-        w = solve(B, r)
-        rel_in_basis.append(w)
-    pres = fgab_presentation(len(basis), rel_in_basis)
+    snf = factored(B)
+    pres = fgab_presentation(len(basis),
+                             [snf.solve(r) for r in G.relation_columns()])
     K = pres.group
     images = []
     for lift in pres.gen_lifts:
@@ -883,6 +887,7 @@ def subgroup_to_group(S):
     return K, GroupHom(K, G, tuple(images))
 
 
+@lru_cache(maxsize=256)
 def quotient(G, S):
     """Quotient group with the projection; S must be normal.
 
@@ -935,6 +940,7 @@ class ProductResult:
     proj2: GroupHom
 
 
+@lru_cache(maxsize=256)
 def direct_product(A, B):
     if A.backend != B.backend:
         raise BackendMismatch("mixed-backend product; convert first")

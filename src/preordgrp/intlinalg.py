@@ -103,6 +103,22 @@ class SNF:
         m, n = mat_shape(self.D)
         return [self.D[i][i] for i in range(min(m, n))]
 
+    def solve(self, b):
+        """One integer solution x of M x = b for the factored M, or None."""
+        m, n = mat_shape(self.D)
+        ub = mat_vec(self.U, b)
+        y = [0] * n
+        for i in range(m):
+            d = self.D[i][i] if i < min(m, n) else 0
+            if d == 0:
+                if ub[i] != 0:
+                    return None
+            else:
+                if ub[i] % d != 0:
+                    return None
+                y[i] = ub[i] // d
+        return mat_vec(self.V, y)
+
 
 def _pivot(A, t, m, n):
     """Smallest-absolute-value nonzero entry of A[t:,t:].
@@ -265,20 +281,7 @@ def solve(M, b):
     >>> solve([[2]], [3]) is None
     True
     """
-    s = factored(M)
-    m, n = mat_shape(M)
-    ub = mat_vec(s.U, b)
-    y = [0] * n
-    for i in range(m):
-        d = s.D[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-    return mat_vec(s.V, y)
+    return factored(M).solve(b)
 
 
 def kernel_basis(M):

@@ -15,6 +15,7 @@ finitely generated cone, and on the linear pieces of one without them
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cones import (
     Cone,
@@ -113,6 +114,7 @@ class Classification:
         return isinstance(other, Classification) and self.flags == other.flags
 
 
+@lru_cache(maxsize=256)
 def classify(P):
     """Flags among total / protomodular / partially_ordered / discrete.
 
@@ -273,6 +275,7 @@ def pog_product(P1, P2):
     return LimitResult(P, legs)
 
 
+@lru_cache(maxsize=256)
 def pog_pullback(m1, m2):
     if m1.cod != m2.cod:
         raise ValueError("pullback needs a common codomain")

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+import preordgrp.groups as groups_module
 from preordgrp.errors import (
     BackendMismatch,
     BadInvariantFactors,
@@ -26,6 +27,8 @@ from preordgrp.corpus import (
 from preordgrp.groups import (
     FgAbGroup,
     FiniteGroup,
+    _factoring_through_epi,
+    _preimage_lookup,
     compose,
     cyclic_group,
     direct_product,
@@ -332,6 +335,61 @@ class TestApplyFgab:
 
     def test_kernel_cache_is_bounded(self):
         assert kernel_subgroup.cache_info().maxsize == 256
+
+
+def _calls(monkeypatch, name):
+    """The argument tuples of every later call of ``groups.<name>``."""
+    calls, fn = [], getattr(groups_module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(groups_module, name, counting)
+    return calls
+
+
+class TestBuiltOnce:
+    """Each derived group and preimage lookup is built once per value."""
+
+    @pytest.mark.parametrize("cache", [
+        quotient, subgroup_to_group, direct_product, image_subgroup,
+        _factoring_through_epi])
+    def test_cache_is_bounded(self, cache):
+        assert cache.cache_info().maxsize == 256
+
+    def test_quotient_by_equal_subgroups(self, monkeypatch):
+        G = cyclic_group(6)
+        quotient.cache_clear()
+        built = _calls(monkeypatch, "_finite_group_on")
+        Q, q = quotient(G, subgroup(G, [G.elem(2)]))
+        assert quotient(G, subgroup(G, [G.elem(2)])) == (Q, q)
+        assert Q.order() == 2 and len(built) == 1
+
+    def test_quotient_by_a_non_normal_subgroup_raises_every_time(self):
+        S3 = symmetric_group_3()
+        flip = next(x for x in S3.elements()
+                    if x + x == S3.zero and x != S3.zero)
+        for _ in range(2):
+            with pytest.raises(NotNormal):
+                quotient(S3, subgroup(S3, [flip]))
+
+    def test_epi_lookup_serves_every_target(self, monkeypatch):
+        p = make_hom(Z2, Z, [Z.elem([1]), Z.elem([0])])
+        t = make_hom(Z2, Zmod2, [Zmod2.elem([1]), Zmod2.elem([0])])
+        _factoring_through_epi.cache_clear()
+        built = _calls(monkeypatch, "_stacked_legs")
+        w = factor_through_epi(p, t)
+        assert compose(w, p).images == t.images
+        assert factor_through_epi(p, identity_hom(Z2)) is None
+        assert len(built) == 1
+
+    def test_multi_column_find_factors_once(self, monkeypatch):
+        P, p1, p2 = group_pullback(mod2_hom(), mod2_hom())
+        factorings = _calls(monkeypatch, "factored")
+        ks = [Z.elem([k]) for k in range(-3, 4)]
+        xs = _preimage_lookup([p1, p2])([ks, ks])
+        assert [(p1(x), p2(x)) for x in xs] == list(zip(ks, ks))
+        assert len(factorings) == 1
 
 
 class TestMediatingMaps:

@@ -14,9 +14,11 @@ corpus and the test objects, and the witness of
   of every protomodular reflection, and the Z-prekernel and
   Z-precokernel queries of every pretorsion sequence;
 - failing candidates: the identity as a kernel or cokernel, every
-  cokernel whose candidate cone is replaced by the total cone, and the
+  cokernel whose candidate cone is replaced by the total cone, the
   kernel of every 16th morphism with its cone replaced by the discrete
-  one.
+  one, and the zero map onto the trivial object as the cokernel of every
+  morphism with a nontrivial codomain, which only the epi mediator's
+  check on the generators of the candidate's kernel can refuse.
 
 Any change to these verdicts must be deliberate: regenerate the fixture
 with
@@ -35,6 +37,7 @@ import pytest
 from preordgrp.cones import explicit_cone
 from preordgrp.corpus import finite_corpus_objects_up_to
 from preordgrp.errors import ImageNotNormal
+from preordgrp.groups import cyclic_group
 from preordgrp.oracle import (
     LAW_REGISTRY,
     UniversalPropertyQuery,
@@ -105,10 +108,15 @@ def kernel_reports():
 
 
 def cokernel_reports():
+    T = cyclic_group(1)
+    trivial = PreorderedGroup(T, explicit_cone(T, [T.zero]))
     out = {}
     for desc, m in _morphisms():
         out[f"Cokernel {desc} identity"] = _report(
             "Cokernel", m, m.cod, identity_morphism(m.cod))
+        if m.cod.group.order() > 1:
+            out[f"Cokernel {desc} trivial object"] = _report(
+                "Cokernel", m, trivial, zero_morphism(m.cod, trivial))
         try:
             Q, proj = pog_cokernel(m)
         except ImageNotNormal:

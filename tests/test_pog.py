@@ -234,6 +234,19 @@ class TestLimits:
                 seen.add(key)
 
 
+class TestBuiltOnce:
+    @pytest.mark.parametrize("cache", [classify, pog_pullback])
+    def test_cache_is_bounded(self, cache):
+        assert cache.cache_info().maxsize == 256
+
+    def test_equal_arguments_share_one_result(self):
+        # mod2() builds a new, equal morphism on each call
+        assert pog_pullback(mod2(), mod2()) is pog_pullback(mod2(), mod2())
+        P = make_pog(Zmod4, generator_cone(Zmod4, [Zmod4.elem([2])]))
+        Q = make_pog(Zmod4, generator_cone(Zmod4, [Zmod4.elem([2])]))
+        assert classify(P) is classify(Q)
+
+
 class TestCoequalizer:
     def test_coeq_id_id(self):
         Q, proj = pog_coequalizer(identity_morphism(ZN), identity_morphism(ZN))
