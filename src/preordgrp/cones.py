@@ -470,6 +470,12 @@ def units(cone):
     """
     if isinstance(cone, ExplicitCone):
         return cone.subgroup
+    return _units(cone)
+
+
+@lru_cache(maxsize=256)
+def _units(cone):
+    """``units`` of a cone on an fgab carrier, once per cone value."""
     if isinstance(cone, GeneratorCone):
         unit_cols = _generator_solver(cone).unit_columns
         if unit_cols is None:

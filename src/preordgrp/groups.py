@@ -21,7 +21,12 @@ subgroup given by its elements, and one table builder,
 ``_finite_group_on``, builds every derived group.  Each derived group --
 quotient, subgroup, image, product -- is built once per (group, subgroup)
 or group pair while it stays among the 256 most recent, and so is the
-preimage lookup that factors maps through an epi.
+preimage lookup that factors maps through an epi or through a tuple of
+legs.  On the fgab backend the lattice facts are kept the same way, per
+value: one Smith normal form per subgroup, which every membership and
+wholeness query solves against, and the intersection of two subgroups,
+the preimage of a subgroup and the surjectivity of a hom.  Elements are
+slotted, so the values these caches hold stay small.
 """
 
 from __future__ import annotations
@@ -40,13 +45,12 @@ from .intlinalg import (
     invariant_factors_of_diagonal,
     lattice_basis,
     lattice_intersection,
-    lattice_member,
     lattice_preimage,
     mat_vec,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     group: "GroupObject"
     coords: tuple
@@ -531,6 +535,13 @@ def is_injective(h):
 
 
 def is_surjective(h):
+    if h.dom.backend == "fgab":
+        return _fgab_surjective(h)
+    return image_subgroup(h).is_whole()
+
+
+@lru_cache(maxsize=256)
+def _fgab_surjective(h):
     return image_subgroup(h).is_whole()
 
 
@@ -651,12 +662,14 @@ def factor_through_legs(legs, targets):
     preimages then make w a hom on both backends (the legs reflect sums
     and orders), so nothing is re-checked.
     """
-    return _factoring_through_legs(legs)(targets)
+    return _factoring_through_legs(tuple(legs))(targets)
 
 
+@lru_cache(maxsize=256)
 def _factoring_through_legs(legs):
-    """``factor_through_legs`` along fixed legs as a function of the
-    targets: the lookup of preimages is built once, for every family."""
+    """``factor_through_legs`` along a tuple of legs as a function of the
+    targets: the lookup of preimages is built once per leg family, for
+    every target family."""
     find = _preimage_lookup(legs)
 
     def factor(targets):
@@ -690,8 +703,10 @@ class Subgroup:
             raise ValueError("element of a different group")
         if self.elements is not None:
             return x in self.elements
-        return lattice_member(_subgroup_lattice(self), list(x.coords),
-                              self.group.ncoords) is not None
+        if not any(x.coords):
+            return True
+        snf = _subgroup_snf(self)
+        return snf is not None and snf.solve(list(x.coords)) is not None
 
     def is_trivial(self):
         if self.elements is not None:
@@ -704,10 +719,10 @@ class Subgroup:
         # the lattice of generators and relations is all of Z^n exactly
         # when its Smith normal form has n diagonal entries, each 1
         n = self.group.ncoords
-        cols = _subgroup_lattice(self)
-        if not n or not cols:
+        snf = _subgroup_snf(self)
+        if snf is None:
             return not n
-        diag = factored(from_columns(cols, nrows=n)).diagonal
+        diag = snf.diagonal
         return len(diag) == n and all(d == 1 for d in diag)
 
     def is_normal(self):
@@ -727,6 +742,16 @@ def _subgroup_lattice(S):
     cols = [list(g.coords) for g in S.generators]
     cols += S.group.relation_columns()
     return tuple(tuple(c) for c in cols)
+
+
+@lru_cache(maxsize=256)
+def _subgroup_snf(S):
+    """The Smith normal form of S's lattice columns (fgab), factored once
+    for every membership and wholeness query on S; None when the lattice
+    has no columns or the group no coordinates.  Solving against it gives
+    the coefficients of a member over ``_subgroup_lattice(S)``."""
+    cols, n = _subgroup_lattice(S), S.group.ncoords
+    return factored(from_columns(cols, nrows=n)) if cols and n else None
 
 
 def subgroup(group, generators):
@@ -797,6 +822,12 @@ def subgroup_preimage(h, S):
         _, to_b, _ = _fgab_conversion(h.cod)
         converted = subgroup(to_b.cod, [to_b(x) for x in S.generators])
         return subgroup_preimage(compose(to_b, h), converted)
+    return _lattice_preimage(h, S)
+
+
+@lru_cache(maxsize=256)
+def _lattice_preimage(h, S):
+    """``subgroup_preimage`` across an fgab -> fgab hom."""
     M = from_columns([list(i.coords) for i in h.images], nrows=h.cod.ncoords)
     target = [list(c) for c in _subgroup_lattice(S)]
     gens = lattice_preimage(M, target, h.dom.ncoords, h.cod.ncoords)
@@ -808,6 +839,12 @@ def subgroup_intersection(S1, S2):
         raise ValueError("subgroups of different groups")
     if S1.elements is not None:
         return subgroup_from_elements(S1.group, S1.elements & S2.elements)
+    return _lattice_intersection(S1, S2)
+
+
+@lru_cache(maxsize=256)
+def _lattice_intersection(S1, S2):
+    """``subgroup_intersection`` of two fgab subgroups."""
     dim = S1.group.ncoords
     gens = lattice_intersection([list(c) for c in _subgroup_lattice(S1)],
                                 [list(c) for c in _subgroup_lattice(S2)], dim)

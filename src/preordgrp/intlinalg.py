@@ -459,11 +459,29 @@ class NonnegSolver:
     def unit_columns(self):
         """Indices j in the support of some relation, or None past the
         cap: exactly the columns of A that are units of the cone they
-        generate modulo the columns of B."""
-        if self.relations is None:
+        generate modulo the columns of B.
+
+        A column that meets no equality row has finite order d modulo B,
+        so it is a unit (its negative is (d - 1) times it) and needs no
+        Hilbert basis.  With those columns moved into B, the other units
+        are the unit columns of the smaller system.
+        """
+        eqs, _ = self._rows([0] * self.m)
+        periodic = [j for j in range(self.t)
+                    if not any(coeffs[j] for coeffs, _ in eqs)]
+        if not periodic:
+            if self.relations is None:
+                return None
+            return tuple(j for j in range(self.t)
+                         if any(n[j] for n in self.relations))
+        rest = [j for j in range(self.t) if j not in periodic]
+        inner = NonnegSolver(
+            [[row[j] for j in rest] for row in self.A],
+            [[row[j] for j in periodic] + (list(self.B[i]) if self.u else [])
+             for i, row in enumerate(self.A)]).unit_columns
+        if inner is None:
             return None
-        return tuple(j for j in range(self.t)
-                     if any(n[j] for n in self.relations))
+        return tuple(sorted(periodic + [rest[k] for k in inner]))
 
     @cached_property
     def _split(self):
@@ -483,7 +501,7 @@ class NonnegSolver:
                    for j in range(self.t)):
             return None
         units = self.unit_columns
-        if units is None:
+        if units is None or self.relations is None:
             return None
         rest = [j for j in range(self.t) if j not in units]
         relation = [sum(n[j] for n in self.relations) for j in units]
@@ -529,7 +547,7 @@ class NonnegSolver:
         if units:
             resid = [ci - sum(a * x for a, x in zip(row, n_rest))
                      for ci, row in zip(c, inner.A)]
-            w = solve(inner.B, resid)
+            w = inner.snfB.solve(resid)
             k = max([0] + [_ceil_div(-x, r) for x, r in zip(w, relation)])
             for j, x, r in zip(units, w, relation):
                 n[j] = x + k * r

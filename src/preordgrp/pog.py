@@ -390,12 +390,19 @@ def pog_is_iso(m):
     """Isomorphism test: group-level iso plus order-reflecting inverse.
 
     The inverse's cone preservation is checked on the generators of the
-    codomain cone, or on its linear pieces when it has none.
+    codomain cone, or on its linear pieces when it has none.  The verdict
+    is kept per (hom, domain cone, codomain cone), not per morphism, whose
+    hash would walk its certificate.
     """
+    return _is_iso(m.hom, m.dom.cone, m.cod.cone)
+
+
+@lru_cache(maxsize=256)
+def _is_iso(hom, dom_cone, cod_cone):
     from .groups import inverse_hom, is_isomorphism
-    if not is_isomorphism(m.hom):
+    if not is_isomorphism(hom):
         return False
-    return cone_preservation(inverse_hom(m.hom), m.cod.cone, m.dom.cone)[0]
+    return cone_preservation(inverse_hom(hom), cod_cone, dom_cone)[0]
 
 
 # ---------------------------------------------------------------------------

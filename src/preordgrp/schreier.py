@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import generated_subgroup, units
-from .groups import _subgroup_lattice, kernel_subgroup, subgroup_intersection
-from .intlinalg import lattice_member
+from .groups import _subgroup_snf, kernel_subgroup, subgroup_intersection
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def _split_pair(cone, span, g):
     from a non-unit g of <C> ∩ ker f.  Only reached on an fgab carrier:
     on a finite one <C> = C is a group, so every element of it is a unit."""
     G = cone.group
-    coeffs = lattice_member(_subgroup_lattice(span), list(g.coords), G.ncoords)
+    coeffs = _subgroup_snf(span).solve(list(g.coords))
     b, a = G.zero, G.zero
     for gen, k in zip(span.generators, coeffs):
         if k > 0:

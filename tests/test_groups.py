@@ -28,7 +28,12 @@ from preordgrp.groups import (
     FgAbGroup,
     FiniteGroup,
     _factoring_through_epi,
+    _factoring_through_legs,
+    _fgab_surjective,
+    _lattice_intersection,
+    _lattice_preimage,
     _preimage_lookup,
+    _subgroup_snf,
     compose,
     cyclic_group,
     direct_product,
@@ -353,7 +358,8 @@ class TestBuiltOnce:
 
     @pytest.mark.parametrize("cache", [
         quotient, subgroup_to_group, direct_product, image_subgroup,
-        _factoring_through_epi])
+        _factoring_through_epi, _factoring_through_legs, _subgroup_snf,
+        _fgab_surjective, _lattice_intersection, _lattice_preimage])
     def test_cache_is_bounded(self, cache):
         assert cache.cache_info().maxsize == 256
 
@@ -389,6 +395,31 @@ class TestBuiltOnce:
         ks = [Z.elem([k]) for k in range(-3, 4)]
         xs = _preimage_lookup([p1, p2])([ks, ks])
         assert [(p1(x), p2(x)) for x in xs] == list(zip(ks, ks))
+        assert len(factorings) == 1
+
+    def test_equal_leg_lists_build_one_lookup(self, monkeypatch):
+        # two pullbacks of equal maps give equal, separately built legs
+        legs = [list(group_pullback(mod2_hom(), mod2_hom())[1:])
+                for _ in range(2)]
+        one = identity_hom(Z)
+        _factoring_through_legs.cache_clear()
+        built = _calls(monkeypatch, "_stacked_legs")
+        for p1, p2 in legs:
+            w = factor_through_legs([p1, p2], [one, one])
+            assert compose(p1, w).images == one.images
+        assert factor_through_legs(legs[0], [one, zero_hom(Z, Z)]) is None
+        assert len(built) == 1
+
+    def test_equal_subgroups_share_one_factorization(self, monkeypatch):
+        G = make_fgab_group(2, [4])
+        S, T = (subgroup(G, [G.elem([2, 1, 1]), G.elem([0, 3, 2])])
+                for _ in range(2))
+        _subgroup_snf.cache_clear()
+        factorings = _calls(monkeypatch, "factored")
+        assert S is not T and S == T
+        assert S.contains(G.elem([2, 4, 3])) and T.contains(G.elem([4, 2, 2]))
+        assert not T.contains(G.elem([1, 0, 0]))
+        assert not S.is_whole() and not T.is_whole()
         assert len(factorings) == 1
 
 

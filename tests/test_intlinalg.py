@@ -224,6 +224,19 @@ def test_nonneg_falls_back_past_the_cap():
     assert solver.unit_columns is None and solver._split is None
 
 
+def test_unit_columns_of_finite_order_need_no_basis():
+    # (Z + Z/10^30, <(0, 1)>): the only relation, 10^30 times (0, 1), lies
+    # past the cap, yet a column of finite order is a unit
+    solver = NonnegSolver([[0], [1]], [[0], [10 ** 30]])
+    assert solver.unit_columns == (0,)
+    assert solver.relations is None
+    # on Z + Z/4 the periodic (0, 1) is a unit and (1, 0), (1, 1) are not,
+    # as the support of the Hilbert basis says
+    A, B = [[1, 0, 1], [0, 1, 1]], [[0], [4]]
+    assert NonnegSolver(A, B).unit_columns == (1,)
+    assert hilbert_basis(A, B) == [(0, 4, 0)]
+
+
 def test_nonneg_randomized_cross_validation():
     """Randomized agreement with brute force, congruence slots included.
 

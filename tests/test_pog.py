@@ -2,7 +2,9 @@
 
 import pytest
 
+import preordgrp.groups as groups_module
 from preordgrp.cones import (
+    _units,
     cone_contains,
     explicit_cone,
     generator_cone,
@@ -22,6 +24,7 @@ from preordgrp.groups import (
 )
 from preordgrp.pog import (
     SequenceCertificate,
+    _is_iso,
     classify,
     compose_pog,
     cone_map_surjective,
@@ -36,6 +39,7 @@ from preordgrp.pog import (
     pog_coequalizer,
     pog_cokernel,
     pog_equalizer,
+    pog_is_iso,
     pog_kernel,
     pog_product,
     pog_pullback,
@@ -43,6 +47,7 @@ from preordgrp.pog import (
     zero_morphism,
     zero_object,
 )
+from preordgrp.torsion import _reflected, reflect_F
 
 Z = make_fgab_group(1, [])
 Z2 = make_fgab_group(2, [])
@@ -235,7 +240,8 @@ class TestLimits:
 
 
 class TestBuiltOnce:
-    @pytest.mark.parametrize("cache", [classify, pog_pullback])
+    @pytest.mark.parametrize("cache", [classify, pog_pullback, _is_iso,
+                                       _reflected, _units])
     def test_cache_is_bounded(self, cache):
         assert cache.cache_info().maxsize == 256
 
@@ -245,6 +251,22 @@ class TestBuiltOnce:
         P = make_pog(Zmod4, generator_cone(Zmod4, [Zmod4.elem([2])]))
         Q = make_pog(Zmod4, generator_cone(Zmod4, [Zmod4.elem([2])]))
         assert classify(P) is classify(Q)
+
+    def test_equal_morphisms_share_one_iso_verdict(self, monkeypatch):
+        inverses, inverse_hom = [], groups_module.inverse_hom
+
+        def counting(h):
+            inverses.append(h)
+            return inverse_hom(h)
+        monkeypatch.setattr(groups_module, "inverse_hom", counting)
+        _is_iso.cache_clear()
+        for _ in range(2):
+            neg = make_pog_morphism(make_hom(Z, Z, [Z.elem([-1])]), ZZ, ZZ)
+            assert pog_is_iso(neg)
+        assert len(inverses) == 1
+
+    def test_equal_morphisms_share_one_reflection(self):
+        assert reflect_F(mod2()) is reflect_F(mod2())
 
 
 class TestCoequalizer:
