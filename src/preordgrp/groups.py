@@ -24,9 +24,9 @@ or group pair while it stays among the 256 most recent, and so is the
 preimage lookup that factors maps through an epi or through a tuple of
 legs.  On the fgab backend the lattice facts are kept the same way, per
 value: one Smith normal form per subgroup, which every membership and
-wholeness query solves against, and the intersection of two subgroups,
-the preimage of a subgroup and the surjectivity of a hom.  Elements are
-slotted, so the values these caches hold stay small.
+wholeness query solves against, the intersection of two subgroups and
+the preimage of a subgroup.  Elements are slotted, so the values these
+caches hold stay small.
 """
 
 from __future__ import annotations
@@ -535,13 +535,6 @@ def is_injective(h):
 
 
 def is_surjective(h):
-    if h.dom.backend == "fgab":
-        return _fgab_surjective(h)
-    return image_subgroup(h).is_whole()
-
-
-@lru_cache(maxsize=256)
-def _fgab_surjective(h):
     return image_subgroup(h).is_whole()
 
 

@@ -98,7 +98,7 @@ class SNF:
     U_inv: list
     V_inv: list
 
-    @property
+    @cached_property
     def diagonal(self):
         m, n = mat_shape(self.D)
         return [self.D[i][i] for i in range(min(m, n))]
@@ -308,15 +308,6 @@ def lattice_basis(gens, dim):
     return [cols[i] for i, d in enumerate(s.diagonal) if d != 0]
 
 
-def lattice_member(gens, x, dim):
-    """Coefficients expressing x in the lattice spanned by gens, or None."""
-    if all(v == 0 for v in x):
-        return [0] * len(gens)
-    if not gens:
-        return None
-    return solve(from_columns(gens, nrows=dim), x)
-
-
 def lattice_intersection(gens_a, gens_b, dim):
     """Generators of the intersection of two column lattices in Z^dim."""
     if not gens_a or not gens_b:
@@ -386,6 +377,21 @@ def _positive_functional(cols, dim):
     return None
 
 
+def _periods(eqs, congs, t):
+    """Per variable, None when it meets an equality row, else its period:
+    the lcm of the congruence moduli it appears in, which the variable can
+    be raised by without changing any row."""
+    period = [None] * t
+    for j in range(t):
+        if any(coeffs[j] for coeffs, _ in eqs):
+            continue
+        period[j] = 1
+        for coeffs, _, d in congs:
+            if coeffs[j]:
+                period[j] = period[j] * d // gcd(period[j], d)
+    return period
+
+
 class NonnegSolver:
     """Decides A n + B v = c with n >= 0 and v free, exactly.
 
@@ -399,16 +405,16 @@ class NonnegSolver:
 
     When those rows leave a variable unbounded, the columns are split once,
     on the first query.  The unit columns, the support of the relation
-    monoid { n >= 0 : A n + B v = 0 } read off its Hilbert basis, generate
-    a group, so they join the free block.  The rest is pointed, so an
-    integer combination y of its equality rows E n = r is positive on every
-    column (Gordan's alternative, Schrijver 1986, section 7.8), and the
-    derived row (y E) n = y r bounds each n_j by y r / (y E)_j.  A witness
-    of the split system maps back by solving for the unit coefficients and
-    adding a multiple of the sum of the Hilbert basis, a relation positive
-    exactly on the unit columns.  Only when the Hilbert basis or the
-    functional passes ``HILBERT_FRONTIER_CAP`` does the search fall back on
-    the a-priori solution-size bound, which is complete but can be huge.
+    monoid { n >= 0 : A n + B v = 0 }, generate a group, so they join the
+    free block.  The rest is pointed, so an integer combination y of its
+    equality rows E n = r is positive on every column (Gordan's
+    alternative, Schrijver 1986, section 7.8), and the derived row
+    (y E) n = y r bounds each n_j by y r / (y E)_j.  A witness of the split
+    system maps back by solving for the unit coefficients and adding a
+    multiple of a relation positive exactly on the unit columns.  Only when
+    a Hilbert basis that relation needs or the functional passes
+    ``HILBERT_FRONTIER_CAP`` does the search fall back on the a-priori
+    solution-size bound, which is complete but can be huge.
     """
 
     def __init__(self, A, B):
@@ -459,29 +465,51 @@ class NonnegSolver:
     def unit_columns(self):
         """Indices j in the support of some relation, or None past the
         cap: exactly the columns of A that are units of the cone they
-        generate modulo the columns of B.
+        generate modulo the columns of B."""
+        found = self._unit_relation
+        return None if found is None else found[0]
 
-        A column that meets no equality row has finite order d modulo B,
-        so it is a unit (its negative is (d - 1) times it) and needs no
-        Hilbert basis.  With those columns moved into B, the other units
-        are the unit columns of the smaller system.
+    @cached_property
+    def _unit_relation(self):
+        """(units, relation), or None past the cap: the unit columns, and
+        on them a relation n >= 0 (A n + B v = 0 for some v) positive
+        exactly on the units.
+
+        Without periodic columns both are read off the Hilbert basis, the
+        relation as its sum.  A periodic column, one that meets no
+        equality row, has a period p modulo B: p e_j is a relation, so the
+        column is a unit and needs no basis.  With those columns moved into
+        B, the smaller system gives the other units and a relation on them;
+        its coefficients on the periodic columns, taken modulo the period
+        and raised by one period, lift it to a relation of this system.
         """
-        eqs, _ = self._rows([0] * self.m)
-        periodic = [j for j in range(self.t)
-                    if not any(coeffs[j] for coeffs, _ in eqs)]
+        eqs, congs = self._rows([0] * self.m)
+        period = _periods(eqs, congs, self.t)
+        periodic = [j for j in range(self.t) if period[j] is not None]
         if not periodic:
             if self.relations is None:
                 return None
-            return tuple(j for j in range(self.t)
-                         if any(n[j] for n in self.relations))
-        rest = [j for j in range(self.t) if j not in periodic]
+            units = tuple(j for j in range(self.t)
+                          if any(n[j] for n in self.relations))
+            return units, [sum(n[j] for n in self.relations) for j in units]
+        rest = [j for j in range(self.t) if period[j] is None]
         inner = NonnegSolver(
             [[row[j] for j in rest] for row in self.A],
             [[row[j] for j in periodic] + (list(self.B[i]) if self.u else [])
-             for i, row in enumerate(self.A)]).unit_columns
-        if inner is None:
+             for i, row in enumerate(self.A)])
+        found = inner._unit_relation
+        if found is None:
             return None
-        return tuple(sorted(periodic + [rest[k] for k in inner]))
+        n_rest = [0] * len(rest)
+        for k, r in zip(*found):
+            n_rest[k] = r
+        w = inner.snfB.solve([-sum(a * x for a, x in zip(row, n_rest))
+                              for row in inner.A])
+        relation = {rest[k]: x for k, x in enumerate(n_rest) if x}
+        for j, x in zip(periodic, w):
+            relation[j] = x % period[j] + period[j]
+        units = tuple(sorted(relation))
+        return units, [relation[j] for j in units]
 
     @cached_property
     def _split(self):
@@ -489,9 +517,10 @@ class NonnegSolver:
         sign-definite rows leave some variable unbounded, else None.
 
         ``inner`` solves over the ``rest`` columns with the ``units``
-        columns moved into its free block, ``relation`` is the sum of the
-        Hilbert basis on ``units``, and y weighs the equality rows of
-        ``inner`` into the row phi, positive on every column.
+        columns moved into its free block, ``relation`` is a relation
+        positive exactly on ``units`` (``_unit_relation``), and y weighs
+        the equality rows of ``inner`` into the row phi, positive on every
+        column.
         """
         eqs, _ = self._rows([0] * self.m)
         definite = [coeffs for coeffs, _ in eqs
@@ -500,11 +529,11 @@ class NonnegSolver:
                    and not any(coeffs[j] for coeffs in definite)
                    for j in range(self.t)):
             return None
-        units = self.unit_columns
-        if units is None or self.relations is None:
+        found = self._unit_relation
+        if found is None:
             return None
+        units, relation = found
         rest = [j for j in range(self.t) if j not in units]
-        relation = [sum(n[j] for n in self.relations) for j in units]
         inner = self
         if units:
             inner = NonnegSolver(
@@ -588,14 +617,7 @@ class NonnegSolver:
         # a variable touching no equality row only matters modulo the
         # congruence moduli it appears in: adding their lcm, its period,
         # keeps every row, so its search window is one period
-        period = [None] * t
-        for j in range(t):
-            if any(coeffs[j] for coeffs, _ in eqs):
-                continue
-            period[j] = 1
-            for coeffs, _, d in congs:
-                if coeffs[j]:
-                    period[j] = period[j] * d // gcd(period[j], d)
+        period = _periods(eqs, congs, t)
         n = [0] * t
         assigned = [False] * t
 

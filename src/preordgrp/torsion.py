@@ -90,17 +90,12 @@ def torsion_sequence(P):
 
 
 def reflect_F(m):
-    """Image of a morphism under the torsion-free reflector, kept per
-    (hom, domain, codomain): a morphism's hash would walk its certificate."""
-    return _reflected(m.hom, m.dom, m.cod)
-
-
-@lru_cache(maxsize=256)
-def _reflected(hom, dom, cod):
-    dec_dom = torsion_sequence(dom)
-    dec_cod = torsion_sequence(cod)
+    """Image of a morphism under the torsion-free reflector."""
+    dec_dom = torsion_sequence(m.dom)
+    dec_cod = torsion_sequence(m.cod)
     # the map induced between the quotients
-    h = factor_through_epi(dec_dom.unit.hom, compose(dec_cod.unit.hom, hom))
+    h = factor_through_epi(dec_dom.unit.hom,
+                           compose(dec_cod.unit.hom, m.hom))
     if h is None:
         raise ValueError("morphism does not map units to units")
     return induced_morphism(h, dec_dom.free_part, dec_cod.free_part,

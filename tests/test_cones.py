@@ -168,7 +168,8 @@ class TestUnits:
         cases = [halfplane_cone()] + [
             P.cone for _, P in sorted(fgab_corpus_objects().items())]
         uncapped = [units(c) for c in cases]
-        caches = (cones._generator_solver, cones._cone_contains_cached)
+        caches = (cones._generator_solver, cones._cone_contains_cached,
+                  cones._units)
         for cache in caches:
             cache.cache_clear()
         monkeypatch.setattr(intlinalg, "HILBERT_FRONTIER_CAP", 1)
@@ -179,7 +180,7 @@ class TestUnits:
                 assert subgroup_equal(units(c), U), c
             assert capped >= 5
         finally:
-            for cache in caches:  # no capped solver outlives the test
+            for cache in caches:  # nothing capped outlives the test
                 cache.cache_clear()
 
     def test_finite_units_match_brute_force_everywhere(self):

@@ -29,7 +29,6 @@ from preordgrp.groups import (
     FiniteGroup,
     _factoring_through_epi,
     _factoring_through_legs,
-    _fgab_surjective,
     _lattice_intersection,
     _lattice_preimage,
     _preimage_lookup,
@@ -359,7 +358,7 @@ class TestBuiltOnce:
     @pytest.mark.parametrize("cache", [
         quotient, subgroup_to_group, direct_product, image_subgroup,
         _factoring_through_epi, _factoring_through_legs, _subgroup_snf,
-        _fgab_surjective, _lattice_intersection, _lattice_preimage])
+        _lattice_intersection, _lattice_preimage])
     def test_cache_is_bounded(self, cache):
         assert cache.cache_info().maxsize == 256
 

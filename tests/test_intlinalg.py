@@ -9,13 +9,13 @@ import pytest
 from preordgrp.intlinalg import (
     NonnegSolver,
     factored,
+    from_columns,
     hilbert_basis,
     identity_matrix,
     invariant_factors_of_diagonal,
     kernel_basis,
     lattice_basis,
     lattice_intersection,
-    lattice_member,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -155,15 +155,18 @@ def test_kernel_basis():
 
 
 def test_lattice_operations():
+    def member(gens, x):
+        return solve(from_columns(gens, nrows=2), x) is not None
+
     # lattice spanned by (2,0) and (0,3) in Z^2
     gens = [[2, 0], [0, 3]]
-    assert lattice_member(gens, [4, 3], 2) is not None
-    assert lattice_member(gens, [1, 0], 2) is None
+    assert member(gens, [4, 3])
+    assert not member(gens, [1, 0])
     basis = lattice_basis(gens, 2)
     assert len(basis) == 2
     meet = lattice_intersection([[2, 0]], [[3, 0]], 2)
-    assert lattice_member(meet, [6, 0], 2) is not None
-    assert lattice_member(meet, [2, 0], 2) is None
+    assert member(meet, [6, 0])
+    assert not member(meet, [2, 0])
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -235,6 +238,24 @@ def test_unit_columns_of_finite_order_need_no_basis():
     A, B = [[1, 0, 1], [0, 1, 1]], [[0], [4]]
     assert NonnegSolver(A, B).unit_columns == (1,)
     assert hilbert_basis(A, B) == [(0, 4, 0)]
+
+
+def test_split_relation_needs_no_basis_past_the_cap():
+    # Z^2 + Z/10^30 with generators (1, 0, 0), (-1, 0, 0), (0, 1, 0) and
+    # (0, 0, 1): the sum of the whole Hilbert basis lies past the cap, but
+    # the period of the last column and the basis (1, 1) of the first two
+    # give a relation positive on the units, so the columns still split
+    A = [[1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    solver = NonnegSolver(A, [[0], [0], [10 ** 30]])
+    assert solver.unit_columns == (0, 1, 3)
+    assert solver._split is not None
+    assert "relations" not in vars(solver)  # the full basis was never built
+    for c in ([3, 2, 5], [-4, 0, -1], [0, 7, 10 ** 31 + 3]):
+        n = solver.solve(c)
+        assert min(n) >= 0
+        assert mat_vec(A, n)[:2] == c[:2]
+        assert (n[3] - c[2]) % 10 ** 30 == 0
+    assert solver.solve([3, -1, 5]) is None
 
 
 def test_nonneg_randomized_cross_validation():

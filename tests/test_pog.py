@@ -47,7 +47,6 @@ from preordgrp.pog import (
     zero_morphism,
     zero_object,
 )
-from preordgrp.torsion import _reflected, reflect_F
 
 Z = make_fgab_group(1, [])
 Z2 = make_fgab_group(2, [])
@@ -241,7 +240,7 @@ class TestLimits:
 
 class TestBuiltOnce:
     @pytest.mark.parametrize("cache", [classify, pog_pullback, _is_iso,
-                                       _reflected, _units])
+                                       _units])
     def test_cache_is_bounded(self, cache):
         assert cache.cache_info().maxsize == 256
 
@@ -264,9 +263,6 @@ class TestBuiltOnce:
             neg = make_pog_morphism(make_hom(Z, Z, [Z.elem([-1])]), ZZ, ZZ)
             assert pog_is_iso(neg)
         assert len(inverses) == 1
-
-    def test_equal_morphisms_share_one_reflection(self):
-        assert reflect_F(mod2()) is reflect_F(mod2())
 
 
 class TestCoequalizer:
