@@ -17,6 +17,7 @@ from preordgrp.groups import (
     cyclic_group,
     direct_product,
     identity_hom,
+    is_isomorphism,
     make_fgab_group,
     make_hom,
 )
@@ -27,7 +28,7 @@ from preordgrp.pog import (
     pog_is_iso,
     zero_morphism,
 )
-from preordgrp.torsion import reflect_F, torsion_sequence
+from preordgrp.torsion import coreflect_T, reflect_F, torsion_sequence
 
 Z = make_fgab_group(1, [])
 Zmod2 = make_fgab_group(0, [2])
@@ -94,17 +95,80 @@ class TestClasses:
                     assert (a and b and c) == in_class(m, "E").holds
 
     def test_e_characterization_agrees_on_fgab_corpus(self):
-        # fgab codomains take the solver path of condition (c)
-        from preordgrp.corpus import fgab_corpus_objects
-        from preordgrp.oracle import enumerate_pog_morphisms
-        objs = fgab_corpus_objects()
+        # fgab codomains decide condition (c) on linear pieces
         checked = 0
-        for P in objs.values():
-            for Q in objs.values():
-                for m in enumerate_pog_morphisms(P, Q, 1)[:3]:
-                    assert all(e_conditions(m)) == in_class(m, "E").holds
-                    checked += 1
-        assert checked == 163
+        for m in _fgab_morphisms():
+            assert all(e_conditions(m)) == in_class(m, "E").holds
+            checked += 1
+        assert checked == 911
+
+    def test_e_characterization_agrees_on_cover_morphisms(self):
+        # the cover cone has no generators; (c) is decided on its pieces
+        for m in _cover_morphisms():
+            assert all(e_conditions(m)) == pog_is_iso(reflect_F(m))
+
+
+def _fgab_morphisms():
+    from preordgrp.corpus import fgab_corpus_objects
+    from preordgrp.oracle import enumerate_pog_morphisms
+    objs = fgab_corpus_objects().values()
+    return [m for P in objs for Q in objs
+            for m in enumerate_pog_morphisms(P, Q, 1)]
+
+
+def _cover_morphisms():
+    """Each fgab base's cover projection, kernel-pair leg and diagonal."""
+    from preordgrp.corpus import fgab_corpus_objects
+    from preordgrp.descent import canonical_cover, kernel_pair
+    out = []
+    for P in fgab_corpus_objects().values():
+        p = canonical_cover(P).projection
+        R = kernel_pair(p)
+        out += [p, R.r1, R.delta]
+    assert len(out) == 24
+    return out
+
+
+class TestMOnUnitGroups:
+    """M decided on the unit-group restriction agrees with the
+    coreflector's definition: T(m) is an isomorphism."""
+
+    @staticmethod
+    def _agrees(morphisms):
+        for m in morphisms:
+            assert in_class(m, "M").holds == is_isomorphism(coreflect_T(m).hom)
+
+    def test_finite_corpus(self):
+        from preordgrp.corpus import finite_corpus_objects_up_to
+        from preordgrp.oracle import enumerate_pog_morphisms
+        objs = list(finite_corpus_objects_up_to(4).values())
+        self._agrees(m for P in objs for Q in objs
+                     for m in enumerate_pog_morphisms(P, Q))
+
+    def test_fgab_corpus(self):
+        self._agrees(_fgab_morphisms())
+
+    def test_cover_morphisms(self):
+        self._agrees(_cover_morphisms())
+
+    def test_no_torsion_sequence_is_built(self):
+        # the legs is_covering_along tests: the pullback of m along the
+        # canonical cover of its codomain
+        from preordgrp.corpus import fgab_corpus_objects
+        from preordgrp.descent import canonical_cover
+        from preordgrp.oracle import enumerate_pog_morphisms
+        from preordgrp.pog import pog_pullback
+        objs = fgab_corpus_objects()
+        legs = []
+        for Q in objs.values():
+            p = canonical_cover(Q).projection
+            legs += [pog_pullback(p, m).legs[0]
+                     for P in objs.values()
+                     for m in enumerate_pog_morphisms(P, Q, 1)]
+        torsion_sequence.cache_clear()
+        for leg in legs:
+            in_class(leg, "M")
+        assert torsion_sequence.cache_info().misses == 0
 
 
 class TestEprimeExactness:
