@@ -677,6 +677,8 @@ def main(argv=None):
             raise errors.ValidationError("--window must be at least 1")
         if args.hom_bound < 0:
             raise errors.ValidationError("--hom-bound must be at least 0")
+        if args.command == "search" and args.bound < 1:
+            raise errors.ValidationError("--bound must be at least 1")
         if args.corpus:
             ws = _corpus_workspace()
         elif args.workspace:

@@ -5,7 +5,10 @@ for every construction the other modules produce.
 The verifier quantifies over test morphisms from a fixed list of source
 objects: completely on finite groups, up to a matrix-entry bound that every
 report records on fgab groups.  A hom is fixed by its images on generators,
-so each test arrow is decided there, with no composite hom built.
+so each test arrow is decided there, with no composite hom built.  A
+query's preconditions are checked per query; its test-arrow loop is decided
+once per (kind, candidate, value its filter reads, test objects, bound):
+a kernel's filter reads only ker m, a cokernel's only im m.
 
 Finite cones are enumerated as the normal subgroups, since a submonoid of
 a finite group is a subgroup.  Every finite object is thus protomodular,
@@ -158,6 +161,8 @@ def verify_universal_property(query):
     of an epi, or into a pair of jointly monic legs.  Only then is a found
     mediating map a hom and the only one, so any other candidate is
     refused before a test arrow, as are those the kind's preconditions fail.
+    Both checks run per query; the test arrows are then decided once per
+    kind, candidate, value the kind's filter reads, test objects and bound.
     """
     kind = _KINDS.get(query.kind)
     if kind is None:
@@ -168,20 +173,33 @@ def verify_universal_property(query):
     why = kind.preconditions(sound, *data) or (None if sound else shape.unsound)
     if why:
         return VerificationReport(False, query.kind, 0, query.bound, why)
+    holds, tested, failure = _test_verdict(
+        query.kind, legs, kind.reads(*data), tuple(query.test_objects),
+        query.bound)
+    return VerificationReport(holds, query.kind, tested, query.bound, failure)
+
+
+@lru_cache(maxsize=256)
+def _test_verdict(kind_name, legs, reads, test_objects, bound):
+    """(holds, tested, failure): whether every test arrow the kind's filter
+    admits has a mediating map, how many were tried, and the refusal at the
+    first that has none.  The loop sees a query only through these
+    arguments, so the queries of one candidate and filter value share it."""
+    kind = _KINDS[kind_name]
+    shape = kind.shape
     mediates = shape.mediator(legs)
-    admits = kind.admits(*data)
+    admits = kind.admits(*reads)
     tested = 0
-    for X in query.test_objects:
-        if not kind.admits_object(X, *data):
+    for X in test_objects:
+        if not kind.admits_object(X, *reads):
             continue
-        for test in shape.tests(legs, X, query.bound):
+        for test in shape.tests(legs, X, bound):
             if not admits(test):
                 continue
             tested += 1
             if not mediates(test, X):
-                return VerificationReport(False, query.kind, tested, query.bound,
-                                          kind.failure.format(X.describe()))
-    return VerificationReport(True, query.kind, tested, query.bound)
+                return False, tested, kind.failure.format(X.describe())
+    return True, tested, ""
 
 
 def _arrows(X, A, bound):
@@ -291,7 +309,8 @@ _OUT_OF_EPI = _Shape(_epic, "candidate not epic",
 # The kinds.  A kind's preconditions see the shape's verdict, so that a
 # kind that checked the candidate's mono or epi before keeps its order and
 # its words; the shape refuses an unsound candidate the kind let pass.  A
-# kind's test-arrow filter is built once per query from the fixed arrows.
+# kind's test-arrow filter is built from the value it reads of the query's
+# data, the data itself unless the kind names a smaller value.
 
 def _every(*args):
     return True
@@ -305,8 +324,11 @@ def _kernel_preconditions(monic, m, K, inj):
     return None
 
 
-def _kernel_admits(m, K, inj):
-    zeros = kernel_subgroup(m.hom)
+def _kernel_reads(m, K, inj):
+    return (kernel_subgroup(m.hom),)
+
+
+def _kernel_admits(zeros):
     return lambda test: all(map(zeros.contains, _on_generators(test[0].hom)))
 
 
@@ -340,9 +362,14 @@ def _cokernel_preconditions(epic, m, Q, proj):
     return None
 
 
-def _cokernel_admits(m, Q, proj):
-    images = _on_generators(m.hom)
-    return lambda alpha: all(alpha.hom(y).is_zero() for y in images)
+def _cokernel_reads(m, Q, proj):
+    """im m: alpha kills m's generator images iff it kills the subgroup
+    they generate."""
+    return (image_subgroup(m.hom),)
+
+
+def _cokernel_admits(image):
+    return lambda alpha: all(alpha.hom(y).is_zero() for y in image.generators)
 
 
 def _coequalizer_preconditions(epic, m1, m2, Q, proj):
@@ -410,8 +437,9 @@ class _Kind(NamedTuple):
     legs: slice               # where the candidate's legs sit in query.data
     preconditions: object     # (sound, *data) -> reason, or None
     failure: str              # for a test arrow without mediating map; {} is X
-    admits: object = lambda *data: _every  # (*data) -> test filter
-    admits_object: object = _every  # (X, *data) -> whether X gives test arrows
+    admits: object = lambda *reads: _every  # (*reads) -> test filter
+    admits_object: object = _every  # (X, *reads) -> whether X gives test arrows
+    reads: object = lambda *data: data  # (*data) -> what the filters read
 
 
 _FIRST, _LAST, _LAST_TWO = slice(0, 1), slice(-1, None), slice(-2, None)
@@ -419,7 +447,7 @@ _FIRST, _LAST, _LAST_TWO = slice(0, 1), slice(-1, None), slice(-2, None)
 _KINDS = {
     "Kernel": _Kind(_INTO_MONO, _LAST, _kernel_preconditions,
                     "no mediating map for a test arrow from {}",
-                    _kernel_admits),
+                    _kernel_admits, reads=_kernel_reads),
     "Equalizer": _Kind(_INTO_MONO, _LAST, _equalizer_preconditions,
                        "no mediating map", _commutes),
     "ZPrekernel": _Kind(_INTO_MONO, _LAST, _z_prekernel_preconditions,
@@ -428,7 +456,8 @@ _KINDS = {
                                 "no corestriction from {}",
                                 admits_object=_flagged),
     "Cokernel": _Kind(_OUT_OF_EPI, _LAST, _cokernel_preconditions,
-                      "no mediating map to {}", _cokernel_admits),
+                      "no mediating map to {}", _cokernel_admits,
+                      reads=_cokernel_reads),
     "Coequalizer": _Kind(_OUT_OF_EPI, _LAST, _coequalizer_preconditions,
                          "no mediating map", _coequalizer_admits),
     "ZPrecokernel": _Kind(_OUT_OF_EPI, _LAST, _z_precokernel_preconditions,

@@ -394,6 +394,10 @@ class TestCommands:
         (("--window", "0", "classify", "ZN"), "--window must be at least 1"),
         (("--hom-bound", "-1", "enumerate", "--morphisms", "ZN", "ZN"),
          "--hom-bound must be at least 0"),
+        (("search", "mono_iff_trivial_kernel", "--bound", "-3"),
+         "--bound must be at least 1"),
+        (("search", "mono_iff_trivial_kernel", "--bound", "0"),
+         "--bound must be at least 1"),
     ])
     def test_out_of_range_options(self, tmp_path, capsys, argv, why):
         code, out = run_cli(tmp_path, basic_document(), *argv)

@@ -12,7 +12,7 @@ from preordgrp.corpus import (
     finite_corpus_objects_up_to,
     symmetric_group_3,
 )
-from preordgrp.errors import UnknownLaw
+from preordgrp.errors import ImageNotNormal, UnknownLaw
 from preordgrp.groups import (
     cyclic_group,
     direct_product,
@@ -42,6 +42,21 @@ from preordgrp.pog import (
     structural_morphism,
     zero_morphism,
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_test_verdicts():
+    """Each test runs its own test-arrow loops: a verdict cached by an
+    earlier test must not answer for it, nor one it made outlive it."""
+    oracle._test_verdict.cache_clear()
+    yield
+    oracle._test_verdict.cache_clear()
+
+
+def _patch(monkeypatch, target, name, value):
+    """Patch an oracle internal and forget the verdicts made without it."""
+    monkeypatch.setattr(target, name, value)
+    oracle._test_verdict.cache_clear()
 
 
 class TestEnumerateCones:
@@ -403,7 +418,7 @@ class TestGeneratorRulesCanFail:
         data = (m, m.dom, identity_morphism(m.dom))
         _assert_refused("Kernel", data, "candidate does not compose to zero")
         right = oracle._on_generators
-        monkeypatch.setattr(oracle, "_on_generators", lambda h: right(h)[:-1])
+        _patch(monkeypatch, oracle, "_on_generators", lambda h: right(h)[:-1])
         rep = verify_universal_property(
             UniversalPropertyQuery("Kernel", data, _test_objects()))
         assert rep.holds and rep.tested > 0
@@ -420,8 +435,8 @@ class TestGeneratorRulesCanFail:
             UniversalPropertyQuery("ReflectionUnit", data, _test_objects()))
         assert not rep.holds and rep.counterexample.startswith(
             "no factorization through the unit")
-        monkeypatch.setattr(oracle, "kernel_subgroup",
-                            lambda h: groups.trivial_subgroup(h.dom))
+        _patch(monkeypatch, oracle, "kernel_subgroup",
+               lambda h: groups.trivial_subgroup(h.dom))
         assert verify_universal_property(
             UniversalPropertyQuery("ReflectionUnit", data, _test_objects()))
 
@@ -433,7 +448,7 @@ class TestGeneratorRulesCanFail:
         rep = verify_universal_property(
             UniversalPropertyQuery("Kernel", data, _test_objects()))
         assert not rep.holds and rep.tested > 0
-        monkeypatch.setattr(oracle, "extract_generators", lambda cone: ())
+        _patch(monkeypatch, oracle, "extract_generators", lambda cone: ())
         assert verify_universal_property(
             UniversalPropertyQuery("Kernel", data, _test_objects()))
 
@@ -460,6 +475,75 @@ def test_finite_queries_build_no_hom(monkeypatch):
     reports = [verify_universal_property(q) for q in queries]
     assert all(rep.holds and rep.tested > 0 for rep in reports)
     assert built == []
+    # both loops ran under the patch, neither answered from the cache
+    assert oracle._test_verdict.cache_info().misses == 2
+
+
+class TestOneLoopPerFilterValue:
+    """The test-arrow loop runs once per kind, candidate, value its filter
+    reads, test objects and bound, and serves the same reports."""
+
+    def test_one_loop_per_kernel_and_image(self):
+        objs = finite_corpus_objects_up_to(4)
+        test = _test_objects()
+        queries, values = [], set()
+        for P in objs.values():
+            for Q in objs.values():
+                for m in enumerate_pog_morphisms(P, Q):
+                    images = m.hom.images
+                    K, inj = pog_kernel(m)
+                    queries.append(UniversalPropertyQuery(
+                        "Kernel", (m, K, inj), test))
+                    values.add(("Kernel", inj, frozenset(
+                        i for i, y in enumerate(images) if y.is_zero())))
+                    try:
+                        C, proj = pog_cokernel(m)
+                    except ImageNotNormal:
+                        continue
+                    queries.append(UniversalPropertyQuery(
+                        "Cokernel", (m, C, proj), test))
+                    values.add(("Cokernel", proj, frozenset(images)))
+        # all 513 images are normal, each gives a cokernel query
+        assert len(queries) == 2 * 513
+        alone = []
+        for q in queries:
+            oracle._test_verdict.cache_clear()
+            alone.append(verify_universal_property(q))
+        oracle._test_verdict.cache_clear()
+        shared = [verify_universal_property(q) for q in queries]
+        assert shared == alone
+        info = oracle._test_verdict.cache_info()
+        assert (info.misses, info.hits) == (len(values),
+                                            len(queries) - len(values))
+
+    @pytest.mark.parametrize("zero_first", [False, True])
+    def test_one_candidate_two_filters(self, zero_first):
+        # the cokernel of Z/2 -> Z/4, 1 -> 2, offered for the zero map too:
+        # a test arrow out of Z/4 that kills only the zero image need not
+        # factor through it
+        objs = finite_corpus_objects_up_to(4)
+        maps = enumerate_pog_morphisms(objs["Z2/cone0"], objs["Z4/cone0"])
+        zero = next(f for f in maps if f.is_zero())
+        m = next(f for f in maps if not f.is_zero())
+        Q, proj = pog_cokernel(m)
+        refusal = f"no mediating map to {objs['Z4/cone0'].describe()}"
+        expected = {m: (True, 32, ""), zero: (False, 8, refusal)}
+        for f in (zero, m) if zero_first else (m, zero):
+            rep = verify_universal_property(UniversalPropertyQuery(
+                "Cokernel", (f, Q, proj), _test_objects()))
+            assert (rep.holds, rep.tested, rep.counterexample) == expected[f]
+        assert oracle._test_verdict.cache_info().misses == 2
+
+    def test_list_of_test_objects(self):
+        m = _mod2()
+        K, inj = pog_kernel(m)
+        listed = verify_universal_property(UniversalPropertyQuery(
+            "Kernel", (m, K, inj), list(_test_objects())))
+        paired = verify_universal_property(UniversalPropertyQuery(
+            "Kernel", (m, K, inj), _test_objects()))
+        assert listed == paired and listed.holds and listed.tested > 0
+        info = oracle._test_verdict.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def test_one_hom_list_per_group_pair():
