@@ -12,9 +12,9 @@ universal property against a brute-force oracle at desk scale.
 from .cones import (
     Cone,
     CoverCone,
-    ExplicitCone,
     GeneratorCone,
     MembershipVerdict,
+    SubgroupCone,
     check_cone_axioms,
     cone_contains,
     explicit_cone,

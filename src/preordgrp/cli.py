@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from . import errors
 from .cones import (
-    ExplicitCone,
     GeneratorCone,
+    SubgroupCone,
     explicit_cone,
     extract_generators,
     generator_cone,
@@ -257,13 +257,12 @@ def group_json(G):
 
 
 def cone_json(c):
-    if isinstance(c, ExplicitCone):
+    if c.group.backend == "finite":
         return {"kind": "elements", "size": len(c.members)}
-    if isinstance(c, GeneratorCone):
-        return {"kind": "generators",
-                "generators": [list(g.coords) for g in c.cone_generators]}
     gens = extract_generators(c)
-    out = {"kind": "recipe", "node": type(c).__name__}
+    out = ({"kind": "generators"}
+           if isinstance(c, (GeneratorCone, SubgroupCone))
+           else {"kind": "recipe", "node": type(c).__name__})
     if gens is not None:
         out["generators"] = [list(g.coords) for g in gens]
     return out
@@ -557,11 +556,14 @@ def cmd_oracle(ws, args, opts):
 def cmd_search(ws, args, opts):
     from .corpus import finite_corpus_objects_up_to
     from .oracle import search_counterexample
-    witness = search_counterexample(args.law, args.bound)
     # the corpus stops short of most bounds; say how far the search went
     checked = max((P.group.order() for P in
                    finite_corpus_objects_up_to(args.bound).values()),
                   default=None)
+    if checked is None:
+        raise errors.ValidationError(
+            f"--bound {args.bound} reaches no corpus object")
+    witness = search_counterexample(args.law, args.bound)
     return {"law": args.law, "bound": args.bound, "checked_order": checked,
             "counterexample": witness}, 0 if witness is None else 2
 

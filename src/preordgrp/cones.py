@@ -1,14 +1,15 @@
 """Positive cones: submonoids closed under conjugation, with decidable
 membership and inclusion.
 
-A cone is either explicit (finite carrier), generated (fgab carrier), or
-a recipe node on an fgab carrier remembering how it was built from other
-cones: ``ProductCone``, the restriction along one leg (a preimage) or
-the two projections of a product or pullback, and ``ImageCone``, a direct
-image.  On a finite carrier every transport computes its members
-directly: a cone there is a normal subgroup, ``ExplicitCone.subgroup``,
-and its generators are that subgroup's greedy generating set, at most
-log2 of its order.  The ``CoverCone`` leaf is the positive cone of the
+A cone is a subgroup (``SubgroupCone``, either backend), generated (fgab
+carrier), or a recipe node on an fgab carrier remembering how it was
+built from other cones: ``ProductCone``, the restriction along one leg (a
+preimage) or the two projections of a product or pullback, and
+``ImageCone``, a direct image.  A cone on a finite carrier is a normal
+subgroup held by its members, which every transport computes directly.
+A subgroup cone on an fgab carrier holds the subgroup's generators g, is
+generated as a monoid by each g and -g, and decides membership by one
+lattice solve.  The ``CoverCone`` leaf is the positive cone of the
 canonical partially ordered cover Z x G; it is provably reduced and not
 finitely generated.
 
@@ -60,11 +61,12 @@ from .intlinalg import (
 class MembershipVerdict:
     """Definitive membership answer with its evidence.
 
-    An ``In`` verdict on a generated cone carries the non-negative
-    combination realizing the element; on a restriction or an image it
-    carries none, its parts' combinations being over other cones'
-    generators.  An ``Out`` verdict carries nothing: the solver behind it
-    is complete, so its failure is the proof.
+    An ``In`` verdict on a generated or an fgab subgroup cone carries the
+    non-negative combination of ``extract_generators`` realizing the
+    element; on a restriction or an image it carries none, its parts'
+    combinations being over other cones' generators.  An ``Out`` verdict
+    carries nothing: the solver behind it is complete, so its failure is
+    the proof.
     """
 
     value: str  # "In" | "Out"
@@ -82,17 +84,26 @@ class Cone:
 
 
 @dataclass(frozen=True)
-class ExplicitCone(Cone):
-    """The cone of every finite carrier.  A submonoid of a finite group is
-    a subgroup (-x = (ord x - 1)x), so the members form a normal subgroup."""
+class SubgroupCone(Cone):
+    """A cone that is a subgroup: its ``members`` on a finite carrier, where
+    every cone is one (-x = (ord x - 1)x), else its ``generators``."""
 
     group: object
-    members: frozenset
+    members: frozenset = None
+    generators: tuple = ()
 
     @cached_property
     def subgroup(self):
-        """The members as a subgroup, with a greedy generating set."""
-        return subgroup_from_elements(self.group, self.members)
+        """The cone as a subgroup; on a finite carrier with a greedy
+        generating set."""
+        if self.members is not None:
+            return subgroup_from_elements(self.group, self.members)
+        return subgroup(self.group, self.generators)
+
+    @cached_property
+    def signed_generators(self):
+        """Each generator g of the subgroup, then -g: monoid generators."""
+        return tuple(x for g in self.subgroup.generators for x in (g, -g))
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,7 @@ class CoverCone(Cone):
 
 
 def explicit_cone(group, elements):
-    return ExplicitCone(group, frozenset(elements))
+    return SubgroupCone(group, frozenset(elements))
 
 
 def generator_cone(group, generators):
@@ -163,15 +174,10 @@ def generator_cone(group, generators):
 
 
 def subgroup_cone(S):
-    """The total cone a subgroup carries inside its ambient group: its
-    members, or its generators each followed by its negative."""
-    G = S.group
-    if G.backend == "finite":
-        return explicit_cone(G, S.elements)
-    gens = []
-    for g in S.generators:
-        gens.extend([g, -g])
-    return generator_cone(G, gens)
+    """The total cone a subgroup carries inside its ambient group."""
+    if S.elements is not None:
+        return SubgroupCone(S.group, S.elements)
+    return SubgroupCone(S.group, generators=S.generators)
 
 
 def trivial_cone(group):
@@ -214,8 +220,12 @@ def cone_contains(cone, x):
 
 @lru_cache(maxsize=None)
 def _cone_contains_cached(cone, x):
-    if isinstance(cone, ExplicitCone):
-        return MembershipVerdict("In" if x in cone.members else "Out")
+    if isinstance(cone, SubgroupCone):
+        if cone.members is not None:
+            return MembershipVerdict("In" if x in cone.members else "Out")
+        c = cone.subgroup.coefficients(x)  # split by sign over g_i, -g_i
+        return MembershipVerdict("Out") if c is None else MembershipVerdict(
+            "In", tuple(n for a in c for n in (max(a, 0), -min(a, 0))))
     if isinstance(cone, CoverCone):
         n, g = cone.split(x)
         ok = (n >= 1 and cone.base_cone.contains(g)) or (n == 0 and g.is_zero())
@@ -249,12 +259,12 @@ def _cone_contains_cached(cone, x):
 @lru_cache(maxsize=None)
 def linear_pieces(cone):
     """The cone as a union of linear sets o + N q1 + ... + N qk, as
-    (o, (q1, ..., qk)) pairs: one at 0 for a generated or explicit cone;
+    (o, (q1, ..., qk)) pairs: one at 0 for a generated or subgroup cone;
     {0} and e + (0, o) + <e, (0, q)> for each piece o + <q> of a cover
     cone's base, e the new coordinate; the images of the inner pieces for
     an image; and for a restriction the ``_restricted_pieces`` of each
     choice of a piece per part, past their cap ``ImageNotComputable``."""
-    if isinstance(cone, (ExplicitCone, GeneratorCone)):
+    if isinstance(cone, (SubgroupCone, GeneratorCone)):
         return ((cone.group.zero, extract_generators(cone)),)
     if isinstance(cone, CoverCone):
         e, *rest = cone.group.generators()
@@ -349,7 +359,7 @@ def _piece_outside(o, qs, D):
     D, or None when the piece o + <q> lies in D.
 
     Testing o and each o + q_i decides a piece at 0, as D is a monoid, and
-    one in an explicit D, a group.  Else o is a non-zero member, and the
+    one in a subgroup cone D, a group.  Else o is a non-zero member, and the
     piece lies in a restriction iff in every part; in a cover cone iff
     every q_i has first coordinate >= 0 and its base part lies in the base;
     in an image whose map's kernel lies in the inner units iff a lift does;
@@ -362,7 +372,7 @@ def _piece_outside(o, qs, D):
     for i, q in enumerate(qs):
         if not cone_contains(D, q if o.is_zero() else o + q):
             return {i: 1}
-    if o.is_zero() or isinstance(D, ExplicitCone):
+    if o.is_zero() or isinstance(D, SubgroupCone):
         return None
     if isinstance(D, ProductCone):
         for part, proj in zip(D.parts, D.projections):
@@ -433,11 +443,11 @@ class ConeAxiomReport:
 def check_cone_axioms(cone):
     """Submonoid closure plus conjugation closure.
 
-    Explicit cones are checked exhaustively; generated and recipe cones are
-    closed by construction (the carrier of a generated cone is abelian, and
-    each recipe rule preserves both closures).
+    Cones on a finite carrier are checked exhaustively; the others are
+    closed by construction (their carrier is abelian, and each recipe rule
+    preserves both closures).
     """
-    if isinstance(cone, ExplicitCone):
+    if cone.group.backend == "finite":
         failures = []
         G = cone.group
         if G.zero not in cone.members:
@@ -463,12 +473,12 @@ def check_cone_axioms(cone):
 def units(cone):
     """Subgroup of elements x with both x and -x in the cone.
 
-    The subgroup an explicit cone is (a normal subgroup), from unit
-    generators on generated cones (a generator is a unit exactly when it
-    takes part in a vanishing non-negative combination, read off the
-    solver's Hilbert basis of those), and compositionally on recipe cones.
+    The subgroup a subgroup cone is, from unit generators on generated
+    cones (a generator is a unit exactly when it takes part in a vanishing
+    non-negative combination, read off the solver's Hilbert basis of
+    those), and compositionally on recipe cones.
     """
-    if isinstance(cone, ExplicitCone):
+    if isinstance(cone, SubgroupCone):
         return cone.subgroup
     return _units(cone)
 
@@ -511,8 +521,9 @@ def extract_generators(cone):
     """Monoid generators of the cone, or None: the cover cone is not
     finitely generated, nor are most cones built over it, and a Hilbert
     basis past its cap is given up."""
-    if isinstance(cone, ExplicitCone):
-        return cone.subgroup.generators
+    if isinstance(cone, SubgroupCone):  # finite: a submonoid is a subgroup
+        return (cone.subgroup.generators if cone.members is not None
+                else cone.signed_generators)
     if isinstance(cone, GeneratorCone):
         return cone.cone_generators
     if isinstance(cone, (ProductCone, ImageCone)):
@@ -542,9 +553,9 @@ def _recipe_generators(cone):
 
 def generated_subgroup(cone):
     """Subgroup generated by the cone together with its negatives: by the
-    members o and o + q of each piece o + <q>, as q = (o + q) - o; an
-    explicit cone is that subgroup already."""
-    if isinstance(cone, ExplicitCone):
+    members o and o + q of each piece o + <q>, as q = (o + q) - o; a
+    subgroup cone is that subgroup already."""
+    if isinstance(cone, SubgroupCone):
         return cone.subgroup
     return subgroup(cone.group, [x for o, qs in linear_pieces(cone)
                                  for x in (o, *(o + q for q in qs))])
@@ -553,11 +564,11 @@ def generated_subgroup(cone):
 def cone_is_subgroup(cone):
     """Whether the cone equals its own unit group (protomodularity).
 
-    An explicit cone is a subgroup.  Any other is one iff it holds -o and
+    A subgroup cone is one.  Any other is one iff it holds -o and
     every -q for each piece o + <q>, since then q = (o + q) + (-o) is in it
     too: every offset and period is a unit.
     """
-    if isinstance(cone, ExplicitCone):
+    if isinstance(cone, SubgroupCone):
         return True
     return all(cone.contains(-x) for o, qs in linear_pieces(cone)
                for x in (o, *qs))
@@ -569,7 +580,7 @@ def cone_is_subgroup(cone):
 
 def transport_product(c1, c2, carrier, proj1, proj2):
     """Cone of the elements whose projections lie in c1 and c2; on a finite
-    carrier the parts are explicit and so is the result."""
+    carrier the parts hold their members and so does the result."""
     if carrier.backend == "finite":
         return explicit_cone(carrier, [
             x for x, a, b in zip(carrier.elements(), proj1.images,
@@ -587,18 +598,15 @@ def transport_preimage(hom, inner):
 
 
 def transport_image(hom, inner):
-    """Direct image cone: generated by the generator images (in a finite
-    codomain, the subgroup they generate), else an ``ImageCone`` into an
-    fgab codomain; the image of an image is one image along the composite."""
+    """Direct image cone: the image subgroup of a subgroup cone, or in a
+    finite codomain of any cone (h(R) is a submonoid of a finite group, so
+    the subgroup h(<R>)); else generated by the generator images, else an
+    ``ImageCone``; the image of an image is one image along the composite."""
+    if hom.cod.backend == "finite" or isinstance(inner, SubgroupCone):
+        return subgroup_cone(subgroup_image(hom, generated_subgroup(inner)))
     gens = extract_generators(inner)
     if gens is not None:
-        images = [hom(g) for g in gens]
-        if hom.cod.backend == "finite":
-            return explicit_cone(hom.cod, subgroup(hom.cod, images).elements)
-        return generator_cone(hom.cod, images)
-    if hom.cod.backend == "finite":
-        raise ImageNotComputable(
-            "image of a non-finitely-generated cone into a finite group")
+        return generator_cone(hom.cod, [hom(g) for g in gens])
     if isinstance(inner, ImageCone):
         hom, inner = compose(hom, inner.hom), inner.inner
     return ImageCone(hom.cod, hom, inner)

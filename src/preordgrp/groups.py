@@ -696,10 +696,16 @@ class Subgroup:
             raise ValueError("element of a different group")
         if self.elements is not None:
             return x in self.elements
+        return self.coefficients(x) is not None
+
+    def coefficients(self, x):
+        """Integers c with x = sum c_i generators[i], or None when x is not
+        in the subgroup (fgab)."""
         if not any(x.coords):
-            return True
+            return [0] * len(self.generators)
         snf = _subgroup_snf(self)
-        return snf is not None and snf.solve(list(x.coords)) is not None
+        sol = None if snf is None else snf.solve(list(x.coords))
+        return None if sol is None else sol[:len(self.generators)]
 
     def is_trivial(self):
         if self.elements is not None:

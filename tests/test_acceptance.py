@@ -102,7 +102,7 @@ def test_criterion_02_hom_torsion_to_free_zero():
 def _relabeled_cokernel(P, dec):
     """The canonical sequence with its cokernel relabeled through a
     permutation of the non-identity elements."""
-    from preordgrp.cones import ExplicitCone, explicit_cone
+    from preordgrp.cones import SubgroupCone, explicit_cone
     from preordgrp.groups import GroupElement, make_finite_group, make_hom
     from preordgrp.pog import PreorderedGroup, make_pog_morphism
     Q = dec.free_part.group
@@ -122,7 +122,7 @@ def _relabeled_cokernel(P, dec):
             table[relabel[a]][relabel[b]] = relabel[Q.table[a][b]]
     Q2 = make_finite_group(names, table)
     iso = make_hom(Q, Q2, [GroupElement(Q2, (relabel[i],)) for i in range(n)])
-    assert isinstance(dec.free_part.cone, ExplicitCone)
+    assert isinstance(dec.free_part.cone, SubgroupCone)
     cone2 = explicit_cone(Q2, [iso(x) for x in dec.free_part.cone.members])
     cod2 = PreorderedGroup(Q2, cone2)
     alt_f_hom = make_hom(P.group, Q2, [iso(dec.unit.hom(x))

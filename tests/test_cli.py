@@ -398,6 +398,10 @@ class TestCommands:
          "--bound must be at least 1"),
         (("search", "mono_iff_trivial_kernel", "--bound", "0"),
          "--bound must be at least 1"),
+        # the finite corpus starts at order 2: a search checking no object
+        # must not pass
+        (("search", "mono_iff_trivial_kernel", "--bound", "1"),
+         "--bound 1 reaches no corpus object"),
     ])
     def test_out_of_range_options(self, tmp_path, capsys, argv, why):
         code, out = run_cli(tmp_path, basic_document(), *argv)

@@ -309,7 +309,7 @@ class TestBaseComesBackFromItsCover:
                                       "comparison")
             assert sorted(cmp.hom(g).coords
                           for g in extract_generators(Q.cone)) == \
-                sorted(g.coords for g in P.cone.cone_generators), name
+                sorted(g.coords for g in extract_generators(P.cone)), name
             assert classify(Q) == classify(P).flags, name
             assert torsion_sequence(Q).certificate.holds, name
             assert pretorsion_sequence(Q).certificate.holds, name

@@ -231,8 +231,8 @@ class TestUniqueness:
 
 
 def _members(cone):
-    from preordgrp.cones import ExplicitCone
-    assert isinstance(cone, ExplicitCone)
+    from preordgrp.cones import SubgroupCone
+    assert isinstance(cone, SubgroupCone)
     return sorted(cone.members, key=lambda e: e.coords)
 
 
@@ -352,8 +352,8 @@ class TestProtoReflect:
 
 
 def _cone_members(cone):
-    from preordgrp.cones import ExplicitCone
-    if isinstance(cone, ExplicitCone):
+    from preordgrp.cones import SubgroupCone
+    if isinstance(cone, SubgroupCone):
         return cone.members
     raise AssertionError
 
