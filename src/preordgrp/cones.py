@@ -41,6 +41,7 @@ from .groups import (
     _preimage_lookup,
     _stacked_legs,
     compose,
+    interned,
     kernel_subgroup,
     subgroup,
     subgroup_from_elements,
@@ -83,10 +84,12 @@ class Cone:
         return bool(cone_contains(self, x))
 
 
-@dataclass(frozen=True)
+@interned
+@dataclass(frozen=True, eq=False)
 class SubgroupCone(Cone):
     """A cone that is a subgroup: its ``members`` on a finite carrier, where
-    every cone is one (-x = (ord x - 1)x), else its ``generators``."""
+    every cone is one (-x = (ord x - 1)x), else its ``generators``.
+    Interned, so its subgroup is built once per value."""
 
     group: object
     members: frozenset = None
@@ -167,10 +170,12 @@ def explicit_cone(group, elements):
 
 
 def generator_cone(group, generators):
+    """The cone the generators span; without non-zero ones the trivial
+    cone, which has one encoding."""
     if group.backend != "fgab":
         raise ValueError("generator cones need an fgab carrier")
     gens = tuple(g for g in generators if not g.is_zero())
-    return GeneratorCone(group, gens)
+    return GeneratorCone(group, gens) if gens else trivial_cone(group)
 
 
 def subgroup_cone(S):

@@ -14,7 +14,16 @@ group is non-abelian.
 Both backends intern their groups: one live object per Cayley table, one
 per ``(rank, torsion)``.  Group ``==`` and ``hash`` are therefore the
 identity ones, and run no Python code inside the hash of an element, a
-hom, a cone or an ``lru_cache`` key.  On the finite backend one
+hom, a cone or an ``lru_cache`` key.  The values built on top of groups
+are interned the same way by one class decorator, ``interned``: one live
+``Subgroup`` per (group, generators, elements), and in the modules above,
+one ``cones.SubgroupCone`` per (group, members, generators) and one
+``pog.PreorderedGroup`` per (group, cone).  Equal fields mean the same
+object, so their ``==`` and ``hash`` are the identity ones too, and what
+they cache is computed once per value.  A finite group keeps its elements
+as one tuple; ``subgroup`` is built once per generator tuple and
+``subgroup_from_elements`` once per element set, while they stay among
+the 256 most recent.  On the finite backend one
 breadth-first closure, ``_words``, generates every subgroup, one greedy
 loop, ``_generating_set``, picks the generators of a group and of a
 subgroup given by its elements, and one table builder,
@@ -31,8 +40,10 @@ caches hold stay small.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +59,31 @@ from .intlinalg import (
     lattice_preimage,
     mat_vec,
 )
+
+
+def interned(cls):
+    """Intern a frozen dataclass declared with ``eq=False``.
+
+    Constructing a value whose fields equal those of a live instance
+    returns that instance, which a weak table keeps per tuple of field
+    values, as ``FiniteGroup`` and ``FgAbGroup`` keep their groups.  Equal
+    fields mean the same object, so the identity ``==`` and ``hash`` still
+    mean equal fields, an ``lru_cache`` key runs no Python code, and a
+    cached property is computed once per value.  ``__reduce__`` sends
+    pickle and copy back through the table.
+    """
+    init, table = cls.__init__, weakref.WeakValueDictionary()
+    key = operator.attrgetter(*[f.name for f in dataclasses.fields(cls)])
+
+    def __new__(klass, *args, **kwargs):
+        self = object.__new__(klass)
+        init(self, *args, **kwargs)
+        return table.setdefault(key(self), self)
+
+    cls.__new__ = staticmethod(__new__)
+    cls.__init__ = object.__init__  # __new__ has set the fields
+    cls.__reduce__ = lambda self: (cls, key(self))
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +161,8 @@ class FiniteGroup(GroupObject):
             self.table = table
             self.identity_index = identity_index
             self.inverse = tuple(inverse)
+            self._elements = tuple(GroupElement(self, (i,))
+                                   for i in range(len(element_names)))
             self._generators = None
             self._abelian = all(table[i][j] == table[j][i]
                                 for i in range(len(table)) for j in range(i))
@@ -138,26 +176,27 @@ class FiniteGroup(GroupObject):
 
     @property
     def zero(self):
-        return GroupElement(self, (self.identity_index,))
+        return self._elements[self.identity_index]
 
     def elem(self, key):
         """Element by index or by name."""
         i = self.element_names.index(key) if key in self.element_names else key
         if not isinstance(i, int) or not 0 <= i < len(self.element_names):
             raise ValueError(f"no element {key!r}")
-        return GroupElement(self, (i,))
+        return self._elements[i]
 
     def add(self, a, b):
-        return GroupElement(self, (self.table[a.coords[0]][b.coords[0]],))
+        return self._elements[self.table[a.coords[0]][b.coords[0]]]
 
     def neg(self, a):
-        return GroupElement(self, (self.inverse[a.coords[0]],))
+        return self._elements[self.inverse[a.coords[0]]]
 
     def order(self):
         return len(self.element_names)
 
     def elements(self):
-        return [GroupElement(self, (i,)) for i in range(len(self.element_names))]
+        # one tuple per interned group, like its generators
+        return self._elements
 
     def generators(self):
         # computed once per interned group, so it lives as long as the group
@@ -685,7 +724,8 @@ def factor_through_mono(i, t):
 # subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@interned
+@dataclass(frozen=True, eq=False)
 class Subgroup:
     group: GroupObject
     generators: tuple
@@ -755,10 +795,16 @@ def _subgroup_snf(S):
 
 def subgroup(group, generators):
     """Subgroup generated by the listed elements."""
-    gens = tuple([g for g in generators if not g.is_zero()])
+    return _generated(group, tuple(g for g in generators if not g.is_zero()))
+
+
+@lru_cache(maxsize=256)
+def _generated(group, gens):
+    """``subgroup`` once per generator tuple."""
     if group.backend == "finite":
+        els = group.elements()
         return Subgroup(group, gens, frozenset(
-            [GroupElement(group, (i,)) for i in _words(group, gens)]))
+            [els[i] for i in _words(group, gens)]))
     return Subgroup(group, gens)
 
 
@@ -788,22 +834,25 @@ def _generating_set(G, indices):
     gens, reached = [], _words(G, ())
     for i in sorted(indices):
         if i not in reached:
-            gens.append(GroupElement(G, (i,)))
+            gens.append(G.elements()[i])
             reached = _words(G, gens)
     return gens
 
 
 def subgroup_from_elements(group, elements):
     """Finite-backend subgroup from an explicit element set (must be closed)."""
-    els = frozenset(elements)
+    return _on_elements(group, frozenset(elements))
+
+
+@lru_cache(maxsize=256)
+def _on_elements(group, els):
+    """``subgroup_from_elements`` once per element set."""
     return Subgroup(group, tuple(_generating_set(
         group, [x.coords[0] for x in els])), els)
 
 
 def trivial_subgroup(group):
-    if group.backend == "finite":
-        return subgroup_from_elements(group, [group.zero])
-    return Subgroup(group, ())
+    return subgroup(group, ())
 
 
 def subgroup_image(h, S):
@@ -934,7 +983,8 @@ def quotient(G, S):
     """
     if G.backend == "finite":
         if not S.is_normal():
-            bad = next((g, x) for g in G.elements() for x in S.elements
+            bad = next((g, x) for g in G.elements()
+                       for x in S.sorted_elements()
                        if G.conjugate(g, x) not in S.elements)
             raise NotNormal("subgroup is not normal", witness=bad)
         cosets = {}

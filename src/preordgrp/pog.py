@@ -25,10 +25,10 @@ from .cones import (
     cone_outside,
     check_cone_axioms,
     extract_generators,
-    generator_cone,
     transport_image,
     transport_preimage,
     transport_product,
+    trivial_cone,
     units,
 )
 from .errors import (
@@ -47,6 +47,7 @@ from .groups import (
     hom_sub,
     identity_hom,
     image_subgroup,
+    interned,
     is_injective,
     is_surjective,
     kernel_subgroup,
@@ -57,8 +58,11 @@ from .groups import (
     zero_hom,
 )
 
-@dataclass(frozen=True)
+@interned
+@dataclass(frozen=True, eq=False)
 class PreorderedGroup:
+    """A group with a positive cone, interned on the pair."""
+
     group: object
     cone: Cone
 
@@ -86,16 +90,10 @@ def make_pog(group, cone):
     return PreorderedGroup(group, cone)
 
 
-_ZERO = None
-
-
 def zero_object():
-    """The zero object (trivial group, trivial cone)."""
-    global _ZERO
-    if _ZERO is None:
-        G = FgAbGroup(0, ())
-        _ZERO = PreorderedGroup(G, generator_cone(G, []))
-    return _ZERO
+    """The zero object (trivial group, trivial cone), one interned value."""
+    G = FgAbGroup(0, ())
+    return PreorderedGroup(G, trivial_cone(G))
 
 
 @dataclass(frozen=True)

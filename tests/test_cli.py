@@ -1,6 +1,10 @@
 """Workspace parsing, command reports, determinism, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from argparse import Namespace
 
 import pytest
@@ -337,6 +341,25 @@ class TestCommands:
         _, out1 = run_cli(tmp_path, basic_document(), "torsion", "C4half")
         _, out2 = run_cli(tmp_path, basic_document(), "torsion", "C4half")
         assert out1 == out2
+
+    @pytest.mark.parametrize("command", [
+        ["classify", "Z2_ZxN"],
+        ["--hom-bound", "1", "oracle", "--kind", "product", "S3/cone1",
+         "Z2/cone1"],
+        ["enumerate", "--cones", "D4"],
+    ], ids=["classify", "oracle", "cones"])
+    def test_reports_agree_across_processes(self, command):
+        # groups, subgroups, subgroup cones and objects hash by address,
+        # which differs between processes, as the string hash seed does:
+        # a set of them iterated into a report would show here
+        src = pathlib.Path(__file__).parent.parent / "src"
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            outs.append(subprocess.run(
+                [sys.executable, "-m", "preordgrp", "--corpus", *command],
+                env=env, capture_output=True, check=True).stdout)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_classify_proto_reflect_pretorsion(self, tmp_path):
         code, out = run_cli(tmp_path, basic_document(), "classify", "ZN")

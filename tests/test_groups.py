@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 
 import preordgrp.groups as groups_module
+from preordgrp.cones import SubgroupCone, generator_cone
 from preordgrp.errors import (
     BackendMismatch,
     BadInvariantFactors,
@@ -27,10 +28,13 @@ from preordgrp.corpus import (
 from preordgrp.groups import (
     FgAbGroup,
     FiniteGroup,
+    Subgroup,
     _factoring_through_epi,
     _factoring_through_legs,
+    _generated,
     _lattice_intersection,
     _lattice_preimage,
+    _on_elements,
     _preimage_lookup,
     _subgroup_snf,
     compose,
@@ -66,6 +70,7 @@ from preordgrp.groups import (
     zero_hom,
 )
 from preordgrp.intlinalg import lattice_preimage
+from preordgrp.pog import PreorderedGroup
 
 Z = make_fgab_group(1, [])
 Z2 = make_fgab_group(2, [])
@@ -352,13 +357,91 @@ def _calls(monkeypatch, name):
     return calls
 
 
+C4 = cyclic_group(4)
+G2x4 = make_fgab_group(2, [4])
+
+
+def _half():
+    """{0, 2} of Z/4, a new frozenset on every call."""
+    return frozenset([C4.elem(0), C4.elem(2)])
+
+
+def _two_gens():
+    return (G2x4.elem([2, 1, 1]), G2x4.elem([0, 3, 2]))
+
+
+# each builds a new value from newly built fields, by the constructor
+INTERNED = {
+    "subgroup-finite": lambda: Subgroup(C4, (C4.elem(2),), _half()),
+    "subgroup-fgab": lambda: Subgroup(G2x4, _two_gens()),
+    "cone-finite": lambda: SubgroupCone(C4, _half()),
+    "cone-fgab": lambda: SubgroupCone(G2x4, generators=_two_gens()),
+    "object-finite": lambda: PreorderedGroup(C4, SubgroupCone(C4, _half())),
+    "object-fgab": lambda: PreorderedGroup(
+        G2x4, generator_cone(G2x4, [G2x4.elem([1, 0, 0])])),
+}
+
+
+class TestInternedValues:
+    """One live Subgroup, SubgroupCone and PreorderedGroup per tuple of
+    field values, on both backends."""
+
+    @pytest.mark.parametrize("build", INTERNED.values(), ids=INTERNED)
+    def test_equal_values_are_one_object(self, build):
+        x, y = build(), build()
+        assert x is y and x == y and hash(x) == object.__hash__(y)
+
+    @pytest.mark.parametrize("build", INTERNED.values(), ids=INTERNED)
+    def test_copies_return_the_interned_instance(self, build):
+        x = build()
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+
+    def test_different_fields_stay_apart(self):
+        # the same members under other generators are another value
+        S = Subgroup(C4, (C4.elem(2),), _half())
+        assert Subgroup(C4, (C4.elem(2), C4.elem(2)), _half()) is not S
+        assert SubgroupCone(C4, _half()) is not SubgroupCone(C4, None)
+        assert SubgroupCone(G2x4, generators=_two_gens()[::-1]) \
+            is not SubgroupCone(G2x4, generators=_two_gens())
+
+    def test_cached_properties_are_computed_once_per_value(self):
+        c = SubgroupCone(G2x4, generators=_two_gens())
+        assert SubgroupCone(G2x4, generators=_two_gens()).subgroup \
+            is c.subgroup
+        assert "signed_generators" not in vars(c)
+        c.signed_generators
+        assert "signed_generators" in vars(
+            SubgroupCone(G2x4, generators=_two_gens()))
+
+    def test_unreferenced_value_is_released(self):
+        ref = weakref.ref(Subgroup(G2x4, (G2x4.elem([5, 7, 1]),)))
+        gc.collect()
+        assert ref() is None
+
+    def test_finite_subgroup_is_built_once(self, monkeypatch):
+        S3 = symmetric_group_3()
+        _on_elements.cache_clear()
+        _generated.cache_clear()
+        built = _calls(monkeypatch, "_generating_set")
+        walked = _calls(monkeypatch, "_words")
+        rotations = [x for x in S3.elements() if (x + x + x).is_zero()]
+        S = subgroup_from_elements(S3, rotations)
+        assert subgroup_from_elements(S3, rotations[::-1]) is S
+        assert len(built) == 1 and len(S.elements) == 3
+        walked.clear()
+        T = subgroup(S3, [rotations[1]])
+        assert subgroup(S3, [rotations[1]]) is T and len(walked) == 1
+        assert T.elements == S.elements
+
+
 class TestBuiltOnce:
     """Each derived group and preimage lookup is built once per value."""
 
     @pytest.mark.parametrize("cache", [
         quotient, subgroup_to_group, direct_product, image_subgroup,
         _factoring_through_epi, _factoring_through_legs, _subgroup_snf,
-        _lattice_intersection, _lattice_preimage])
+        _lattice_intersection, _lattice_preimage, _generated, _on_elements])
     def test_cache_is_bounded(self, cache):
         assert cache.cache_info().maxsize == 256
 
@@ -415,7 +498,7 @@ class TestBuiltOnce:
                 for _ in range(2))
         _subgroup_snf.cache_clear()
         factorings = _calls(monkeypatch, "factored")
-        assert S is not T and S == T
+        assert S is T
         assert S.contains(G.elem([2, 4, 3])) and T.contains(G.elem([4, 2, 2]))
         assert not T.contains(G.elem([1, 0, 0]))
         assert not S.is_whole() and not T.is_whole()
