@@ -14,7 +14,11 @@ group is non-abelian.
 Both backends intern their groups: one live object per Cayley table, one
 per ``(rank, torsion)``.  Group ``==`` and ``hash`` are therefore the
 identity ones, and run no Python code inside the hash of an element, a
-hom, a cone or an ``lru_cache`` key.  The values built on top of groups
+hom, a cone or an ``lru_cache`` key.  An element, ``GroupElement(group,
+coords)``, and a hom, ``GroupHom(dom, cod, images)``, are tuple values
+(``typing.NamedTuple``): their ``==``, ``hash`` and field access run in C,
+an element equals no element of another group and no hom, and ``x * n``
+scales x rather than repeating the tuple.  The values built on top of groups
 are interned the same way by one class decorator, ``interned``: one live
 ``Subgroup`` per (group, generators, elements), and in the modules above,
 one ``cones.SubgroupCone`` per (group, members, generators) and one
@@ -34,8 +38,8 @@ preimage lookup that factors maps through an epi or through a tuple of
 legs.  On the fgab backend the lattice facts are kept the same way, per
 value: one Smith normal form per subgroup, which every membership and
 wholeness query solves against, the intersection of two subgroups and
-the preimage of a subgroup.  Elements are slotted, so the values these
-caches hold stay small.
+the preimage of a subgroup.  Elements are plain tuples, so the values
+these caches hold stay small.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (BackendMismatch, BadInvariantFactors,
                      EnumerationUnbounded, NotAGroup, NotNormal)
@@ -86,8 +91,9 @@ def interned(cls):
     return cls
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class GroupElement(NamedTuple):
+    """An element: its group and its coordinate tuple, one tuple value."""
+
     group: "GroupObject"
     coords: tuple
 
@@ -102,8 +108,11 @@ class GroupElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rmul__(self, n):
+    def __mul__(self, n):
+        # n times the element, not the tuple repeated n times
         return self.group.scale(self, n)
+
+    __rmul__ = __mul__
 
     def is_zero(self):
         if self.group.backend == "finite":
@@ -235,30 +244,32 @@ class FgAbGroup(GroupObject):
         return FgAbGroup, (self.rank, self.torsion)
 
     def reduce(self, coords):
-        out = list(coords[: self.rank])
-        for j, d in enumerate(self.torsion):
-            out.append(coords[self.rank + j] % d)
-        return tuple(out)
+        if not self.torsion:
+            return tuple(coords)
+        r = self.rank
+        return (*coords[:r], *map(operator.mod, coords[r:], self.torsion))
 
     @property
     def zero(self):
         return GroupElement(self, (0,) * self.ncoords)
 
     def elem(self, coords):
-        coords = tuple(int(v) for v in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.ncoords:
             raise ValueError(f"expected {self.ncoords} coordinates")
         return GroupElement(self, self.reduce(coords))
 
     def add(self, a, b):
         return GroupElement(self, self.reduce(
-            tuple(x + y for x, y in zip(a.coords, b.coords))))
+            tuple(map(operator.add, a.coords, b.coords))))
 
     def neg(self, a):
-        return GroupElement(self, self.reduce(tuple(-x for x in a.coords)))
+        return GroupElement(self, self.reduce(
+            tuple(map(operator.neg, a.coords))))
 
     def scale(self, a, n):
-        return GroupElement(self, self.reduce(tuple(n * x for x in a.coords)))
+        return GroupElement(self, self.reduce(
+            tuple(map(operator.mul, a.coords, itertools.repeat(n)))))
 
     def order(self):
         if self.rank:
@@ -446,10 +457,9 @@ def make_fgab_group(rank, torsion):
 # homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     """Homomorphism given by images: one per element for a finite domain,
-    one per canonical generator for an fgab domain."""
+    one per canonical generator for an fgab domain; one tuple value."""
 
     dom: GroupObject
     cod: GroupObject
@@ -470,11 +480,13 @@ class GroupHom:
             return self.images[x.coords[0]]
         cod = self.cod
         if cod.backend == "fgab":
-            out = [0] * cod.ncoords
+            out = (0,) * cod.ncoords
             for c, img in zip(x.coords, self.images):
                 if c:
-                    out = [a + c * b for a, b in zip(out, img.coords)]
-            return GroupElement(cod, cod.reduce(out))
+                    col = img.coords if c == 1 else map(
+                        operator.mul, img.coords, itertools.repeat(c))
+                    out = map(operator.add, out, col)
+            return GroupElement(cod, cod.reduce(tuple(out)))
         out = cod.zero
         for c, img in zip(x.coords, self.images):
             if c:
@@ -558,7 +570,7 @@ def compose(g, f):
     """g after f; validity is inherited, no re-validation."""
     if f.cod != g.dom:
         raise ValueError("homs do not compose")
-    return GroupHom(f.dom, g.cod, tuple(g(img) for img in f.images))
+    return GroupHom(f.dom, g.cod, tuple(map(g, f.images)))
 
 
 def hom_sub(f, g):

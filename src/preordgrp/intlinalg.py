@@ -19,6 +19,7 @@ routine tolerates it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
@@ -63,10 +64,9 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, x):
-    m, n = mat_shape(A)
-    if n != len(x):
+    if mat_shape(A)[1] != len(x):
         raise ValueError("shape mismatch in mat_vec")
-    return [sum(A[i][j] * x[j] for j in range(n)) for i in range(m)]
+    return [sum(map(operator.mul, row, x)) for row in A]
 
 
 def columns(M):
@@ -105,18 +105,18 @@ class SNF:
 
     def solve(self, b):
         """One integer solution x of M x = b for the factored M, or None."""
-        m, n = mat_shape(self.D)
         ub = mat_vec(self.U, b)
-        y = [0] * n
-        for i in range(m):
-            d = self.D[i][i] if i < min(m, n) else 0
-            if d == 0:
-                if ub[i] != 0:
+        diag = self.diagonal
+        if any(ub[len(diag):]):  # a row of D without a diagonal entry
+            return None
+        y = [0] * mat_shape(self.D)[1]
+        for i, (u, d) in enumerate(zip(ub, diag)):
+            if d:
+                if u % d:
                     return None
-            else:
-                if ub[i] % d != 0:
-                    return None
-                y[i] = ub[i] // d
+                y[i] = u // d
+            elif u:
+                return None
         return mat_vec(self.V, y)
 
 

@@ -14,7 +14,7 @@ finitely generated cone, and on the linear pieces of one without them
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cones import (
@@ -148,10 +148,13 @@ class ConeCertificate:
 
 @dataclass(frozen=True)
 class POGMorphism:
+    """A morphism is its (dom, cod, hom); the certificate is evidence only,
+    so ``==`` and ``hash`` never walk its membership verdicts."""
+
     dom: PreorderedGroup
     cod: PreorderedGroup
     hom: GroupHom
-    certificate: ConeCertificate
+    certificate: ConeCertificate = field(compare=False)
 
     def is_zero(self):
         return self.hom.is_zero()
@@ -333,13 +336,20 @@ class MorphismClassReport:
 def cone_map_surjective(m):
     """Does every positive element of the codomain lift into the domain cone?
 
-    The codomain cone must lie in the direct image of the domain cone.
+    The codomain cone must lie in the direct image of the domain cone.  The
+    verdict is kept per (hom, domain cone, codomain cone), like
+    ``pog_is_iso``'s.
     """
-    if isinstance(m.cod.cone, ImageCone) and m.cod.cone.hom == m.hom \
-            and m.cod.cone.inner == m.dom.cone:
+    return _cone_map_surjective(m.hom, m.dom.cone, m.cod.cone)
+
+
+@lru_cache(maxsize=256)
+def _cone_map_surjective(hom, dom_cone, cod_cone):
+    if isinstance(cod_cone, ImageCone) and cod_cone.hom == hom \
+            and cod_cone.inner == dom_cone:
         return True  # codomain cone is this map's direct image
-    img_cone = transport_image(m.hom, m.dom.cone)
-    return cone_outside(None, m.cod.cone, img_cone) is None
+    return cone_outside(None, cod_cone,
+                        transport_image(hom, dom_cone)) is None
 
 
 def cone_square_is_pullback(hom, dom_cone, cod_cone):
@@ -389,8 +399,7 @@ def pog_is_iso(m):
 
     The inverse's cone preservation is checked on the generators of the
     codomain cone, or on its linear pieces when it has none.  The verdict
-    is kept per (hom, domain cone, codomain cone), not per morphism, whose
-    hash would walk its certificate.
+    is kept per (hom, domain cone, codomain cone).
     """
     return _is_iso(m.hom, m.dom.cone, m.cod.cone)
 

@@ -1,7 +1,11 @@
 """Shared test helpers."""
 
 import contextlib
+import importlib
+import pkgutil
 import signal
+
+import preordgrp
 
 
 @contextlib.contextmanager
@@ -39,3 +43,23 @@ def cone_window(cone, width):
     from preordgrp.cones import cone_contains
     return [x for x in group_window(cone.group, width)
             if cone_contains(cone, x)]
+
+
+def package_caches():
+    """(qualified name, wrapper) for every ``functools`` cache in the
+    package: each ``lru_cache`` wrapper in a module's namespace, once per
+    module that holds it."""
+    for info in pkgutil.iter_modules(preordgrp.__path__, "preordgrp."):
+        if info.name == "preordgrp.__main__":  # runs the command line
+            continue
+        for fn in vars(importlib.import_module(info.name)).values():
+            if callable(getattr(fn, "cache_parameters", None)):
+                yield f"{fn.__module__}.{fn.__qualname__}", fn
+
+
+def clear_package_caches():
+    """Forget every cached result of the package.  A test that patches an
+    internal calls it before the patch, so that no right verdict hides the
+    patch, and after it, so that no wrong verdict outlives the test."""
+    for _, fn in package_caches():
+        fn.cache_clear()

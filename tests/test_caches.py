@@ -6,10 +6,7 @@ test fails before its growth shows up as resident memory.  Bounding one of
 the eleven takes it off the list.
 """
 
-import importlib
-import pkgutil
-
-import preordgrp
+from conftest import package_caches
 
 UNBOUNDED = {
     "preordgrp.cones._generator_solver",
@@ -26,21 +23,8 @@ UNBOUNDED = {
 }
 
 
-def _cache_sizes():
-    """The maxsize of every lru_cache wrapper in a module's namespace, by
-    the qualified name of the function it wraps."""
-    sizes = {}
-    for info in pkgutil.iter_modules(preordgrp.__path__, "preordgrp."):
-        if info.name == "preordgrp.__main__":  # runs the command line
-            continue
-        for fn in vars(importlib.import_module(info.name)).values():
-            if callable(getattr(fn, "cache_parameters", None)):
-                name = f"{fn.__module__}.{fn.__qualname__}"
-                sizes[name] = fn.cache_parameters()["maxsize"]
-    return sizes
-
-
 def test_unbounded_caches_are_the_listed_ones():
-    sizes = _cache_sizes()
+    sizes = {name: fn.cache_parameters()["maxsize"]
+             for name, fn in package_caches()}
     assert "preordgrp.groups.kernel_subgroup" in sizes
     assert {name for name, size in sizes.items() if size is None} == UNBOUNDED

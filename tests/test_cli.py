@@ -361,6 +361,31 @@ class TestCommands:
                 env=env, capture_output=True, check=True).stdout)
         assert outs[0] and outs[0] == outs[1]
 
+    def test_cold_start_loads_only_what_parsing_needs(self):
+        # the package exports its names lazily: the command line loads the
+        # modules of parsing and of validate and classify, and every other
+        # command imports its own
+        src = pathlib.Path(__file__).parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", "import json, sys, preordgrp.cli; print("
+             "json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('preordgrp.'))))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [f"preordgrp.{m}" for m in (
+            "cli", "cones", "errors", "groups", "intlinalg", "pog")]
+
+    def test_package_names_resolve_on_first_use(self):
+        import preordgrp
+        from preordgrp import em_factor, torsion_sequence
+        from preordgrp.factor import em_factor as defined
+        assert em_factor is defined and torsion_sequence.__module__ == (
+            "preordgrp.torsion")
+        assert set(preordgrp.__all__) <= set(dir(preordgrp))
+        assert all(getattr(preordgrp, name) for name in preordgrp.__all__)
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            preordgrp.nothing
+
     def test_classify_proto_reflect_pretorsion(self, tmp_path):
         code, out = run_cli(tmp_path, basic_document(), "classify", "ZN")
         assert code == 0

@@ -3,7 +3,8 @@
 import random
 
 import pytest
-from conftest import cone_window, deadline, group_window
+from conftest import (clear_package_caches, cone_window, deadline,
+                      group_window)
 
 from preordgrp.cones import (
     CoverCone,
@@ -172,10 +173,7 @@ class TestUnits:
             if isinstance(P.cone, GeneratorCone)]
         assert len(cases) == 7  # Z_discrete holds the trivial SubgroupCone
         uncapped = [units(c) for c in cases]
-        caches = (cones._generator_solver, cones._cone_contains_cached,
-                  cones._units)
-        for cache in caches:
-            cache.cache_clear()
+        clear_package_caches()
         monkeypatch.setattr(intlinalg, "HILBERT_FRONTIER_CAP", 1)
         try:
             capped = 0
@@ -184,8 +182,7 @@ class TestUnits:
                 assert subgroup_equal(units(c), U), c
             assert capped >= 5
         finally:
-            for cache in caches:  # nothing capped outlives the test
-                cache.cache_clear()
+            clear_package_caches()  # nothing capped outlives the test
 
     def test_finite_units_match_brute_force_everywhere(self):
         from preordgrp.oracle import enumerate_cones
@@ -403,14 +400,9 @@ class TestImageRulesCanFail:
     def fresh_verdicts(self):
         # no verdict of the right rules may hide the patch, and no wrong
         # verdict may outlive the test
-        from preordgrp import cones
-        caches = (cones._cone_contains_cached, cones.linear_pieces,
-                  cones._recipe_generators)
-        for cache in caches:
-            cache.cache_clear()
+        clear_package_caches()
         yield
-        for cache in caches:
-            cache.cache_clear()
+        clear_package_caches()
 
     def test_kernel_outside_the_units_taken_as_inside(self, monkeypatch):
         # the units rule then reads (0, g), the one lift of g with n = 0,
@@ -423,7 +415,7 @@ class TestImageRulesCanFail:
         objs = sorted(fgab_corpus_objects().items())
         assert all(is_normal_epi(canonical_cover(P).projection)
                    for _, P in objs)
-        cones._cone_contains_cached.cache_clear()
+        clear_package_caches()
         monkeypatch.setattr(cones.ImageCone, "kernel_in_units",
                             property(lambda self: True))
         still = {name for name, P in objs
@@ -436,9 +428,8 @@ class TestImageRulesCanFail:
         C = CoverCone(Z2, N)
         q = make_hom(Z2, Z, [Z.elem([1]), Z.elem([0])])
         assert cone_contains(transport_image(q, C), Z.zero)
-        cones._cone_contains_cached.cache_clear()
+        clear_package_caches()
         right = cones.linear_pieces
-        right.cache_clear()
         monkeypatch.setattr(cones, "linear_pieces", lambda cone: tuple(
             (o, qs) for o, qs in right(cone)
             if not (isinstance(cone, CoverCone) and o.is_zero())))
@@ -646,6 +637,12 @@ class TestFiniteConesDecideOnGenerators:
 class TestPieceInclusionCanFail:
     """A wrong rule in the inclusion of a linear piece gives a wrong
     verdict."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_verdicts(self):
+        clear_package_caches()
+        yield
+        clear_package_caches()
 
     def test_box_lemma_without_the_box(self, monkeypatch):
         # (n, g) -> 2n + g sends the cover of (Z, N) onto {0} u (2 + N),

@@ -258,6 +258,18 @@ class TestEMFactorization:
         assert pog_is_iso(fr.m)
         assert fr.recomposes(plane_projection())
 
+    def test_each_morphism_is_reflected_once(self):
+        # in_class(m, "E") and em_factor(m) share the reflection of m; the
+        # factorization reflects e besides, two reflections in all
+        from preordgrp.torsion import _reflect
+        _reflect.cache_clear()
+        m = plane_projection()
+        assert in_class(m, "E").holds
+        fr = em_factor(m)
+        assert fr.e_class.holds and fr.recomposes(m)
+        info = _reflect.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (2, 1, 256)
+
 
 class TestMLFactorization:
     def test_mod2_is_already_covering(self):

@@ -28,6 +28,8 @@ from preordgrp.corpus import (
 from preordgrp.groups import (
     FgAbGroup,
     FiniteGroup,
+    GroupElement,
+    GroupHom,
     Subgroup,
     _factoring_through_epi,
     _factoring_through_legs,
@@ -433,6 +435,51 @@ class TestInternedValues:
         T = subgroup(S3, [rotations[1]])
         assert subgroup(S3, [rotations[1]]) is T and len(walked) == 1
         assert T.elements == S.elements
+
+
+class TestTupleValues:
+    """Elements and homs are tuple values: C-level hash and ==, value
+    semantics across copies, and arithmetic in place of tuple operators."""
+
+    def test_hash_and_equality_are_the_tuple_ones(self):
+        for cls in (GroupElement, GroupHom):
+            assert cls.__hash__ is tuple.__hash__
+            assert cls.__eq__ is tuple.__eq__
+
+    def test_equal_coordinates_in_two_groups_are_unequal(self):
+        Z2, Z2x4 = make_fgab_group(2, []), make_fgab_group(1, [4])
+        assert Z2.elem([1, 1]) == Z2.elem([1, 1])
+        assert Z2.elem([1, 1]) != Z2x4.elem([1, 1])
+        assert C4.elem(1) != cyclic_group(4, "c").elem(1)
+
+    def test_an_element_never_equals_a_hom(self):
+        Z = make_fgab_group(1, [])
+        h = identity_hom(Z)
+        assert all(x != h for x in (Z.zero, Z.elem([1]), h.images[0]))
+        assert h != identity_hom(make_fgab_group(2, []))
+
+    @pytest.mark.parametrize("x", [G2x4.elem([2, -1, 3]), C4.elem(3)],
+                             ids=["fgab", "finite"])
+    def test_integer_multiples_are_scaling(self, x):
+        assert x * 3 == 3 * x == x + x + x
+        assert x * 0 == 0 * x == x.group.zero
+        assert x * -2 == -(x + x)
+
+    @pytest.mark.parametrize("value", [
+        G2x4.elem([2, -1, 3]), C4.elem(3), identity_hom(G2x4),
+        make_hom(C4, C4, [C4.elem(2 * i % 4) for i in range(4)])],
+        ids=["fgab-element", "finite-element", "fgab-hom", "finite-hom"])
+    def test_copies_are_equal_values(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)
+            assert type(twin) is type(value) and repr(twin) == repr(value)
+
+    def test_repr_keeps_its_form(self):
+        Z = make_fgab_group(1, [])
+        assert repr(Z.elem([-3])) == "<(-3)>"
+        assert repr(identity_hom(Z)) == (
+            "GroupHom(dom=FgAbGroup(Z), cod=FgAbGroup(Z), images=(<(1)>,))")
 
 
 class TestBuiltOnce:

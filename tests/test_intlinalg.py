@@ -135,6 +135,19 @@ def test_invariant_factor_normalization():
     assert invariant_factors_of_diagonal([0, 2]) == [2, 0]
 
 
+def test_mat_vec_matches_the_definition():
+    rng = random.Random(39)
+    for _ in range(200):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        x = [rng.randint(-9, 9) for _ in range(n if m else 0)]
+        assert mat_vec(A, x) == [sum(A[i][j] * x[j] for j in range(n))
+                                 for i in range(m)]
+        assert mat_vec(A, tuple(x)) == mat_vec(A, x)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mat_vec(A, x + [1])
+
+
 def test_solve():
     assert solve([[2, 0], [0, 3]], [4, 9]) == [2, 3]
     assert solve([[2]], [3]) is None

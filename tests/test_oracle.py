@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
+from conftest import clear_package_caches
 
-from preordgrp import cones, factor, groups, intlinalg, oracle, pog, torsion
+from preordgrp import cones, factor, groups, oracle, pog, torsion
 from preordgrp.cones import explicit_cone, trivial_cone
 from preordgrp.corpus import (
     finite_corpus_groups,
@@ -411,6 +412,12 @@ class TestGeneratorRulesCanFail:
     """A wrong version of a generator rule of the oracle gives a wrong
     verdict on a named query."""
 
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        # no result made under a patch outlives the test
+        yield
+        clear_package_caches()
+
     def test_on_generators_without_its_last_generator(self, monkeypatch):
         # the identity of Z/4 passes for the kernel of x -> x mod 2 once the
         # one generator of Z/4 is dropped: its composite is then empty
@@ -593,10 +600,14 @@ class TestSearch:
         assert search_counterexample("mono_iff_trivial_kernel", 4) is None
         from preordgrp import groups, oracle
         wrong = lambda h: groups.trivial_subgroup(h.dom)  # noqa: E731
+        clear_package_caches()
         monkeypatch.setattr(groups, "kernel_subgroup", wrong)
         monkeypatch.setattr(oracle, "kernel_subgroup", wrong)
-        w = search_counterexample("mono_iff_trivial_kernel", 4)
-        assert w is not None and "mono=False but trivial kernel=True" in w
+        try:
+            w = search_counterexample("mono_iff_trivial_kernel", 4)
+            assert w is not None and "mono=False but trivial kernel=True" in w
+        finally:
+            clear_package_caches()
 
     def test_unknown_law(self):
         with pytest.raises(UnknownLaw):
@@ -665,15 +676,6 @@ _WRONG = [
 ]
 
 
-def _clear_engine_caches():
-    """A cached result of a wrong function must not outlive its test, and
-    a cached right one must not hide the patch."""
-    for mod in (cones, factor, groups, intlinalg, oracle, pog, torsion):
-        for fn in list(vars(mod).values()):
-            if callable(getattr(fn, "cache_clear", None)):
-                fn.cache_clear()
-
-
 class TestLawsCanFail:
     """Each registered law, except the deliberately false one, finds a
     witness once one engine function it rests on is wrong (ROADMAP item
@@ -689,9 +691,9 @@ class TestLawsCanFail:
     def test_law_can_fail(self, monkeypatch, law, module, name, wrong):
         finite_corpus_objects()  # built right, before the patch
         assert search_counterexample(law, 4) is None
-        _clear_engine_caches()
+        clear_package_caches()
         monkeypatch.setattr(module, name, wrong)
         try:
             assert search_counterexample(law, 4) is not None
         finally:
-            _clear_engine_caches()
+            clear_package_caches()

@@ -24,6 +24,7 @@ from preordgrp.groups import (
 )
 from preordgrp.pog import (
     SequenceCertificate,
+    _cone_map_surjective,
     _is_iso,
     classify,
     compose_pog,
@@ -240,9 +241,28 @@ class TestLimits:
 
 class TestBuiltOnce:
     @pytest.mark.parametrize("cache", [classify, pog_pullback, _is_iso,
-                                       _units])
+                                       _units, _cone_map_surjective])
     def test_cache_is_bounded(self, cache):
         assert cache.cache_info().maxsize == 256
+
+    def test_certificate_is_no_part_of_a_morphism(self):
+        h = make_hom(Z, Z, [Z.elem([2])])
+        certified = make_pog_morphism(h, ZN, ZN)
+        plain = structural_morphism(h, ZN, ZN, "doubling")
+        assert certified.certificate != plain.certificate
+        assert certified == plain and hash(certified) == hash(plain)
+        assert certified != structural_morphism(h, ZN, ZZ, "doubling")
+
+    def test_cone_surjectivity_is_decided_once_per_morphism(self):
+        # morphism_class and in_class(m, "Eprime") both ask whether m is a
+        # normal epi; an equal morphism asks it again
+        from preordgrp.factor import in_class
+        _cone_map_surjective.cache_clear()
+        assert morphism_class(mod2()).normal_epi
+        assert in_class(mod2(), "Eprime").detail == (
+            "kernel has a non-unit positive element")
+        info = _cone_map_surjective.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_equal_arguments_share_one_result(self):
         # mod2() builds a new, equal morphism on each call
