@@ -4,7 +4,8 @@ The workspace document has four top-level maps: ``groups``, ``cones``,
 ``objects`` and ``morphisms``.  Finite groups are Cayley tables over named
 elements, f.g. abelian groups are (rank, torsion) pairs; cones are element
 lists (finite) or integer generator vectors (fgab); morphisms are element
-maps (finite) or matrix blocks "free", "mixed", "torsion" (fgab).
+maps (finite) or matrix blocks "free", "mixed", "torsion" (fgab).  Every
+vector is read in the coordinates its group is declared in.
 
 Reports are deterministic: keys sorted, no timestamps, bounds and window
 sizes echoed.  ``--window`` is validated and echoed, but no computation
@@ -110,7 +111,7 @@ def parse_workspace(document):
     """
     if not isinstance(document, dict):
         _fail_parse("$", "document must be a JSON object")
-    groups, presentations = {}, {}
+    groups, presentations, declared = {}, {}, {}
     for name, spec in _entries(document, "groups"):
         path = f"$.groups.{name}"
         kind = spec.get("kind")
@@ -140,6 +141,7 @@ def parse_workspace(document):
                 pres = fgab_presentation(n, rels)
                 groups[name] = pres.group
                 presentations[name] = pres
+                declared[name] = (rank, torsion, pres)
             else:
                 _fail_parse(path, f"unknown kind {kind!r}")
         except (errors.NotAGroup, errors.BadInvariantFactors) as exc:
@@ -164,23 +166,19 @@ def parse_workspace(document):
                     _fail_parse(path, "generator vectors need an fgab group")
                 if not _is_int_rows(spec["generators"]):
                     _fail_parse(path, "'generators' must be integer vectors")
-                pres = presentations.get(gname)
-                gens = []
-                for vec in spec["generators"]:
-                    if pres is not None and len(vec) == pres.ncoords:
-                        gens.append(pres.project(vec))
-                    else:
-                        gens.append(G.elem(vec))
-                cones[name] = generator_cone(G, gens)
+                cones[name] = generator_cone(G, [
+                    _declared_element(presentations[gname], vec)
+                    for vec in spec["generators"]])
             else:
                 _fail_parse(path, "need either 'elements' or 'generators'")
         except (ValueError, IndexError) as exc:
             raise errors.ValidationError(f"cone {name}: {exc}") from exc
-    objects = {}
+    objects, object_groups = {}, {}
     for name, spec in _entries(document, "objects"):
         path = f"$.objects.{name}"
         G = _lookup(groups, spec.get("group"), path, "group")
         cone = _lookup(cones, spec.get("cone"), path, "cone")
+        object_groups[name] = spec["group"]
         try:
             objects[name] = make_pog(G, cone)
         except errors.ConeAxiomViolation as exc:
@@ -194,6 +192,7 @@ def parse_workspace(document):
         if not all(isinstance(x, str) and x in objects for x in (src, dst)):
             _fail_parse(path, "unknown endpoint object")
         dom, cod = objects[src], objects[dst]
+        dom_decl, cod_decl = (declared.get(object_groups[o]) for o in (src, dst))
         try:
             if "map" in spec:
                 if dom.group.backend != "finite":
@@ -203,10 +202,12 @@ def parse_workspace(document):
                         if cod.group.backend == "finite"
                         else _is_int_rows(images)):
                     _fail_parse(path, "'map' must list codomain elements")
-                images = [cod.group.elem(i) for i in images]
+                images = [cod.group.elem(i) if cod_decl is None
+                          else _declared_element(cod_decl[2], i)
+                          for i in images]
                 hom = make_hom(dom.group, cod.group, images)
             elif "matrix" in spec:
-                hom = _hom_from_blocks(dom.group, cod.group, spec["matrix"])
+                hom = _hom_from_blocks(dom_decl, cod_decl, spec["matrix"])
             else:
                 _fail_parse(path, "need either 'map' or 'matrix'")
             morphisms[name] = make_pog_morphism(hom, dom, cod)
@@ -219,31 +220,48 @@ def parse_workspace(document):
     return Workspace(groups, presentations, cones, objects, morphisms)
 
 
+def _declared_element(pres, vec):
+    """The element a vector in its group's declared coordinates names."""
+    if len(vec) != pres.ncoords:
+        raise ValueError(f"a vector has {len(vec)} coordinates, its group "
+                         f"declares {pres.ncoords}")
+    return pres.project(vec)
+
+
 def _hom_from_blocks(dom, cod, blocks):
-    """Assemble an fgab -> fgab hom from 'free' / 'mixed' / 'torsion' blocks."""
-    if dom.backend != "fgab" or cod.backend != "fgab":
+    """An fgab -> fgab hom from 'free' / 'mixed' / 'torsion' blocks in the
+    declared (rank, torsion, presentation) ``dom`` and ``cod``: column j of
+    'free' over 'mixed' is the image of free generator j, column j of
+    'torsion' the torsion part of torsion generator j's.  An image must
+    respect its generator's declared order; a canonical generator of the
+    domain takes the image of its declared lift."""
+    if dom is None or cod is None:
         raise ValueError("matrix blocks need fgab groups on both sides")
+    (rank, torsion, pres), (crank, ctorsion, cpres) = dom, cod
     if not isinstance(blocks, dict) or not all(
             _is_int_rows(blocks.get(k, [])) for k in ("free", "mixed", "torsion")):
         raise ValueError("matrix blocks must be integer matrices")
-    free = blocks.get("free", [])
-    mixed = blocks.get("mixed", [])
-    tors = blocks.get("torsion", [])
-    if any(len(row) > dom.rank for row in free + mixed) or any(
-            len(row) > len(dom.torsion) for row in tors):
+    free, mixed, tors = (blocks.get(k, []) for k in ("free", "mixed", "torsion"))
+    if any(len(row) > rank for row in free + mixed) or any(
+            len(row) > len(torsion) for row in tors):
         raise ValueError("a matrix row is longer than its domain block")
-    images = []
-    for j in range(dom.rank):
-        coords = [row[j] if j < len(row) else 0 for row in free]
-        coords += [row[j] if j < len(row) else 0 for row in mixed]
-        coords = coords + [0] * (cod.ncoords - len(coords))
-        images.append(cod.elem(coords))
-    for j in range(len(dom.torsion)):
-        coords = [0] * cod.rank
-        coords += [row[j] if j < len(row) else 0 for row in tors]
-        coords = coords + [0] * (cod.ncoords - len(coords))
-        images.append(cod.elem(coords))
-    return make_hom(dom, cod, images)
+    if len(free) > crank or max(len(mixed), len(tors)) > len(ctorsion):
+        raise ValueError("a matrix block has more rows than its codomain")
+
+    def column(rows, j, height):
+        return ([row[j] if j < len(row) else 0 for row in rows]
+                + [0] * (height - len(rows)))
+    vecs = [column(free, j, crank) + column(mixed, j, len(ctorsion))
+            for j in range(rank)]
+    vecs += [[0] * crank + column(tors, j, len(ctorsion))
+             for j in range(len(torsion))]
+    for j, d in enumerate(torsion):
+        if not cpres.project([d * c for c in vecs[rank + j]]).is_zero():
+            raise ValueError(f"torsion generator {j} image has wrong order")
+    return make_hom(pres.group, cpres.group, [
+        cpres.project([sum(c * v[r] for c, v in zip(lift, vecs))
+                       for r in range(cpres.ncoords)])
+        for lift in pres.gen_lifts])
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _cone_contains_cached(cone, x):
         return MembershipVerdict("In")
     if isinstance(cone, ImageCone):
         if cone.kernel_in_units:
-            lift = _preimage_lookup([cone.hom])([[x]])
+            lift = _preimage_lookup((cone.hom,))([[x]])
             ok = lift is not None and cone_contains(cone.inner, lift[0])
         else:
             ok = any(cone_contains(generator_cone(cone.group, qs), x - o)
@@ -342,11 +342,18 @@ def _distinct(xs):
 # ---------------------------------------------------------------------------
 
 def cone_outside(f, C, D):
-    """A member of C that f sends outside D, or None when f(C) lies in D;
-    f None is the identity.  f maps a piece o + <q> of C onto
-    f(o) + <f(q)>, whose inclusion ``_piece_outside`` decides."""
+    """A member of C that f sends outside D, or None when f(C) lies in D.
+
+    f is a hom out of C's carrier or a callable agreeing with one, such as
+    a lift through preimages; None is the identity.  C is read through its
+    ``extract_generators`` (D is a monoid), else through its linear pieces:
+    f maps o + <q> onto f(o) + <f(q)>, which ``_piece_outside`` decides."""
+    f = f or (lambda x: x)
+    gens = extract_generators(C)
+    if gens is not None:
+        return next((g for g in gens if not cone_contains(D, f(g))), None)
     for o, qs in linear_pieces(C):
-        r = _piece_outside(*((f(o), tuple(map(f, qs))) if f else (o, qs)), D)
+        r = _piece_outside(f(o), tuple(map(f, qs)), D)
         if r is not None:
             return _combine(o, qs, r)
     return None
@@ -372,12 +379,13 @@ def _piece_outside(o, qs, D):
     generators by the box lemma.  Anything else raises
     ``ImageNotComputable``, as does the box past its cap.
     """
-    if not (o.is_zero() or cone_contains(D, o)):
+    at_zero = o.is_zero()
+    if not (at_zero or cone_contains(D, o)):
         return {}
     for i, q in enumerate(qs):
-        if not cone_contains(D, q if o.is_zero() else o + q):
+        if not cone_contains(D, q if at_zero else o + q):
             return {i: 1}
-    if o.is_zero() or isinstance(D, SubgroupCone):
+    if at_zero or isinstance(D, SubgroupCone):
         return None
     if isinstance(D, ProductCone):
         for part, proj in zip(D.parts, D.projections):
@@ -392,7 +400,7 @@ def _piece_outside(o, qs, D):
         return _piece_outside(D.split(o)[1],
                               tuple(D.split(q)[1] for q in qs), D.base_cone)
     if isinstance(D, ImageCone) and D.kernel_in_units:
-        lift = _preimage_lookup([D.hom])([[o, *qs]])
+        lift = _preimage_lookup((D.hom,))([[o, *qs]])
         return _piece_outside(lift[0], tuple(lift[1:]), D.inner)
     if isinstance(D, ImageCone) and any(
             all(generator_cone(D.group, qs2).contains(x) for x in (o - o2, *qs))

@@ -213,8 +213,6 @@ def check_orthogonality(e, m, a, b):
         if not ok:
             return OrthogonalityReport(
                 False, detail=f"forced diagonal not order preserving at {bad}")
-        if compose(m.hom, phi_hom).images != b.hom.images:
-            return OrthogonalityReport(False, detail="m.phi differs from b")
         phi = POGMorphism(B, C, phi_hom, cert)
         return OrthogonalityReport(True, phi, unique=True)
     if B.group.backend == "finite" and C.group.backend == "finite":

@@ -598,8 +598,10 @@ def inverse_hom(h):
     return factor_through_mono(h, identity_hom(h.cod))
 
 
+@lru_cache(maxsize=256)
 def _preimage_lookup(legs):
-    """Exact preimages along homs out of one domain D.
+    """Exact preimages along a tuple of homs out of one domain D, looked
+    up once per leg family.
 
     Returns ``find(columns)``: ``columns[k]`` lists elements of
     ``legs[k].cod``, all lists of one length, and ``find`` returns per
@@ -666,35 +668,27 @@ def _stacked_legs(legs):
 def factor_through_epi(p, t):
     """The w with w . p = t, or None when t does not factor through p.
 
-    p must be surjective.  If w . p = t, then w is a hom because t is one
-    and p is onto, so the candidate is only compared with t: on every
-    element of a finite domain of p, on the generators of an fgab one.
-    Generators alone prove w . p = t only if w is a hom already, which
-    the relation check on an fgab codomain of p ensures (p: Z -> Z/2 with
-    t = id_Z agrees on the generator, yet no w exists).
+    p must be surjective.  Then w exists iff t kills the generators of
+    ker p, and is t after any choice of preimages along p, on Q's elements
+    (finite) or canonical generators (fgab), on either backend: two choices
+    differ in ker p, and so does a relation of Q lifted, which t kills.
     """
     return _factoring_through_epi(p)(t)
 
 
 @lru_cache(maxsize=256)
 def _factoring_through_epi(p):
-    """``factor_through_epi`` along p as a function of t: the preimages of
-    p's codomain are looked up once per p, for every t."""
+    """``factor_through_epi`` along p as a function of t: ker p and the
+    preimages of p's codomain are found once per p, for every t."""
     Q = p.cod
-    if Q.backend == "finite" and p.dom.backend != "finite":
-        raise BackendMismatch("factoring through an fgab -> finite epi")
-    xs = _preimage_lookup([p])(
+    killed = kernel_subgroup(p).generators
+    xs = _preimage_lookup((p,))(
         [Q.elements() if Q.backend == "finite" else Q.generators()])
 
     def factor(t):
-        if xs is None:
+        if xs is None or not all(t(k).is_zero() for k in killed):
             return None
-        w = GroupHom(Q, t.cod, tuple(map(t, xs)))
-        if Q.backend == "fgab" and _relation_failure(w):
-            return None
-        if compose(w, p).images != t.images:
-            return None
-        return w
+        return GroupHom(Q, t.cod, tuple(map(t, xs)))
     return factor
 
 
@@ -706,22 +700,9 @@ def factor_through_legs(legs, targets):
     preimages then make w a hom on both backends (the legs reflect sums
     and orders), so nothing is re-checked.
     """
-    return _factoring_through_legs(tuple(legs))(targets)
-
-
-@lru_cache(maxsize=256)
-def _factoring_through_legs(legs):
-    """``factor_through_legs`` along a tuple of legs as a function of the
-    targets: the lookup of preimages is built once per leg family, for
-    every target family."""
-    find = _preimage_lookup(legs)
-
-    def factor(targets):
-        xs = find([t.images for t in targets])
-        if xs is None:
-            return None
-        return GroupHom(targets[0].dom, legs[0].dom, tuple(xs))
-    return factor
+    xs = _preimage_lookup(tuple(legs))([t.images for t in targets])
+    return None if xs is None else GroupHom(targets[0].dom, legs[0].dom,
+                                            tuple(xs))
 
 
 def factor_through_mono(i, t):

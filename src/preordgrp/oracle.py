@@ -24,13 +24,11 @@ from functools import lru_cache, partial, reduce
 from itertools import product
 from typing import NamedTuple
 
-from .cones import (cone_contains, cone_outside, explicit_cone,
-                    extract_generators, units)
+from .cones import cone_outside, explicit_cone, units
 from .descent import canonical_cover, is_covering, kernel_pair
 from .errors import BackendMismatch, ImageNotNormal, UnknownLaw
 from .factor import check_stable_units_instance, in_class
 from .groups import (
-    GroupHom,
     _preimage_lookup,
     enumerate_group_homs,
     enumerate_homs_bounded,
@@ -226,9 +224,10 @@ def _composite(g, f):
 
 # The shapes.  A candidate is a tuple of legs: the one arrow of a mono or
 # an epi, the two arrows of a pair.  A test into it is one arrow X -> cod
-# per leg, a test out of it one arrow dom -> X.  A mediator decides on
-# generators; it builds a hom only for a cone without any, on an fgab
-# carrier, where the canonical generators' images are the whole hom.
+# per leg, a test out of it one arrow dom -> X.  A mediator decides
+# existence on generators and the order by one ``cone_outside`` along a
+# lift through preimages, so it builds no hom; ``cone_outside`` reads the
+# source cone's generators, or its linear pieces when it has none.
 
 def _jointly_monic(legs):
     """Legs with trivially intersecting kernels, along which exact
@@ -244,20 +243,15 @@ def _tests_into(legs, X, bound):
 def _mediator_into(legs):
     """The legs' joint image is a subgroup, the preimage map on it a hom:
     w with legs[k] . w = test[k] exists iff X's generators have preimages,
-    and is monotone iff those of X's cone generators lie in C's cone."""
-    find = _preimage_lookup([leg.hom for leg in legs])
+    and is monotone iff it sends X's cone into C's."""
+    find = _preimage_lookup(tuple(leg.hom for leg in legs))
     C = legs[0].dom
 
     def mediates(test, X):
-        positives = extract_generators(X.cone)
-        if positives is None:
-            xs = find([_on_generators(t.hom) for t in test])
-            return xs is not None and cone_outside(GroupHom(
-                X.group, C.group, tuple(xs)), X.cone, C.cone) is None
-        xs = find([(*_on_generators(t.hom), *map(t.hom, positives))
-                   for t in test])
-        return xs is not None and all(cone_contains(C.cone, x)
-                                      for x in xs[len(xs) - len(positives):])
+        if find([_on_generators(t.hom) for t in test]) is None:
+            return False
+        return cone_outside(lambda x: find([[t.hom(x)] for t in test])[0],
+                            X.cone, C.cone) is None
     return mediates
 
 
@@ -272,22 +266,17 @@ def _tests_out_of(legs, X, bound):
 
 def _mediator_out_of(legs):
     """p is onto, so w with w . p = alpha exists iff alpha kills the
-    generators of ker p, and preserves the order iff alpha sends one
-    preimage of each generator of Q's cone into X's cone."""
+    generators of ker p, and is then alpha after any preimage choice; it
+    is monotone iff it sends Q's cone into X's."""
     p, Q = legs[0].hom, legs[0].cod
     killed = kernel_subgroup(p).generators
-    positives = extract_generators(Q.cone)
-    lifts = _preimage_lookup([p])(
-        [Q.group.generators() if positives is None else positives])
+    find = _preimage_lookup((p,))
 
     def mediates(alpha, X):
         if not all(alpha.hom(k).is_zero() for k in killed):
             return False
-        images = tuple(map(alpha.hom, lifts))
-        if positives is None:
-            return cone_outside(GroupHom(Q.group, X.group, images),
-                                Q.cone, X.cone) is None
-        return all(cone_contains(X.cone, y) for y in images)
+        return cone_outside(lambda y: alpha.hom(find([[y]])[0]),
+                            Q.cone, X.cone) is None
     return mediates
 
 

@@ -92,6 +92,100 @@ class TestParse:
         assert ws.objects["X"].group.torsion == (2, 4)
 
 
+def declared_document(torsion, matrix=None, finite_map=None):
+    """One fgab group G declared with ``torsion``, the trivial cone on it,
+    and optionally an endomorphism given by a 'torsion' block and a map
+    from C2 into G."""
+    n = len(torsion)
+    doc = {
+        "groups": {
+            "G": {"kind": "fgab", "rank": 0, "torsion": torsion},
+            "C2": {"kind": "finite", "elements": ["0", "1"],
+                   "table": [[0, 1], [1, 0]]},
+        },
+        "cones": {"c": {"group": "G", "generators": [[0] * n]},
+                  "d": {"group": "C2", "elements": ["0"]}},
+        "objects": {"X": {"group": "G", "cone": "c"},
+                    "D": {"group": "C2", "cone": "d"}},
+        "morphisms": {},
+    }
+    if matrix is not None:
+        doc["morphisms"]["h"] = {"from": "X", "to": "X",
+                                 "matrix": {"torsion": matrix}}
+    if finite_map is not None:
+        doc["morphisms"]["f"] = {"from": "D", "to": "X", "map": finite_map}
+    return doc
+
+
+class TestDeclaredCoordinates:
+    """Cone vectors, matrix blocks and fgab map images are all read in the
+    coordinates a group is declared in, not in its normal form."""
+
+    def _element(self, ws, vec):
+        return ws.presentations["G"].project(vec)
+
+    def _order(self, x):
+        n = 1
+        while not x.group.scale(x, n).is_zero():
+            n += 1
+        return n
+
+    def test_cone_vector_names_the_declared_generator(self):
+        doc = declared_document([4, 2])
+        doc["cones"]["c"]["generators"] = [[1, 0]]
+        ws = parse_workspace(doc)
+        (g,) = ws.cones["c"].cone_generators
+        assert g == self._element(ws, [1, 0]) and self._order(g) == 4
+
+    def test_matrix_block_in_declared_coordinates(self):
+        # Z/4 + Z/2 -> Z/4 + Z/2 onto the Z/4 summand: the Z/4 generator is
+        # fixed and the Z/2 generator is killed
+        ws = parse_workspace(declared_document([4, 2], [[1, 0], [0, 0]]))
+        h = ws.morphisms["h"].hom
+        z4, z2 = self._element(ws, [1, 0]), self._element(ws, [0, 1])
+        assert h(z4) == z4 and h(z2).is_zero()
+
+    def test_matrix_block_across_coprime_torsion(self):
+        # Z/2 + Z/3 is Z/6 in normal form; negate the Z/3 summand
+        ws = parse_workspace(declared_document([2, 3], [[1, 0], [0, 2]]))
+        h = ws.morphisms["h"].hom
+        assert ws.objects["X"].group.torsion == (6,)
+        assert h(self._element(ws, [1, 1])) == self._element(ws, [1, 2])
+
+    @pytest.mark.parametrize("torsion, matrix", [
+        ([4, 2], [[0, 1], [0, 0]]),  # the Z/2 generator onto the Z/4 one
+        ([2, 3], [[0, 1], [0, 0]]),  # the Z/3 generator onto the Z/2 one
+    ])
+    def test_image_breaking_a_declared_order_is_refused(
+            self, tmp_path, capsys, torsion, matrix):
+        code, out = run_cli(tmp_path, declared_document(torsion, matrix),
+                            "validate")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "error: morphism h: torsion generator 1 image has wrong order\n")
+
+    @pytest.mark.parametrize("torsion, image, order", [
+        ([4, 2], [0, 1], 2), ([2, 3], [1, 0], 2)])
+    def test_finite_map_into_declared_coordinates(self, torsion, image,
+                                                  order):
+        ws = parse_workspace(declared_document(
+            torsion, finite_map=[[0] * len(torsion), image]))
+        f = ws.morphisms["f"].hom
+        y = f(f.dom.elem("1"))
+        assert y == self._element(ws, image) and self._order(y) == order
+
+    def test_cone_vector_of_the_normal_form_length_is_refused(
+            self, tmp_path, capsys):
+        # Z/1 is declared with one coordinate and has none in normal form
+        doc = declared_document([1])
+        doc["cones"]["c"]["generators"] = [[]]
+        code, out = run_cli(tmp_path, doc, "validate")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "error: cone c: a vector has 0 coordinates, its group "
+            "declares 1\n")
+
+
 def run_main(*argv):
     import io
     import contextlib

@@ -187,6 +187,24 @@ class TestDiscreteFibrations:
         rep = is_discrete_fibration(f1, identity_morphism(ZN), Rz, Rid)
         assert not rep.holds
 
+    def test_first_square_must_commute(self):
+        # the swap of Eq(mod 2) over the identity: r1 . sigma = r2 != r1
+        R = kernel_pair(mod2())
+        rep = is_discrete_fibration(R.sigma, identity_morphism(ZN), R, R)
+        assert (rep.holds, rep.detail) == (False,
+                                           "first square does not commute")
+
+    def test_square_must_be_a_pullback(self):
+        # the discrete relation on ZN inside the total one: both squares
+        # commute, but the diagonal is not all pairs
+        Rid = kernel_pair(identity_morphism(ZN))
+        Rz = kernel_pair(zero_morphism(ZN, zero_object()))
+        f1_hom = factor_through_legs([Rz.r1.hom, Rz.r2.hom],
+                                     [Rid.r1.hom, Rid.r2.hom])
+        f1 = structural_morphism(f1_hom, Rid.carrier, Rz.carrier, "diagonal")
+        rep = is_discrete_fibration(f1, identity_morphism(ZN), Rid, Rz)
+        assert (rep.holds, rep.detail) == (False, "square is not a pullback")
+
     def test_galois_relation_of_cover_is_partially_ordered(self):
         # the kernel pair of the realized cover projection lies in the
         # partially ordered subcategory

@@ -354,6 +354,18 @@ class TestOrthogonality:
         rep = check_orthogonality(e, m, a, b)
         assert not rep.holds
 
+    def test_forced_diagonal_not_order_preserving(self):
+        # e = id: (Z, {0}) -> (Z, N) is onto, so the square of identities
+        # forces the diagonal id: (Z, N) -> (Z, {0}), which is not monotone
+        one = identity_hom(Z)
+        Zdisc = make_pog(Z, generator_cone(Z, []))
+        e = make_pog_morphism(one, Zdisc, ZN)
+        m = make_pog_morphism(one, Zdisc, ZZ)
+        b = make_pog_morphism(one, ZN, ZZ)
+        rep = check_orthogonality(e, m, identity_morphism(Zdisc), b)
+        assert not rep.holds
+        assert rep.detail == "forced diagonal not order preserving at <(1)>"
+
     def test_finite_non_epi_enumerates_diagonals(self):
         from preordgrp.corpus import finite_corpus_objects
         from preordgrp.oracle import enumerate_pog_morphisms

@@ -14,7 +14,6 @@ import pytest
 import preordgrp.groups as groups_module
 from preordgrp.cones import SubgroupCone, generator_cone
 from preordgrp.errors import (
-    BackendMismatch,
     BadInvariantFactors,
     EnumerationUnbounded,
     NotAGroup,
@@ -32,7 +31,6 @@ from preordgrp.groups import (
     GroupHom,
     Subgroup,
     _factoring_through_epi,
-    _factoring_through_legs,
     _generated,
     _lattice_intersection,
     _lattice_preimage,
@@ -487,7 +485,7 @@ class TestBuiltOnce:
 
     @pytest.mark.parametrize("cache", [
         quotient, subgroup_to_group, direct_product, image_subgroup,
-        _factoring_through_epi, _factoring_through_legs, _subgroup_snf,
+        _factoring_through_epi, _preimage_lookup, _subgroup_snf,
         _lattice_intersection, _lattice_preimage, _generated, _on_elements])
     def test_cache_is_bounded(self, cache):
         assert cache.cache_info().maxsize == 256
@@ -512,6 +510,7 @@ class TestBuiltOnce:
         p = make_hom(Z2, Z, [Z.elem([1]), Z.elem([0])])
         t = make_hom(Z2, Zmod2, [Zmod2.elem([1]), Zmod2.elem([0])])
         _factoring_through_epi.cache_clear()
+        _preimage_lookup.cache_clear()
         built = _calls(monkeypatch, "_stacked_legs")
         w = factor_through_epi(p, t)
         assert compose(w, p).images == t.images
@@ -522,7 +521,7 @@ class TestBuiltOnce:
         P, p1, p2 = group_pullback(mod2_hom(), mod2_hom())
         factorings = _calls(monkeypatch, "factored")
         ks = [Z.elem([k]) for k in range(-3, 4)]
-        xs = _preimage_lookup([p1, p2])([ks, ks])
+        xs = _preimage_lookup((p1, p2))([ks, ks])
         assert [(p1(x), p2(x)) for x in xs] == list(zip(ks, ks))
         assert len(factorings) == 1
 
@@ -531,7 +530,7 @@ class TestBuiltOnce:
         legs = [list(group_pullback(mod2_hom(), mod2_hom())[1:])
                 for _ in range(2)]
         one = identity_hom(Z)
-        _factoring_through_legs.cache_clear()
+        _preimage_lookup.cache_clear()
         built = _calls(monkeypatch, "_stacked_legs")
         for p1, p2 in legs:
             w = factor_through_legs([p1, p2], [one, one])
@@ -572,12 +571,17 @@ class TestMediatingMaps:
         assert w is not None and compose(w, p).images == t.images
         assert factor_through_epi(p, identity_hom(Z2)) is None
 
-    def test_epi_from_fgab_onto_finite_is_refused(self):
-        # generators of Z cannot show that w on a finite Z/2 is a hom
+    def test_epi_from_fgab_onto_finite(self):
+        # Z -> Z/2 on the finite backend: id_Z does not kill ker p = 2Z,
+        # x -> x mod 2 factors through the identity of Z/2
         G = cyclic_group(2)
         p = make_hom(Z, G, [G.elem(1)])
-        with pytest.raises(BackendMismatch):
-            factor_through_epi(p, identity_hom(Z))
+        assert factor_through_epi(p, identity_hom(Z)) is None
+        w = factor_through_epi(p, p)
+        assert w is not None and w.images == identity_hom(G).images
+        t = make_hom(Z, Zmod2, [Zmod2.elem([1])])
+        w = factor_through_epi(p, t)
+        assert w is not None and compose(w, p).images == t.images
 
     def test_mono_fgab(self):
         dbl = make_hom(Z, Z, [Z.elem([2])])

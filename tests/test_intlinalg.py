@@ -446,11 +446,12 @@ def _search_lines_run(solver, c):
             run.add(lines[frame.f_lineno])
         return tracer
 
+    outer = sys.gettrace()  # a coverage or line trace of the whole run
     sys.settrace(tracer)
     try:
         w = solver.solve(c)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return w, run
 
 

@@ -8,11 +8,13 @@ from conftest import clear_package_caches
 from preordgrp import cones, factor, groups, oracle, pog, torsion
 from preordgrp.cones import explicit_cone, trivial_cone
 from preordgrp.corpus import (
+    fgab_corpus_objects,
     finite_corpus_groups,
     finite_corpus_objects,
     finite_corpus_objects_up_to,
     symmetric_group_3,
 )
+from preordgrp.descent import canonical_cover
 from preordgrp.errors import ImageNotNormal, UnknownLaw
 from preordgrp.groups import (
     cyclic_group,
@@ -455,9 +457,56 @@ class TestGeneratorRulesCanFail:
         rep = verify_universal_property(
             UniversalPropertyQuery("Kernel", data, _test_objects()))
         assert not rep.holds and rep.tested > 0
-        _patch(monkeypatch, oracle, "extract_generators", lambda cone: ())
+        _patch(monkeypatch, oracle, "cone_outside", lambda f, C, D: None)
         assert verify_universal_property(
             UniversalPropertyQuery("Kernel", data, _test_objects()))
+
+
+class TestCoverCones:
+    """Queries whose order test starts from a cover cone, which has no
+    generators: the mediators read its linear pieces.  The cover (Z x Z,
+    cover cone) of each rank-1 corpus object is a test object of both
+    kinds and the Cokernel candidate itself."""
+
+    @pytest.fixture(params=["Z_nat", "Z_total", "Z_discrete"])
+    def cover(self, request):
+        P = fgab_corpus_objects()[request.param]
+        cover = canonical_cover(P)
+        assert cones.extract_generators(cover.realized.cone) is None
+        return P, cover.realized, cover.projection
+
+    def test_kernel_of_the_cover_projection(self, cover):
+        P, C, p = cover
+        K, inj = pog_kernel(p)
+        rep = verify_universal_property(
+            UniversalPropertyQuery("Kernel", (p, K, inj), (C, P), 1))
+        assert rep.holds and rep.tested > 0
+        # with the trivial cone, the test arrow (n, g) |-> (n, 0) out of
+        # the cover has no monotone mediating map
+        K0 = make_pog(K.group, trivial_cone(K.group))
+        swapped = (p, K0, structural_morphism(inj.hom, K0, C, "swapped"))
+        rep = verify_universal_property(
+            UniversalPropertyQuery("Kernel", swapped, (C,), 1))
+        assert not rep.holds and rep.tested > 0
+        assert rep.counterexample == (
+            f"no mediating map for a test arrow from {C.describe()}")
+
+    def test_cokernel_onto_the_cover(self, cover):
+        P, C, p = cover
+        m = zero_morphism(P, C)
+        rep = verify_universal_property(UniversalPropertyQuery(
+            "Cokernel", (m, C, identity_morphism(C)), (C, P), 1))
+        assert rep.holds and rep.tested > 0
+        # a cokernel's cone is the image of its domain's, which the
+        # preconditions check, so a swapped cone is refused before any
+        # test arrow: no monotone test arrow can break the order test
+        T = make_pog(C.group, cones.total_cone(C.group))
+        swapped = (m, T, structural_morphism(identity_morphism(C).hom, C, T,
+                                             "swapped"))
+        rep = verify_universal_property(
+            UniversalPropertyQuery("Cokernel", swapped, (C, P), 1))
+        assert not rep.holds and rep.tested == 0
+        assert rep.counterexample == "candidate cone map is not surjective"
 
 
 def test_finite_queries_build_no_hom(monkeypatch):

@@ -414,6 +414,17 @@ class TestShortExact:
         assert not cert.holds
         assert "pullback" in " ".join(cert.reasons)
 
+    def test_k_not_injective(self):
+        # 0: Z -> Z then id: the image {0} of k is the kernel of f
+        cert = is_short_exact(zero_morphism(ZN, ZN), identity_morphism(ZN))
+        assert not cert.holds and cert.reasons == ("k is not injective",)
+
+    def test_f_not_surjective(self):
+        # 0 -> Z then doubling: the kernel {0} of f is the image of k
+        dbl = make_pog_morphism(make_hom(Z, Z, [Z.elem([2])]), ZN, ZN)
+        cert = is_short_exact(zero_morphism(zero_object(), ZN), dbl)
+        assert not cert.holds and cert.reasons == ("f is not surjective",)
+
     def test_trivial_sequence(self):
         cert = is_short_exact(zero_morphism(zero_object(), ZN),
                               identity_morphism(ZN))
